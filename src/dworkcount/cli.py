@@ -1,5 +1,5 @@
-"""Command-line interface: point counts, direct mGm/mFm evaluation, the
-verification sweep, and the persistent gamma-sweep cache.
+"""Command-line interface: point counts, direct mGm/mFm evaluation and the
+verification sweep.
 
 Exit codes: 0 success/agreement, 1 usage error, 2 domain or precondition
 error, 3 disagreement detected.
@@ -9,17 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-import zlib
 from math import inf
 
-from . import dwork, oracle, pgamma
+from . import dwork, oracle
 from .hyperfun import FParams, GParams, eval_F, eval_G
 from .padic import PadicError, ValuedPadic, is_odd_prime
-
-CACHE_ENV = "DWORKCOUNT_CACHE_DIR"
 
 
 class UsageError(Exception):
@@ -31,63 +27,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# -- gamma cache ---------------------------------------------------------------
-
-def _cache_path(cache_dir: str, p: int, digits: int) -> str:
-    return os.path.join(cache_dir, f"gamma_p{p}_k{digits}.csv")
-
-
-def _entries_checksum(pairs) -> int:
-    crc = 0
-    for m, res in pairs:
-        crc = zlib.crc32(f"{m},{res};".encode(), crc)
-    return crc
-
-
-def save_gamma_cache(cache_dir: str, p: int, digits: int) -> str:
-    """Persist the known (lift, gamma) pairs for (p, digits); atomic replace."""
-    pairs = pgamma.export_memo(p, digits)
-    os.makedirs(cache_dir, exist_ok=True)
-    path = _cache_path(cache_dir, p, digits)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write("p,K_w,count,checksum\n")
-        fh.write(f"{p},{digits},{len(pairs)},{_entries_checksum(pairs)}\n")
-        for m, res in pairs:
-            fh.write(f"{m},{res}\n")
-    os.replace(tmp, path)
-    return path
-
-
-def load_gamma_cache(cache_dir: str, p: int, digits: int) -> bool:
-    """Preload cached gamma values; on any mismatch warn and recompute instead."""
-    path = _cache_path(cache_dir, p, digits)
-    if not os.path.exists(path):
-        return False
-    try:
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header != "p,K_w,count,checksum":
-                raise ValueError("bad header")
-            p_, k_, count, checksum = (int(v) for v in fh.readline().split(","))
-            if (p_, k_) != (p, digits):
-                raise ValueError("cache keyed for a different (p, K_w)")
-            pairs = []
-            for line in fh:
-                m, res = line.split(",")
-                pairs.append((int(m), int(res)))
-            if len(pairs) != count or _entries_checksum(pairs) != checksum:
-                raise ValueError("checksum mismatch")
-        pgamma.import_memo(p, digits, pairs)
-        return True
-    except (ValueError, OSError) as exc:
-        print(f"warning: ignoring corrupt gamma cache {path} ({exc}); recomputing",
-              file=sys.stderr)
-        return False
-
-
-def _cache_dir(args) -> str | None:
-    return args.cache_dir or os.environ.get(CACHE_ENV)
+def _int_at_least(low: int):
+    """argparse type: an int >= low (violations are usage errors)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
 
 
 # -- formatting ----------------------------------------------------------------
@@ -141,12 +89,7 @@ def _cmd_count(args) -> int:
     except dwork.InstanceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    cache_dir = _cache_dir(args)
     kt = args.precision_override if args.precision_override else dwork.k_target(args.p, args.n)
-    digits = dwork.k_working(args.p, args.n, kt)
-    if cache_dir:
-        load_gamma_cache(cache_dir, args.p, digits)
-
     method = args.method
     if method == "main" and inst.lam == 0:
         print("notice: lambda = 0 is outside the main formula; routing to the "
@@ -196,8 +139,6 @@ def _cmd_count(args) -> int:
             print(f"{name:>9}: {methods[name]}{suffix}")
         if len(names) > 1:
             print("agreement:", "yes" if agreement else "NO")
-    if cache_dir:
-        save_gamma_cache(cache_dir, args.p, digits)
     return 0 if agreement else 3
 
 
@@ -277,12 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="deformation parameter; negatives reduce mod p")
     count.add_argument("--method", default="all",
                        choices=["main", "koblitz", "relprime", "ff", "oracle", "all"])
-    count.add_argument("--precision-override", type=int, default=0, metavar="K",
+    count.add_argument("--precision-override", type=_int_at_least(0), default=0, metavar="K",
                        help="congruence mode: report counts mod p^K instead of "
-                            "reconstructing exactly")
+                            "reconstructing exactly (0, the default, is off)")
     count.add_argument("--json", action="store_true")
-    count.add_argument("--cache-dir", default=None,
-                       help=f"gamma cache directory (or ${CACHE_ENV})")
     count.set_defaults(func=_cmd_count)
 
     for name, helptext in (("gfun", "evaluate the p-adic hypergeometric sum mGm"),
@@ -292,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
         fn.add_argument("--a", required=True, help='comma list of fractions, e.g. "1/4,3/4"')
         fn.add_argument("--b", required=True, help='comma list of fractions, e.g. "1,1/2"')
         fn.add_argument("--x", type=int, required=True)
-        fn.add_argument("--kw", type=int, default=6, help="working digits (default 6)")
+        fn.add_argument("--kw", type=_int_at_least(1), default=6,
+                        help="working digits (default 6)")
         fn.add_argument("--json", action="store_true")
         fn.set_defaults(func=_cmd_gfun if name == "gfun" else _cmd_ffun)
 

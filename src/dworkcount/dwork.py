@@ -15,6 +15,11 @@ so every gamma lookup hits the seeded table and a count costs O(p) per class
 instead of a p^digits lift sweep.  The (-p)-exponents are still the exact
 floors of the literal definition, and tests pin the kernel against the literal
 evaluator on instances small enough to sweep.
+
+All four formulas share one evaluation kernel, CharSum: a lambda-free constant
+plus sum_e C_e wbar^e(y), with y = lambda^n (main, and relprime as its d = 1
+case), y = n*lambda (Gauss-sum count) or y = lambda^{-n} (finite-field form).
+Each method only builds its coefficients, once per (p, n, K_target).
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from itertools import product
 from math import gcd
 
 from .gauss import gauss_gk, gk_product
-from .hyperfun import FParams, eval_F
+from .hyperfun import FParams, f_coefficients
 from .padic import (PadicUnit, ValuedPadic, is_odd_prime, reconstruct_integer,
                     teichmuller_table)
 from .pgamma import frac_gamma_table
@@ -167,12 +172,13 @@ def k_working(p: int, n: int, kt: int | None = None) -> int:
 
 # -- the reduced mGm kernel ---------------------------------------------------
 
-def class_g_coefficients(pd: ParamData, p: int, n: int, digits: int) -> list[ValuedPadic]:
+def class_g_coefficients(pd: ParamData, p: int, n: int,
+                         digits: int) -> list[tuple[int, int]]:
     """Per-j coefficients c_j with  G[A_w; B_w | x] = -1/(p-1) * sum_j c_j wbar^j(x).
 
     Each c_j = (-1)^{js} (-p)^{E_j} * (gamma quotients), with the h/n family
     reduced to denominator-(p-1) lookups; E_j comes from the exact floors of
-    the literal definition.
+    the literal definition.  Returned as (E_j, unit residue mod p^digits) pairs.
     """
     d, t = pd.d, (p - 1) // pd.d
     mod = p ** digits
@@ -215,241 +221,201 @@ def class_g_coefficients(pd: ParamData, p: int, n: int, digits: int) -> list[Val
             - sum(1 for thr in b_thresholds if j >= p - 1 - thr)
         if (j * pd.s + exponent) % 2:
             unit = (mod - unit) % mod
-        coeffs.append(ValuedPadic(p, exponent, PadicUnit(unit, p, digits)))
+        coeffs.append((exponent, unit))
     return coeffs
 
 
-def class_g_value(pd: ParamData, x: int, p: int, n: int, digits: int) -> ValuedPadic:
-    """G[A_w; B_w | x] via the reduced kernel (equals the literal evaluator)."""
-    x %= p
-    if x == 0:
-        return ValuedPadic.zero(p)
-    mod = p ** digits
-    chi, chi_step = 1, pow(teichmuller_table(p, digits)[x], p - 2, mod)
-    total = ValuedPadic.zero(p)
-    for c in class_g_coefficients(pd, p, n, digits):
-        total = total + c * ValuedPadic(p, 0, PadicUnit(chi, p, digits))
-        chi = chi * chi_step % mod
-    return total * ValuedPadic.from_fraction(Fraction(-1, p - 1), p, digits)
+# -- the shared character-sum kernel -------------------------------------------
+
+def _fold(terms, size: int, p: int, mod: int):
+    """Sum (index, valuation, unit) terms into `size` integers mod p^digits at the
+    smallest valuation seen; returns (that valuation or None, the integers)."""
+    v0, ints = None, [0] * size
+    for i, v, u in terms:
+        if v0 is None:
+            v0 = v
+        elif v < v0:
+            shift = p ** (v0 - v)
+            ints = [c * shift % mod for c in ints]
+            v0 = v
+        ints[i] = (ints[i] + u * p ** (v - v0)) % mod
+    return v0, ints
 
 
-# -- count engines ------------------------------------------------------------
+class CharSum:
+    """const + sum_e C_e * wbar^e(y) for lambda-free terms p^v * u, u known mod p^digits.
 
-class _MainEngine:
-    """Main-count evaluation for fixed (p, n): per-class coefficients are
-    lambda-free, so a grid over lambda reuses all gamma work."""
+    The constant and C are folded into plain integers, each at its smallest term
+    valuation, so a value costs one Horner pass.  Like a term-by-term
+    ValuedPadic sum, the result is known to absolute precision digits plus the
+    smallest valuation among the terms it sums; at y = 0 every character
+    vanishes and only the constant's terms count.
+    """
 
-    def __init__(self, p: int, n: int, kt: int):
-        inst = DworkInstance(p, n, 1)
-        self.p, self.n, self.d = p, n, inst.d
-        self.digits = k_working(p, n, kt)
-        self.mod = p ** self.digits
-        self.total = inst.projective_total
-        self.base = (p ** (n - 1) - 1) // (p - 1)
-        self.classes = []
-        for rep in canonical_classes(n, inst.d):
-            pd = derive_params(rep.wstar, n, inst.d)
-            pref = ValuedPadic(p, pd.prefactor_exponent,
-                               pd.gamma_prefactor(p, self.digits))
-            if pd.prefactor_exponent % 2:  # (-p)^e carries a sign
-                pref = -pref
-            self.classes.append((pd, pref, class_g_coefficients(pd, p, n, self.digits)))
+    def __init__(self, p: int, digits: int, const_terms, char_terms):
+        self.p, self.digits = p, digits
+        self.mod = p ** digits
+        self.const_offset, (self.const,) = _fold(((0, v, u) for v, u in const_terms),
+                                                 1, p, self.mod)
+        self.offset, self.coeffs = _fold(char_terms, p - 1, p, self.mod)
 
-    def value(self, lam: int) -> ValuedPadic:
-        p, n = self.p, self.n
-        lam %= p
-        if lam == 0:
-            raise InstanceError("lambda = 0: use the Gauss-sum count")
-        x = pow(lam, n, p)
-        scale = ValuedPadic.from_fraction(Fraction(-1, p - 1), p, self.digits)
-        teich_x = teichmuller_table(p, self.digits)[x]
-        chi_step = pow(teich_x, p - 2, self.mod)
-        acc = ValuedPadic.from_int(self.base, p, self.digits)
-        sign = 1 if n % 2 == 0 else -1
-        for pd, pref, coeffs in self.classes:
-            chi = 1
-            g_sum = ValuedPadic.zero(p)
-            for c in coeffs:
-                g_sum = g_sum + c * ValuedPadic(p, 0, PadicUnit(chi, p, self.digits))
-                chi = chi * chi_step % self.mod
-            summand = pref * g_sum * scale
-            acc = acc + (summand if sign > 0 else -summand)
-        return acc
-
-    def count(self, lam: int) -> int:
-        return reconstruct_integer(self.value(lam), self.total)
+    def value(self, y: int) -> ValuedPadic:
+        p, mod = self.p, self.mod
+        parts = [] if self.const_offset is None else [(self.const_offset, self.const)]
+        if y % p and self.offset is not None:
+            z = teichmuller_table(p, self.digits)[pow(y, -1, p)]  # wbar(y)
+            acc = 0
+            for c in reversed(self.coeffs):
+                acc = (acc * z + c) % mod
+            parts.append((self.offset, acc))
+        if not parts:
+            return ValuedPadic.zero(p)
+        v0 = min(v for v, _ in parts)
+        x = sum(c * p ** (v - v0) for v, c in parts) % mod
+        if x == 0:
+            return ValuedPadic.zero(p, v0 + self.digits)
+        v = 0
+        while x % p == 0:
+            x //= p
+            v += 1
+        return ValuedPadic(p, v0 + v, PadicUnit(x, p, self.digits - v))
 
 
-class _KoblitzEngine:
-    """Gauss-sum count for fixed (p, n); valid for every lambda including 0."""
-
-    def __init__(self, p: int, n: int, kt: int):
-        inst = DworkInstance(p, n, 1)
-        self.p, self.n, self.d, self.t = p, n, inst.d, inst.t
-        self.digits = k_working(p, n, kt)
-        self.mod = p ** self.digits
-        self.total = inst.projective_total
-        W = enumerate_W(n, inst.d)
-        const = ValuedPadic.from_int((p ** (n - 1) - 1) // (p - 1), p, self.digits)
-        shift = ValuedPadic(p, -1, PadicUnit(1, p, self.digits))
-        for w in W:
-            if all(wi == 0 for wi in w):
-                continue  # handled by the constant above
-            if any(wi == 0 for wi in w):
-                continue  # N_p(0, w) = 0 when some but not all entries vanish
-            prod = gk_product([(gauss_gk(wi * self.t, p, self.digits), 1) for wi in w],
-                              p, self.digits)
-            if prod.valuation < 1:
-                raise AssertionError("all-nonzero Gauss product must have valuation >= 1")
-            const = const + prod * shift
-        self.const = const
-        self.char_terms = []  # (exponent of T^{nj}, collapsed coefficient)
-        for w in W:
-            for j in range(self.t):
-                factors = [(gauss_gk(wi * self.t + j, p, self.digits), 1) for wi in w]
-                factors.append((gauss_gk(n * j, p, self.digits), -1))
-                self.char_terms.append(((n * j) % (p - 1),
-                                        gk_product(factors, p, self.digits)))
-
-    def value(self, lam: int) -> ValuedPadic:
-        p = self.p
-        lam %= p
-        value = self.const
-        if lam:
-            y = (self.n * lam) % p
-            teich_y = teichmuller_table(p, self.digits)[y]
-            powers = {e: pow(teich_y, (p - 1 - e) % (p - 1), self.mod)
-                      for e in {e for e, _ in self.char_terms}}
-            acc = ValuedPadic.zero(p)
-            for e, coeff in self.char_terms:
-                acc = acc + coeff * ValuedPadic(p, 0, PadicUnit(powers[e], p, self.digits))
-            value = value + acc * ValuedPadic.from_fraction(Fraction(1, p - 1),
-                                                            p, self.digits)
-        return value
-
-    def count(self, lam: int) -> int:
-        return reconstruct_integer(self.value(lam), self.total)
+def _main_terms(p: int, n: int, digits: int):
+    """(j, valuation, unit) of (-1)^n * prefactor * G-coefficient, per class."""
+    d, mod = gcd(p - 1, n), p ** digits
+    scale = (-1) ** (n + 1) * pow(p - 1, -1, mod)  # (-1)^n times G's -1/(p-1)
+    for rep in canonical_classes(n, d):
+        pd = derive_params(rep.wstar, n, d)
+        e = pd.prefactor_exponent  # (-p)^e carries a sign
+        pref = (-1) ** e * pd.gamma_prefactor(p, digits).residue * scale
+        for j, (v, u) in enumerate(class_g_coefficients(pd, p, n, digits)):
+            yield j, e + v, pref * u % mod
 
 
-class _FFEngine:
-    """Finite-field-hypergeometric count (p == 1 mod n) with a chosen character generator
-    T = wbar^alpha, gcd(alpha, p-1) = 1."""
+def _koblitz_consts(p: int, n: int, digits: int):
+    """(valuation, unit) of g(w)/p for each all-nonzero w; the all-zero w is the
+    base term, and N_p(0, w) = 0 when some but not all entries vanish."""
+    d = gcd(p - 1, n)
+    t = (p - 1) // d
+    for w in enumerate_W(n, d):
+        if 0 in w:
+            continue
+        prod = gk_product([(gauss_gk(wi * t, p, digits), 1) for wi in w], p, digits)
+        if prod.valuation < 1:
+            raise AssertionError("all-nonzero Gauss product must have valuation >= 1")
+        yield prod.valuation - 1, prod.unit.residue
 
-    def __init__(self, p: int, n: int, kt: int, alpha: int = 1):
-        if (p - 1) % n:
-            raise InstanceError(f"p={p} is not 1 mod n={n}")
-        if gcd(alpha, p - 1) != 1:
-            raise InstanceError("generator exponent must be coprime to p-1")
-        inst = DworkInstance(p, n, 1)
-        self.p, self.n, self.t = p, n, inst.t
-        self.digits = k_working(p, n, kt)
-        self.total = inst.projective_total
-        self.base = (p ** (n - 1) - 1) // (p - 1)
-        self.classes = []
-        for rep in canonical_classes(n, n):
-            pd = derive_params(rep.wstar, n, n)
-            pref = gk_product([(gauss_gk(alpha * wi * self.t, p, self.digits), 1)
-                               for wi in rep.wstar], p, self.digits)
-            a_exps = tuple((alpha * (n - k) * self.t) % (p - 1) for k in sorted(pd.S_w))
-            b_exps = []
-            for k in sorted(pd.S_wc):
-                b_exps.extend([(alpha * (n - k) * self.t) % (p - 1)] * (pd.n_k[k] - 1))
-            self.classes.append((pref, FParams(a_exps, tuple(b_exps))))
 
-    def value(self, lam: int) -> ValuedPadic:
-        p = self.p
-        lam %= p
-        if lam == 0:
-            raise InstanceError("lambda = 0: use the Gauss-sum count")
-        x = pow(lam, -self.n, p)
-        value = ValuedPadic.from_int(self.base, p, self.digits)
-        for pref, params in self.classes:
-            value = value + pref * eval_F(params, x, p, self.digits)
-        return value
+def _koblitz_terms(p: int, n: int, digits: int):
+    """(nj mod p-1, valuation, unit) of each collapsed Gauss-sum ratio / (p-1)."""
+    d, mod = gcd(p - 1, n), p ** digits
+    t, inv = (p - 1) // d, pow(p - 1, -1, mod)
+    for w in enumerate_W(n, d):
+        for j in range(t):
+            factors = [(gauss_gk(wi * t + j, p, digits), 1) for wi in w]
+            factors.append((gauss_gk(n * j, p, digits), -1))
+            c = gk_product(factors, p, digits)
+            yield (n * j) % (p - 1), c.valuation, c.unit.residue * inv % mod
 
-    def count(self, lam: int) -> int:
-        return reconstruct_integer(self.value(lam), self.total)
+
+def _ff_terms(p: int, n: int, digits: int, alpha: int):
+    """(k, valuation, unit) of prefactor * mFm-coefficient per class (p == 1 mod n),
+    with the character generator T = wbar^alpha, gcd(alpha, p-1) = 1."""
+    if (p - 1) % n:
+        raise InstanceError(f"p={p} is not 1 mod n={n}")
+    if gcd(alpha, p - 1) != 1:
+        raise InstanceError("generator exponent must be coprime to p-1")
+    t, mod = (p - 1) // n, p ** digits
+    scale = -pow(p - 1, -1, mod)
+    for rep in canonical_classes(n, n):
+        pd = derive_params(rep.wstar, n, n)
+        pref = gk_product([(gauss_gk(alpha * wi * t, p, digits), 1)
+                           for wi in rep.wstar], p, digits)
+        a_exps = tuple((alpha * (n - k) * t) % (p - 1) for k in sorted(pd.S_w))
+        b_exps = []
+        for k in sorted(pd.S_wc):
+            b_exps.extend([(alpha * (n - k) * t) % (p - 1)] * (pd.n_k[k] - 1))
+        unit = pref.unit.residue * scale
+        for k, (v, u) in enumerate(f_coefficients(FParams(a_exps, tuple(b_exps)),
+                                                  p, digits)):
+            yield k, pref.valuation + v, unit * u % mod
 
 
 @lru_cache(maxsize=None)
-def _main_engine(p, n, kt):
-    return _MainEngine(p, n, kt)
+def _kernel(method: str, p: int, n: int, kt: int, alpha: int) -> CharSum:
+    """The lambda-free kernel of main, koblitz or ff for fixed (p, n, K_target)."""
+    digits = k_working(p, n, kt)
+    consts = [(0, (p ** (n - 1) - 1) // (p - 1))]  # the base count, a p-adic unit
+    if method == "main":
+        chars = _main_terms(p, n, digits)
+    elif method == "koblitz":
+        consts += _koblitz_consts(p, n, digits)
+        chars = _koblitz_terms(p, n, digits)
+    else:
+        chars = _ff_terms(p, n, digits, alpha)
+    return CharSum(p, digits, consts, chars)
 
 
-@lru_cache(maxsize=None)
-def _koblitz_engine(p, n, kt):
-    return _KoblitzEngine(p, n, kt)
+# the character argument y(lambda) of each method's kernel
+_ARGUMENT = {
+    "main": lambda p, n, lam: pow(lam, n, p),
+    "relprime": lambda p, n, lam: pow(lam, n, p),
+    "koblitz": lambda p, n, lam: n * lam % p,
+    "ff": lambda p, n, lam: pow(lam, -n, p),
+}
 
 
-@lru_cache(maxsize=None)
-def _ff_engine(p, n, kt, alpha):
-    return _FFEngine(p, n, kt, alpha)
+def _value(name: str, inst: DworkInstance, kt: int | None, alpha: int = 1) -> ValuedPadic:
+    p, n = inst.p, inst.n
+    if name not in _ARGUMENT:
+        raise ValueError(f"unknown method {name!r}")
+    if name == "relprime":  # the main kernel at d = 1: one (n-1)G(n-1) class
+        if inst.d != 1:
+            raise InstanceError(f"gcd(p-1, n) = {inst.d} != 1: "
+                                "the d = 1 formula does not apply")
+        pd = derive_params((0,) * n, n, 1)
+        assert pd.A_w == tuple(Fraction(h, n) for h in range(1, n))
+        assert pd.B_w == (Fraction(1),) * (n - 1)
+    if inst.lam == 0 and name != "koblitz":
+        raise InstanceError("lambda = 0: use the Gauss-sum count")
+    kernel = _kernel("main" if name == "relprime" else name, p, n,
+                     kt if kt is not None else k_target(p, n), alpha)
+    return kernel.value(_ARGUMENT[name](p, n, inst.lam))
+
+
+def _count(name: str, p: int, n: int, lam: int, kt: int | None, alpha: int = 1) -> int:
+    inst = DworkInstance(p, n, lam)
+    return reconstruct_integer(_value(name, inst, kt, alpha), inst.projective_total)
 
 
 def count_main(p: int, n: int, lam: int, kt: int | None = None) -> int:
     """N_p(lambda) by the main hypergeometric formula; lambda != 0, p not dividing n."""
-    inst = DworkInstance(p, n, lam)
-    if inst.lam == 0:
-        raise InstanceError("lambda = 0: the main formula assumes lambda in F_p^*; "
-                            "use the Gauss-sum count")
-    return _main_engine(p, n, kt if kt is not None else k_target(p, n)).count(inst.lam)
+    return _count("main", p, n, lam, kt)
 
 
 def main_value(p: int, n: int, lam: int, kt: int | None = None) -> ValuedPadic:
     """The pre-reconstruction p-adic value of the main count."""
-    inst = DworkInstance(p, n, lam)
-    return _main_engine(p, n, kt if kt is not None else k_target(p, n)).value(inst.lam)
-
-
-def relprime_value(p: int, n: int, lam: int, kt: int | None = None) -> ValuedPadic:
-    """Pre-reconstruction value of the d = 1 specialization."""
-    inst = DworkInstance(p, n, lam)
-    if inst.d != 1:
-        raise InstanceError(f"gcd(p-1, n) = {inst.d} != 1: the d = 1 formula does not apply")
-    if inst.lam == 0:
-        raise InstanceError("lambda = 0: use the Gauss-sum count")
-    pd = derive_params((0,) * n, n, 1)
-    assert pd.A_w == tuple(Fraction(h, n) for h in range(1, n))
-    assert pd.B_w == (Fraction(1),) * (n - 1)
-    digits = k_working(p, n, kt)
-    g = class_g_value(pd, pow(inst.lam, n, p), p, n, digits)
-    value = ValuedPadic.from_int((p ** (n - 1) - 1) // (p - 1), p, digits)
-    return value + (g if n % 2 == 0 else -g)
+    return _value("main", DworkInstance(p, n, lam), kt)
 
 
 def count_relprime(p: int, n: int, lam: int, kt: int | None = None) -> int:
     """N_p(lambda) by the d = 1 specialization: one (n-1)G(n-1) evaluation."""
-    value = relprime_value(p, n, lam, kt)
-    return reconstruct_integer(value, DworkInstance(p, n, lam).projective_total)
+    return _count("relprime", p, n, lam, kt)
 
 
 def count_ff(p: int, n: int, lam: int, kt: int | None = None,
              generator_exponent: int = 1) -> int:
     """N_p(lambda) by the finite-field-hypergeometric form (p == 1 mod n)."""
-    inst = DworkInstance(p, n, lam)
-    if inst.lam == 0:
-        raise InstanceError("lambda = 0: use the Gauss-sum count")
-    return _ff_engine(p, n, kt if kt is not None else k_target(p, n),
-                      generator_exponent).count(inst.lam)
+    return _count("ff", p, n, lam, kt, generator_exponent)
 
 
 def count_koblitz(p: int, n: int, lam: int, kt: int | None = None) -> int:
     """N_p(lambda) by the Gauss-sum count; lambda = 0 allowed."""
-    inst = DworkInstance(p, n, lam)
-    return _koblitz_engine(p, n, kt if kt is not None else k_target(p, n)).count(inst.lam)
+    return _count("koblitz", p, n, lam, kt)
 
 
 def method_value(name: str, p: int, n: int, lam: int,
                  kt: int | None = None) -> ValuedPadic:
     """Pre-reconstruction p-adic value of a named formula method."""
-    inst = DworkInstance(p, n, lam)
-    kt = kt if kt is not None else k_target(p, n)
-    if name == "main":
-        return _main_engine(p, n, kt).value(inst.lam)
-    if name == "koblitz":
-        return _koblitz_engine(p, n, kt).value(inst.lam)
-    if name == "relprime":
-        return relprime_value(p, n, inst.lam, kt)
-    if name == "ff":
-        return _ff_engine(p, n, kt, 1).value(inst.lam)
-    raise ValueError(f"unknown method {name!r}")
+    return _value(name, DworkInstance(p, n, lam), kt)

@@ -135,28 +135,37 @@ def eval_G(params: GParams, x: int, p: int, digits: int,
     return total * ValuedPadic.from_fraction(Fraction(-1, p - 1), p, digits)
 
 
+def f_coefficients(params: FParams, p: int, digits: int) -> list[tuple[int, int]]:
+    """The x-free part of each mFm summand, as (valuation, unit residue) pairs:
+    the k-th summand at x is this coefficient times wbar^k(x)."""
+    mod = p ** digits
+    m = params.m
+    denominators = ([(gauss_gk(a, p, digits), -1) for a in params.a_exps]
+                    + [(gauss_gk(-b, p, digits), -1) for b in params.b_exps])
+    coeffs = []
+    for k in range(p - 1):
+        factors = [(gauss_gk(a + k, p, digits), 1) for a in params.a_exps]
+        factors += [(gauss_gk(-b - k, p, digits), 1) for b in params.b_exps]
+        factors += denominators
+        v = gk_product(factors, p, digits)
+        unit = v.unit.residue
+        if k * m % 2:  # chi(-1)^m = (-1)^{km}
+            unit = (mod - unit) % mod
+        coeffs.append((v.valuation, unit))
+    return coeffs
+
+
 def eval_f_terms(params: FParams, x: int, p: int, digits: int) -> list[ValuedPadic]:
     """The p-1 character summands of the mFm sum (before the -1/(p-1) factor)."""
     x %= p
     if x == 0:
         raise ValueError("x = 0 annihilates every term; eval_F returns exact zero")
     mod = p ** digits
-    m = params.m
-    denominators = ([(gauss_gk(a, p, digits), -1) for a in params.a_exps]
-                    + [(gauss_gk(-b, p, digits), -1) for b in params.b_exps])
-    teich_x = teichmuller_table(p, digits)[x]
     chi = 1
-    chi_step = pow(teich_x, p - 2, mod)
+    chi_step = pow(teichmuller_table(p, digits)[x], p - 2, mod)
     terms = []
-    for k in range(p - 1):
-        factors = [(gauss_gk(a + k, p, digits), 1) for a in params.a_exps]
-        factors += [(gauss_gk(-b - k, p, digits), 1) for b in params.b_exps]
-        factors += denominators
-        v = gk_product(factors, p, digits)
-        unit = v.unit.residue * chi % mod
-        if k * m % 2:  # chi(-1)^m = (-1)^{km}
-            unit = (mod - unit) % mod
-        terms.append(ValuedPadic(p, v.valuation, PadicUnit(unit, p, digits)))
+    for v, unit in f_coefficients(params, p, digits):
+        terms.append(ValuedPadic(p, v, PadicUnit(unit * chi % mod, p, digits)))
         chi = chi * chi_step % mod
     return terms
 

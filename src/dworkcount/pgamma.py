@@ -14,12 +14,12 @@ Two evaluation routes coexist:
 
 General rational arguments route through the table when the denominator
 divides p-1 and otherwise fall back to the sweep, which at working precisions
-beyond ~10^8 lift steps is refused with advice (see SWEEP_LIMIT).
+beyond ~10^8 lift steps is refused with advice (see SWEEP_LIMIT).  Sweep
+results are memoized in-process per (p, digits); nothing is persisted.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
 from fractions import Fraction
 from functools import lru_cache
 
@@ -32,53 +32,34 @@ class SweepLimitError(PadicError):
     """A gamma evaluation would need an infeasibly long lift sweep."""
 
 
-# per-(p, digits) map of lift -> Gamma_p(lift) residue, plus sorted keys for
-# checkpoint resume; grows monotonically, never rewritten
+# per-(p, digits) map of lift -> Gamma_p(lift) residue; grows monotonically
 _sweep_memo: dict[tuple[int, int], dict[int, int]] = {}
-_sweep_keys: dict[tuple[int, int], list[int]] = {}
-
-
-def _memo_for(p: int, digits: int):
-    key = (p, digits)
-    if key not in _sweep_memo:
-        _sweep_memo[key] = {0: 1}
-        _sweep_keys[key] = [0]
-    return _sweep_memo[key], _sweep_keys[key]
 
 
 def batch_pgamma_residues(lifts, p: int, digits: int,
                           sweep_limit: int | None = SWEEP_LIMIT) -> dict[int, int]:
-    """Gamma_p at every requested lift, from one shared forward sweep.
-
-    Resumes from the nearest memoized checkpoint below each target, so warm
-    calls and cache-preloaded runs skip already-walked ranges.
-    """
+    """Gamma_p at every requested lift, from one shared forward sweep; values
+    are memoized per (p, digits)."""
     mod = p ** digits
-    memo, keys = _memo_for(p, digits)
+    memo = _sweep_memo.setdefault((p, digits), {})
     targets = sorted(set(lifts))
     if targets and not 0 <= targets[0] <= targets[-1] < mod:
         raise ValueError("lift out of range [0, p^digits)")
     out = {}
     pos, val = 0, 1
     for m in targets:
-        if m in memo:
-            out[m] = val = memo[m]
-            pos = m
-            continue
-        i = bisect_right(keys, m) - 1
-        if keys[i] > pos:
-            pos, val = keys[i], memo[keys[i]]
-        if sweep_limit is not None and m - pos > sweep_limit:
-            raise SweepLimitError(
-                f"gamma lift sweep of {m - pos} steps exceeds the {sweep_limit} limit; "
-                "use a smaller working precision (e.g. --precision-override) or "
-                "arguments with denominator dividing p-1")
-        while pos < m:
-            val = val * (mod - pos) % mod if pos % p else (mod - val) % mod
-            pos += 1
-        memo[m] = val
-        insort(keys, m)
-        out[m] = val
+        if m not in memo:
+            if sweep_limit is not None and m - pos > sweep_limit:
+                raise SweepLimitError(
+                    f"gamma lift sweep of {m - pos} steps exceeds the {sweep_limit} limit; "
+                    "use a smaller working precision (e.g. --precision-override) or "
+                    "arguments with denominator dividing p-1")
+            while pos < m:
+                val = val * (mod - pos) % mod if pos % p else (mod - val) % mod
+                pos += 1
+            memo[m] = val
+        out[m] = val = memo[m]
+        pos = m
     return out
 
 
@@ -219,21 +200,3 @@ class GammaEvaluator:
             return gamma_of_fraction(q, self.p, self.digits, self.sweep_limit)
         self.prefetch([q])
         return self._lifted[q]
-
-
-def export_memo(p: int, digits: int) -> list[tuple[int, int]]:
-    """Sorted (lift, residue) pairs computed so far for (p, digits)."""
-    memo, keys = _memo_for(p, digits)
-    return [(m, memo[m]) for m in keys]
-
-
-def import_memo(p: int, digits: int, pairs) -> None:
-    """Preload sweep checkpoints, validating unit-ness and range per entry."""
-    mod = p ** digits
-    memo, keys = _memo_for(p, digits)
-    for m, res in pairs:
-        if not (0 <= m < mod and 0 < res < mod and res % p != 0):
-            raise ValueError("cache entry violates gamma invariants")
-        if m not in memo:
-            memo[m] = res
-            insort(keys, m)

@@ -1,7 +1,9 @@
 import json
 import pathlib
 
-from dworkcount import cli, oracle, pgamma
+import pytest
+
+from dworkcount import cli, oracle
 
 
 def run(capsys, argv):
@@ -69,6 +71,35 @@ def test_precision_override_labels_congruence_mode(capsys):
     assert all(v == 21 % 49 for v in report["methods"].values())
 
 
+@pytest.mark.parametrize("k", ["-1", "-6"])
+@pytest.mark.parametrize("method", ["main", "all"])
+def test_negative_precision_override_is_a_usage_error(capsys, k, method):
+    code, out, err = run(capsys, ["count", "--p", "7", "--n", "3", "--lambda", "1",
+                                  "--method", method, "--json", "--precision-override", k])
+    assert code == 1
+    assert out == ""
+    assert "usage error" in err and "--precision-override" in err
+
+
+def test_precision_override_zero_is_off(capsys):
+    code, out, _ = run(capsys, ["count", "--p", "7", "--n", "3", "--lambda", "1",
+                                "--method", "main", "--json", "--precision-override", "0"])
+    assert code == 0
+    report = json.loads(out)
+    assert "modulus" not in report
+    assert report["methods"] == {"main": 21}
+
+
+@pytest.mark.parametrize("command", ["gfun", "ffun"])
+@pytest.mark.parametrize("kw", ["0", "-1"])
+def test_nonpositive_kw_is_a_usage_error(capsys, command, kw):
+    code, out, err = run(capsys, [command, "--p", "7", "--a", "1/2", "--b", "1",
+                                  "--x", "1", "--kw", kw])
+    assert code == 1
+    assert out == ""
+    assert "usage error" in err and "--kw" in err
+
+
 def test_gfun_fractional_shift_invariance(capsys):
     _, out1, _ = run(capsys, ["gfun", "--p", "7", "--a", "1/2", "--b", "1", "--x", "1"])
     _, out2, _ = run(capsys, ["gfun", "--p", "7", "--a", "3/2", "--b", "1", "--x", "1"])
@@ -121,45 +152,3 @@ def test_verify_exit_zero_on_agreement(capsys):
                                 "--lambda", "all"])
     assert code == 0
     assert "0 disagreements" in err
-
-
-# -- gamma cache ------------------------------------------------------------------
-
-def test_cache_round_trip(tmp_path):
-    p, digits = 7, 4
-    pgamma.batch_pgamma_residues([10, 25, 300], p, digits)
-    path = cli.save_gamma_cache(str(tmp_path), p, digits)
-    before = dict(pgamma.export_memo(p, digits))
-    pgamma._sweep_memo.pop((p, digits))
-    pgamma._sweep_keys.pop((p, digits))
-    assert cli.load_gamma_cache(str(tmp_path), p, digits)
-    assert dict(pgamma.export_memo(p, digits)) == before
-    assert path.endswith("gamma_p7_k4.csv")
-
-
-def test_cache_key_discipline(tmp_path):
-    pgamma.batch_pgamma_residues([5], 7, 6)
-    cli.save_gamma_cache(str(tmp_path), 7, 6)
-    assert not cli.load_gamma_cache(str(tmp_path), 7, 8)  # different K_w: no file
-
-
-def test_corrupt_cache_recomputes(tmp_path, capsys):
-    p, digits = 7, 5
-    pgamma.batch_pgamma_residues([12, 40], p, digits)
-    path = cli.save_gamma_cache(str(tmp_path), p, digits)
-    text = open(path).read().replace("12,", "13,")
-    open(path, "w").write(text)
-    pgamma._sweep_memo.pop((p, digits))
-    pgamma._sweep_keys.pop((p, digits))
-    assert not cli.load_gamma_cache(str(tmp_path), p, digits)
-    assert "corrupt" in capsys.readouterr().err
-
-
-def test_cold_and_warm_runs_agree(tmp_path, capsys):
-    argv = ["count", "--p", "11", "--n", "3", "--lambda", "2", "--method", "all",
-            "--json", "--cache-dir", str(tmp_path)]
-    code1, cold, _ = run(capsys, argv)
-    code2, warm, _ = run(capsys, argv)
-    assert code1 == code2 == 0
-    cold, warm = json.loads(cold), json.loads(warm)
-    assert cold["methods"] == warm["methods"]

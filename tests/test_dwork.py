@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dworkcount import dwork, oracle
-from dworkcount.dwork import (DworkInstance, InstanceError, canonical_classes,
-                              class_g_value, count_ff, count_koblitz, count_main,
+from dworkcount.dwork import (CharSum, DworkInstance, InstanceError, canonical_classes,
+                              class_g_coefficients, count_ff, count_koblitz, count_main,
                               count_relprime, derive_params, enumerate_W,
                               k_target, k_working, main_value, orbit)
 from dworkcount.hyperfun import GParams, eval_G
@@ -114,6 +114,16 @@ def test_param_data_invariants(n, data):
 
 
 # -- kernel vs the literal definition ---------------------------------------------
+
+def class_g_value(pd, x, p, n, digits):
+    """G[A_w; B_w | x] through the kernel the counts evaluate: the class's
+    coefficients times G's -1/(p-1), summed by CharSum at y = x."""
+    mod = p ** digits
+    scale = -pow(p - 1, -1, mod)
+    terms = [(j, v, u * scale % mod)
+             for j, (v, u) in enumerate(class_g_coefficients(pd, p, n, digits))]
+    return CharSum(p, digits, (), terms).value(x)
+
 
 @pytest.mark.parametrize("p,n", [(3, 4), (5, 3), (5, 4), (7, 3), (3, 5)])
 def test_reduced_kernel_matches_literal_eval_g(p, n):

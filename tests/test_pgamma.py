@@ -133,13 +133,6 @@ def test_sweep_limit_refusal():
         pgamma.batch_pgamma_residues([10 ** 7], 101, 5, sweep_limit=10 ** 5)
 
 
-def test_memo_import_validates_entries():
-    with pytest.raises(ValueError):
-        pgamma.import_memo(7, 3, [(5, 7)])  # residue divisible by p
-    with pytest.raises(ValueError):
-        pgamma.import_memo(7, 3, [(7 ** 3, 2)])  # lift out of range
-
-
 @given(st.sampled_from(SMALL_PRIMES), st.data())
 @settings(max_examples=40, deadline=None)
 def test_gamma_of_fraction_agrees_with_lift_path(p, data):
