@@ -14,7 +14,7 @@ from .hyperfun import FParams, GParams, eval_F, eval_G
 from .oracle import CountReport, brute_count, brute_count_all, sweep_verify
 from .padic import (PadicError, PadicUnit, PrecisionError, ValuedPadic,
                     char_value, reconstruct_integer, teichmuller)
-from .pgamma import batch_pgamma, lift_frac, pgamma_frac, pgamma_int
+from .pgamma import pgamma_frac
 
 __all__ = [
     "DworkInstance", "InstanceError", "canonical_classes", "count_ff",
@@ -24,7 +24,7 @@ __all__ = [
     "CountReport", "brute_count", "brute_count_all", "sweep_verify",
     "PadicError", "PadicUnit", "PrecisionError", "ValuedPadic",
     "char_value", "reconstruct_integer", "teichmuller",
-    "batch_pgamma", "lift_frac", "pgamma_frac", "pgamma_int",
+    "pgamma_frac",
 ]
 
 __version__ = "0.1.0"

@@ -95,9 +95,20 @@ def _cmd_count(args) -> int:
         print("notice: lambda = 0 is outside the main formula; routing to the "
               "Gauss-sum count", file=sys.stderr)
         method = "koblitz"
+    points = inst.projective_total
+    over_budget = points > oracle.ORACLE_LIMIT
     if method == "all":
         names = ["oracle"] + [m for m in ("main", "koblitz", "relprime", "ff")
                               if m in oracle._applicable_methods(args.p, args.n, inst.lam)]
+        if over_budget:
+            print(f"notice: skipping the oracle: it would enumerate {points} points, "
+                  f"over its limit of {oracle.ORACLE_LIMIT}", file=sys.stderr)
+            names.remove("oracle")
+    elif method == "oracle" and over_budget:
+        print(f"error: the oracle would enumerate {points} points, over its limit of "
+              f"{oracle.ORACLE_LIMIT}; use --method main or koblitz, or a smaller p or n",
+              file=sys.stderr)
+        return 2
     else:
         names = [method]
         if method in ("main", "relprime", "ff") and inst.lam == 0:
@@ -241,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--n-set", required=True, help='comma list, e.g. "2,3,4"')
     verify.add_argument("--lambda", dest="lam_policy", default="all",
                         help='"all" or "sample:k"')
-    verify.add_argument("--jobs", type=int, default=1)
+    verify.add_argument("--jobs", type=_int_at_least(1), default=1,
+                        help="worker processes, at most one per (p, n) group")
     verify.add_argument("--json", action="store_true")
     verify.set_defaults(func=_cmd_verify)
     return parser

@@ -14,7 +14,12 @@ denominator-(p-1) data:
 so every gamma lookup hits the seeded table and a count costs O(p) per class
 instead of a p^digits lift sweep.  The (-p)-exponents are still the exact
 floors of the literal definition, and tests pin the kernel against the literal
-evaluator on instances small enough to sweep.
+evaluator on instances small enough to sweep.  The right-hand side above is
+free of the class, so it is built once per (p, n, K) with one shared modular
+inversion (main_j_factors); and a class's summand depends on its representative
+only through the counts n_k of each residue, so classes with equal counts are
+built once and weighted by their number (5 builds for the 16 classes at n = 4,
+d = 4; 42 for the 1296 at n = 6, d = 6).
 
 All four formulas share one evaluation kernel, CharSum: a lambda-free constant
 plus sum_e C_e wbar^e(y), with y = lambda^n (main, and relprime as its d = 1
@@ -24,6 +29,7 @@ Each method only builds its coefficients, once per (p, n, K_target).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -32,8 +38,8 @@ from math import gcd
 
 from .gauss import gauss_gk, gk_product
 from .hyperfun import FParams, f_coefficients
-from .padic import (PadicUnit, ValuedPadic, is_odd_prime, reconstruct_integer,
-                    teichmuller_table)
+from .padic import (PadicUnit, ValuedPadic, batch_inverse, is_odd_prime,
+                    reconstruct_integer, teichmuller_table)
 from .pgamma import frac_gamma_table
 
 
@@ -172,53 +178,73 @@ def k_working(p: int, n: int, kt: int | None = None) -> int:
 
 # -- the reduced mGm kernel ---------------------------------------------------
 
-def class_g_coefficients(pd: ParamData, p: int, n: int,
-                         digits: int) -> list[tuple[int, int]]:
+def main_j_factors(p: int, n: int, digits: int) -> list[int]:
+    """The class-independent part of every main-count coefficient, per j:
+
+        prod_{0<k<d} Gamma(k/d) * Gamma(<-nj/(p-1)>) * w(n)^(-nj)
+            / prod_{0<=k<d} Gamma(<k/d - j/(p-1)>)   mod p^digits,
+
+    the reduced h/n gamma family.  The p-1 denominators share one inversion.
+    """
+    d = gcd(p - 1, n)
+    t, mod = (p - 1) // d, p ** digits
+    table = frac_gamma_table(p, digits)
+    cd_prod = 1
+    for k in range(1, d):
+        cd_prod = cd_prod * table[k * t] % mod
+    hden = []
+    for j in range(p - 1):
+        h = 1
+        for k in range(d):
+            h = h * table[(k * t - j) % (p - 1)] % mod
+        hden.append(h)
+    step = pow(teichmuller_table(p, digits)[n % p], (-n) % (p - 1), mod)  # w(n)^-n
+    out, teich_pow = [], 1
+    for j, inv in enumerate(batch_inverse(hden, mod)):
+        out.append(cd_prod * table[(-n * j) % (p - 1)] % mod * teich_pow % mod * inv % mod)
+        teich_pow = teich_pow * step % mod
+    return out
+
+
+def class_g_coefficients(pd: ParamData, p: int, n: int, digits: int,
+                         j_factors: list[int]) -> list[tuple[int, int]]:
     """Per-j coefficients c_j with  G[A_w; B_w | x] = -1/(p-1) * sum_j c_j wbar^j(x).
 
     Each c_j = (-1)^{js} (-p)^{E_j} * (gamma quotients), with the h/n family
-    reduced to denominator-(p-1) lookups; E_j comes from the exact floors of
-    the literal definition.  Returned as (E_j, unit residue mod p^digits) pairs.
+    reduced to denominator-(p-1) lookups, j_factors = main_j_factors(p, n,
+    digits); E_j comes from the exact floors of the literal definition.
+    Returned as (E_j, unit residue mod p^digits) pairs.
     """
     d, t = pd.d, (p - 1) // pd.d
     mod = p ** digits
     table = frac_gamma_table(p, digits)
-    teich = teichmuller_table(p, digits)
     S = sorted(pd.S_w)
     Sc = sorted(pd.S_wc)
-    cd_prod = 1
-    for k in range(1, d):
-        cd_prod = cd_prod * table[k * t] % mod
     denom = 1
     for k in S:
         denom = denom * table[(d - k) * t] % mod
     for k in Sc:
         denom = denom * pow(table[k * t], pd.n_k[k] - 1, mod) % mod
     inv_denom = pow(denom, -1, mod)
-    teich_n = teich[n % p]
-    # exact floor bookkeeping: a < j/(p-1) and <-b> >= 1 - j/(p-1), cross-multiplied
-    a_list = [(q.numerator, q.denominator) for q in pd.A_w]
-    b_thresholds = []  # <-b> = k/d for the k in S_wc repeated n_k - 1 times (k=0 never fires)
+    # exact floors: E_j = #{a in A_w : a < j/(p-1)} - #{b in B_w : <-b> >= 1 - j/(p-1)}
+    # steps by +1 at j = floor(a(p-1)) + 1 and, for <-b> = k/d (k in S_wc, k > 0,
+    # n_k - 1 times), by -1 at j = p-1-kt
+    steps = [0] * p
+    for q in pd.A_w:
+        steps[q.numerator * (p - 1) // q.denominator + 1] += 1
     for k in Sc:
         if k > 0:
-            b_thresholds.extend([k * t] * (pd.n_k[k] - 1))
-    coeffs = []
-    for j in range(p - 1):
-        unit = inv_denom * cd_prod % mod
+            steps[p - 1 - k * t] -= pd.n_k[k] - 1
+    coeffs, exponent = [], 0
+    for j, factor in enumerate(j_factors):
+        exponent += steps[j]
+        unit = inv_denom * factor % mod
         for k in S:
             unit = unit * table[((d - k) * t - j) % (p - 1)] % mod
         for k in Sc:
             e = pd.n_k[k] - 1
             if e:
                 unit = unit * pow(table[(k * t + j) % (p - 1)], e, mod) % mod
-        r = (-n * j) % (p - 1)
-        unit = unit * table[r] % mod * pow(teich_n, r, mod) % mod
-        hden = 1
-        for k in range(d):
-            hden = hden * table[(k * t - j) % (p - 1)] % mod
-        unit = unit * pow(hden, -1, mod) % mod
-        exponent = sum(1 for (u, v) in a_list if u * (p - 1) < j * v) \
-            - sum(1 for thr in b_thresholds if j >= p - 1 - thr)
         if (j * pd.s + exponent) % 2:
             unit = (mod - unit) % mod
         coeffs.append((exponent, unit))
@@ -282,14 +308,20 @@ class CharSum:
 
 
 def _main_terms(p: int, n: int, digits: int):
-    """(j, valuation, unit) of (-1)^n * prefactor * G-coefficient, per class."""
+    """(j, valuation, unit) of (-1)^n * prefactor * G-coefficient per class.
+
+    A class's term depends on its representative only through the counts n_k,
+    so the classes of one count vector are summed as one term times their number.
+    """
     d, mod = gcd(p - 1, n), p ** digits
     scale = (-1) ** (n + 1) * pow(p - 1, -1, mod)  # (-1)^n times G's -1/(p-1)
-    for rep in canonical_classes(n, d):
-        pd = derive_params(rep.wstar, n, d)
+    j_factors = main_j_factors(p, n, digits)
+    # sorted(w) has the counts of w and still contains 0
+    for w, weight in Counter(tuple(sorted(rep.wstar)) for rep in canonical_classes(n, d)).items():
+        pd = derive_params(w, n, d)
         e = pd.prefactor_exponent  # (-p)^e carries a sign
-        pref = (-1) ** e * pd.gamma_prefactor(p, digits).residue * scale
-        for j, (v, u) in enumerate(class_g_coefficients(pd, p, n, digits)):
+        pref = (-1) ** e * weight * pd.gamma_prefactor(p, digits).residue * scale
+        for j, (v, u) in enumerate(class_g_coefficients(pd, p, n, digits, j_factors)):
             yield j, e + v, pref * u % mod
 
 

@@ -16,6 +16,11 @@ from math import gcd
 
 from . import dwork
 
+# Most projective points (p^n - 1)/(p - 1) that `count` lets the oracle
+# enumerate, about 7 s in CPython; larger instances are refused with advice,
+# as pgamma.SWEEP_LIMIT refuses long lift sweeps.
+ORACLE_LIMIT = 10_000_000
+
 
 def brute_count(p: int, n: int, lam: int) -> int:
     """Points of x_1^n + ... + x_n^n - n*lam*x_1...x_n = 0 in P^(n-1)(F_p).
@@ -154,7 +159,7 @@ def sweep_verify(p_max: int, n_set, lambda_policy: str = "all",
               for n in sorted(n_set) if n % p]
     if jobs > 1 and len(groups) > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:
             chunks = list(pool.map(_verify_group_star, groups))
     else:
         chunks = [_verify_group_star(g) for g in groups]

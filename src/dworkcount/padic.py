@@ -292,10 +292,50 @@ def teichmuller(x: int, p: int, digits: int) -> PadicUnit:
     return PadicUnit(pow(x % p, p ** (digits - 1), p ** digits), p, digits)
 
 
+def primitive_root(p: int) -> int:
+    """The smallest generator of F_p^* for an odd prime p."""
+    m, factors, q = p - 1, [], 2
+    while q * q <= m:
+        if m % q == 0:
+            factors.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    if m > 1:
+        factors.append(m)
+    return next(g for g in range(2, p)
+                if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
+
+
+def batch_inverse(values, mod: int) -> list[int]:
+    """Inverses mod `mod` of units, from one modular inversion (Montgomery's trick)."""
+    prefix, acc = [], 1
+    for v in values:
+        prefix.append(acc)
+        acc = acc * v % mod
+    inv = pow(acc, -1, mod)
+    out = [0] * len(prefix)
+    for i in range(len(prefix) - 1, -1, -1):
+        out[i] = inv * prefix[i] % mod
+        inv = inv * values[i] % mod
+    return out
+
+
 @lru_cache(maxsize=None)
 def teichmuller_table(p: int, digits: int) -> tuple[int, ...]:
-    """Residues of the Teichmuller lifts for 1..p-1; index 0 is a 0 sentinel."""
-    return (0,) + tuple(teichmuller(x, p, digits).residue for x in range(1, p))
+    """Residues of the Teichmuller lifts for 1..p-1; index 0 is a 0 sentinel.
+
+    One primitive root g is lifted by the closed form; the rest follow from
+    w(g^k) = w(g)^k, one multiplication each.
+    """
+    g, mod = primitive_root(p), p ** digits
+    wg = teichmuller(g, p, digits).residue
+    table = [0] * p
+    x, t = 1, 1
+    for _ in range(p - 1):
+        table[x] = t
+        x, t = x * g % p, t * wg % mod
+    return tuple(table)
 
 
 def char_value(j: int, x: int, p: int, digits: int) -> ValuedPadic:

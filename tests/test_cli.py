@@ -152,3 +152,70 @@ def test_verify_exit_zero_on_agreement(capsys):
                                 "--lambda", "all"])
     assert code == 0
     assert "0 disagreements" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_jobs_below_one_is_a_usage_error(capsys, jobs):
+    code, out, err = run(capsys, ["verify", "--pmax", "5", "--n-set", "2",
+                                  "--jobs", jobs])
+    assert code == 1
+    assert out == ""
+    assert "usage error" in err and "--jobs" in err
+
+
+def test_verify_workers_capped_at_groups(capsys, monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    class RecordingExecutor:
+        """Records max_workers and maps in-process: starts no worker."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    argv = ["verify", "--pmax", "7", "--n-set", "2,3", "--json", "--jobs"]
+    code, out_many, _ = run(capsys, argv + ["1000"])
+    assert code == 0
+    assert started == [5]  # (p, n) groups: 3 and 5 and 7 with n = 2, 5 and 7 with n = 3
+    _, out_one, _ = run(capsys, argv + ["1"])
+    assert out_many == out_one
+
+
+def test_count_all_skips_the_oracle_over_its_limit(capsys, monkeypatch):
+    argv = ["count", "--p", "7", "--n", "3", "--lambda", "1", "--method", "all", "--json"]
+    monkeypatch.setattr(oracle, "ORACLE_LIMIT", 57)  # (7^3 - 1)/(7 - 1) points: in budget
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    assert "oracle" in json.loads(out)["methods"]
+    monkeypatch.setattr(oracle, "ORACLE_LIMIT", 56)
+    code, out, err = run(capsys, argv)
+    assert code == 0
+    assert err.startswith("notice: skipping the oracle")
+    report = json.loads(out)
+    assert report["methods"] == {"main": 21, "koblitz": 21, "ff": 21}
+    assert report["agreement"] is True
+
+
+def test_count_oracle_over_its_limit_is_a_domain_error(capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "ORACLE_LIMIT", 56)
+    code, out, err = run(capsys, ["count", "--p", "7", "--n", "3", "--lambda", "1",
+                                  "--method", "oracle"])
+    assert code == 2
+    assert out == ""
+    assert "over its limit" in err and "--method main" in err
+    # at the real limit the refusal comes before any enumeration
+    monkeypatch.undo()
+    code, out, err = run(capsys, ["count", "--p", "1009", "--n", "4", "--lambda", "3",
+                                  "--method", "oracle"])
+    assert code == 2 and out == ""

@@ -5,12 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import PRIMES_TO_97
+
 from dworkcount import dwork, oracle
 from dworkcount.dwork import (CharSum, DworkInstance, InstanceError, canonical_classes,
                               class_g_coefficients, count_ff, count_koblitz, count_main,
                               count_relprime, derive_params, enumerate_W,
-                              k_target, k_working, main_value, orbit)
+                              k_target, k_working, main_j_factors, main_value,
+                              orbit)
 from dworkcount.hyperfun import GParams, eval_G
+from dworkcount.padic import teichmuller
+from dworkcount.pgamma import frac_gamma_table
 
 
 # -- W and its classes -----------------------------------------------------------
@@ -121,7 +126,8 @@ def class_g_value(pd, x, p, n, digits):
     mod = p ** digits
     scale = -pow(p - 1, -1, mod)
     terms = [(j, v, u * scale % mod)
-             for j, (v, u) in enumerate(class_g_coefficients(pd, p, n, digits))]
+             for j, (v, u) in enumerate(class_g_coefficients(
+                 pd, p, n, digits, main_j_factors(p, n, digits)))]
     return CharSum(p, digits, (), terms).value(x)
 
 
@@ -174,6 +180,72 @@ def test_class_summand_permutation_invariance():
         v1 = class_g_value(pd1, x, p, n, digits)
         assert v1 == class_g_value(pd2, x, p, n, digits)
         assert v1 == class_g_value(pd3, x, p, n, digits)
+
+
+# -- the folded main kernel vs a per-class build ----------------------------------
+
+def unfolded_class_coefficients(pd, p, n, digits):
+    """(E_j, unit) of one class's G-coefficients, every factor of every j built
+    and inverted on its own."""
+    d, t = pd.d, (p - 1) // pd.d
+    mod = p ** digits
+    table = frac_gamma_table(p, digits)
+    teich_n = teichmuller(n % p, p, digits).residue
+    S, Sc = sorted(pd.S_w), sorted(pd.S_wc)
+    cd_prod = 1
+    for k in range(1, d):
+        cd_prod = cd_prod * table[k * t] % mod
+    denom = 1
+    for k in S:
+        denom = denom * table[(d - k) * t] % mod
+    for k in Sc:
+        denom = denom * pow(table[k * t], pd.n_k[k] - 1, mod) % mod
+    a_list = [(q.numerator, q.denominator) for q in pd.A_w]
+    b_thresholds = []
+    for k in Sc:
+        if k > 0:
+            b_thresholds.extend([k * t] * (pd.n_k[k] - 1))
+    coeffs = []
+    for j in range(p - 1):
+        unit = pow(denom, -1, mod) * cd_prod % mod
+        for k in S:
+            unit = unit * table[((d - k) * t - j) % (p - 1)] % mod
+        for k in Sc:
+            unit = unit * pow(table[(k * t + j) % (p - 1)], pd.n_k[k] - 1, mod) % mod
+        r = (-n * j) % (p - 1)
+        unit = unit * table[r] % mod * pow(teich_n, r, mod) % mod
+        hden = 1
+        for k in range(d):
+            hden = hden * table[(k * t - j) % (p - 1)] % mod
+        unit = unit * pow(hden, -1, mod) % mod
+        exponent = sum(1 for (u, v) in a_list if u * (p - 1) < j * v) \
+            - sum(1 for thr in b_thresholds if j >= p - 1 - thr)
+        if (j * pd.s + exponent) % 2:
+            unit = (mod - unit) % mod
+        coeffs.append((exponent, unit))
+    return coeffs
+
+
+def unfolded_main_terms(p, n, digits):
+    """(j, valuation, unit) of the main count, one class at a time."""
+    d, mod = gcd(p - 1, n), p ** digits
+    scale = (-1) ** (n + 1) * pow(p - 1, -1, mod)
+    for rep in canonical_classes(n, d):
+        pd = derive_params(rep.wstar, n, d)
+        e = pd.prefactor_exponent
+        pref = (-1) ** e * pd.gamma_prefactor(p, digits).residue * scale
+        for j, (v, u) in enumerate(unfolded_class_coefficients(pd, p, n, digits)):
+            yield j, e + v, pref * u % mod
+
+
+@pytest.mark.parametrize("p,n", [(p, 6) for p in (7, 13, 19, 31, 37)]
+                         + [(p, 4) for p in PRIMES_TO_97 + (101,) if p % 4 == 1])
+def test_folded_main_kernel_matches_per_class_build(p, n):
+    digits = k_working(p, n)
+    folded = CharSum(p, digits, (), dwork._main_terms(p, n, digits))
+    unfolded = CharSum(p, digits, (), unfolded_main_terms(p, n, digits))
+    assert folded.offset == unfolded.offset
+    assert folded.coeffs == unfolded.coeffs
 
 
 # -- counts vs the oracle -----------------------------------------------------------
@@ -283,3 +355,14 @@ def test_main_value_valuation_and_target_precision():
             assert value.valuation >= 0
             assert value.absolute_precision >= kt
             assert count_main(p, n, lam, kt + 2) == count_main(p, n, lam)
+
+
+@pytest.mark.parametrize("p", [1009, 1013, 1019, 1531, 1999])
+def test_weil_deligne_bound_past_the_oracle(p):
+    # smooth fibres (lambda^n != 1): |N - (p^(n-1) - 1)/(p - 1)| <= b p^((n-2)/2)
+    n = 4
+    b = ((n - 1) ** n + (-1) ** n * (n - 1)) // n
+    base = (p ** (n - 1) - 1) // (p - 1)
+    for lam in (2, 3, p - 2):
+        assert pow(lam, n, p) != 1
+        assert abs(count_main(p, n, lam) - base) <= b * p ** ((n - 2) // 2), lam

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SMALL_PRIMES
+from conftest import PRIMES_TO_97, SMALL_PRIMES
 from dworkcount import padic
 from dworkcount.padic import (NotAnIntegerError, PadicUnit, PrecisionError,
-                              RangeError, ValuedPadic, char_value,
-                              reconstruct_integer, teichmuller)
+                              RangeError, ValuedPadic, batch_inverse, char_value,
+                              primitive_root, reconstruct_integer, teichmuller,
+                              teichmuller_table)
 
 
 def hensel_teichmuller(x, p, digits):
@@ -53,6 +54,25 @@ def test_teichmuller_properties_all_x(p):
         assert t % p == x
         assert pow(t, p - 1, mod) == 1
         assert t == hensel_teichmuller(x, p, digits)
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_97)
+def test_teichmuller_table_matches_closed_form(p):
+    g = primitive_root(p)
+    assert len({pow(g, k, p) for k in range(p - 1)}) == p - 1
+    assert all(len({pow(h, k, p) for k in range(p - 1)}) < p - 1 for h in range(2, g))
+    for digits in (1, 6):
+        table = teichmuller_table(p, digits)
+        assert len(table) == p and table[0] == 0
+        for x in range(1, p):
+            assert table[x] == teichmuller(x, p, digits).residue, (x, digits)
+
+
+def test_batch_inverse_matches_single_inversions():
+    mod = 7 ** 4
+    values = [1, 2, 3, 48, 2400, 7 ** 4 - 2]
+    assert batch_inverse(values, mod) == [pow(v, -1, mod) for v in values]
+    assert batch_inverse([], mod) == []
 
 
 @given(st.sampled_from(SMALL_PRIMES), st.data())

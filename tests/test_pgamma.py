@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SMALL_PRIMES, PRIMES_TO_31
+from conftest import PRIMES_TO_31, PRIMES_TO_97, SMALL_PRIMES
 from dworkcount import pgamma
-from dworkcount.padic import teichmuller_table
+from dworkcount.padic import PadicError, teichmuller, teichmuller_table
 from dworkcount.pgamma import (SweepLimitError, batch_pgamma, frac_gamma_table,
                                gamma_of_fraction, lift_frac, lift_rational,
                                pgamma_frac, pgamma_int)
@@ -142,3 +142,51 @@ def test_gamma_of_fraction_agrees_with_lift_path(p, data):
     via_table = gamma_of_fraction(q, p, digits)
     m = lift_rational(q.numerator, q.denominator, p, digits)
     assert via_table == pgamma_int(m, p, digits).residue
+
+
+# -- the transform against the direct character sums ------------------------------
+
+def direct_jacobi_sums(p, digits):
+    """J(wbar^j, wbar) for j = 0..p-2 by the O(p^2) sums over x = 2..p-1, with
+    each Teichmuller lift from the closed form."""
+    mod = p ** digits
+    xs = range(2, p)  # x = 0 and x = 1 add nothing: chi(0) = 0 for every chi
+    bases = [teichmuller(pow(x, -1, p), p, digits).residue for x in xs]
+    running = [teichmuller(pow(1 - x, -1, p), p, digits).residue for x in xs]
+    sums = []
+    for _ in range(p - 1):
+        sums.append(sum(running) % mod)
+        running = [r * b % mod for r, b in zip(running, bases)]
+    return sums
+
+
+def reference_gamma_table(p, digits):
+    """Gamma_p(r/(p-1)) seeded from the direct Jacobi sums, with one modular
+    inversion per step of the recursion."""
+    mod = p ** digits
+    jac = direct_jacobi_sums(p, digits)
+    for j in range(1, p - 2):
+        if jac[j] % p == 0:
+            raise PadicError("non-unit Jacobi sum")
+    seed_target = 1
+    for j in range(1, p - 2):
+        seed_target = seed_target * jac[j] % mod
+    assert seed_target % p == 1
+    x, prec = 1, 1
+    while prec < digits:
+        prec = min(2 * prec, digits)
+        m2 = p ** prec
+        deriv = (p - 1) * pow(x, p - 2, m2) % m2
+        x = (x - (pow(x, p - 1, m2) - seed_target) * pow(deriv, -1, m2)) % m2
+    table = [1, x] + [0] * (p - 3)
+    for j in range(1, p - 2):
+        table[j + 1] = (mod - table[j] * x % mod * pow(jac[j], -1, mod) % mod) % mod
+    return tuple(table)
+
+
+@pytest.mark.parametrize("digits", [1, 7])
+@pytest.mark.parametrize("p", PRIMES_TO_97)
+def test_jacobi_transform_matches_direct_sums(p, digits):
+    # p = 3 and p = 5 run the chirp at its shortest lengths, 2 and 4
+    assert pgamma.jacobi_sums(p, digits) == direct_jacobi_sums(p, digits)
+    assert frac_gamma_table(p, digits) == reference_gamma_table(p, digits)
