@@ -38,6 +38,24 @@ def _int_at_least(low: int):
     return parse
 
 
+def _int_list(text: str) -> list[int]:
+    """argparse type: a comma list of ints."""
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of integers, got {text!r}") from None
+
+
+def _lambda_policy(text: str) -> str:
+    """argparse type: "all" or "sample:k" with k >= 1."""
+    try:
+        oracle.sample_size(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 # -- formatting ----------------------------------------------------------------
 
 def _value_payload(v: ValuedPadic, p: int) -> dict:
@@ -194,7 +212,7 @@ def _report_json_line(r: oracle.CountReport) -> str:
 
 def _cmd_verify(args) -> int:
     try:
-        n_set = sorted({int(v) for v in args.n_set.split(",")})
+        n_set = sorted(set(args.n_set))
         if any(n < 2 for n in n_set):
             raise ValueError("every n must be at least 2")
         reports = oracle.sweep_verify(args.pmax, n_set, args.lam_policy, jobs=args.jobs)
@@ -249,8 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="sweep the grid and compare all methods")
     verify.add_argument("--pmax", type=int, required=True)
-    verify.add_argument("--n-set", required=True, help='comma list, e.g. "2,3,4"')
-    verify.add_argument("--lambda", dest="lam_policy", default="all",
+    verify.add_argument("--n-set", type=_int_list, required=True,
+                        help='comma list, e.g. "2,3,4"')
+    verify.add_argument("--lambda", dest="lam_policy", type=_lambda_policy, default="all",
                         help='"all" or "sample:k"')
     verify.add_argument("--jobs", type=_int_at_least(1), default=1,
                         help="worker processes, at most one per (p, n) group")

@@ -24,7 +24,9 @@ d = 4; 42 for the 1296 at n = 6, d = 6).
 All four formulas share one evaluation kernel, CharSum: a lambda-free constant
 plus sum_e C_e wbar^e(y), with y = lambda^n (main, and relprime as its d = 1
 case), y = n*lambda (Gauss-sum count) or y = lambda^{-n} (finite-field form).
-Each method only builds its coefficients, once per (p, n, K_target).
+Each method only builds its coefficients, once per (p, n, K_target); the
+Gauss-sum and finite-field builds multiply plain-integer Gross-Koblitz units,
+once per multiset of w (per count vector n_k for ff), weighted by its number.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from functools import lru_cache
 from itertools import product
 from math import gcd
 
-from .gauss import gauss_gk, gk_product
+from .gauss import gk_units, pi_valuation
 from .hyperfun import FParams, f_coefficients
 from .padic import (PadicUnit, ValuedPadic, batch_inverse, is_odd_prime,
                     reconstruct_integer, teichmuller_table)
@@ -307,6 +309,12 @@ class CharSum:
         return ValuedPadic(p, v0 + v, PadicUnit(x, p, self.digits - v))
 
 
+def _class_weights(n: int, d: int) -> Counter:
+    """Classes of W(n, d) per residue-count vector n_k: each vector as the sorted
+    entries of a representative (they still contain 0), with its number of classes."""
+    return Counter(tuple(sorted(rep.wstar)) for rep in canonical_classes(n, d))
+
+
 def _main_terms(p: int, n: int, digits: int):
     """(j, valuation, unit) of (-1)^n * prefactor * G-coefficient per class.
 
@@ -316,8 +324,7 @@ def _main_terms(p: int, n: int, digits: int):
     d, mod = gcd(p - 1, n), p ** digits
     scale = (-1) ** (n + 1) * pow(p - 1, -1, mod)  # (-1)^n times G's -1/(p-1)
     j_factors = main_j_factors(p, n, digits)
-    # sorted(w) has the counts of w and still contains 0
-    for w, weight in Counter(tuple(sorted(rep.wstar)) for rep in canonical_classes(n, d)).items():
+    for w, weight in _class_weights(n, d).items():
         pd = derive_params(w, n, d)
         e = pd.prefactor_exponent  # (-p)^e carries a sign
         pref = (-1) ** e * weight * pd.gamma_prefactor(p, digits).residue * scale
@@ -325,53 +332,71 @@ def _main_terms(p: int, n: int, digits: int):
             yield j, e + v, pref * u % mod
 
 
+def _gauss_product(exps, weight: int, p: int, mod: int, units,
+                   den_exp: int = 0) -> tuple[int, int]:
+    """(valuation, weight * unit) of prod_r g(wbar^r) over exps, each r in [0, p-1),
+    over a divisor pi^den_exp * unit whose inverse unit is folded into weight."""
+    unit = weight
+    for r in exps:
+        unit = unit * units[r] % mod
+    val = pi_valuation(sum(exps) - den_exp, p)
+    return val, (mod - unit) % mod if val % 2 else unit  # (-p)^val carries a sign
+
+
+def _w_multisets(n: int, d: int) -> Counter:
+    """The members of W(n, d) per multiset: sorted entries, with their number.
+    Gauss-sum terms depend on w only through its multiset and are built once each."""
+    return Counter(tuple(sorted(w)) for w in enumerate_W(n, d))
+
+
 def _koblitz_consts(p: int, n: int, digits: int):
     """(valuation, unit) of g(w)/p for each all-nonzero w; the all-zero w is the
     base term, and N_p(0, w) = 0 when some but not all entries vanish."""
-    d = gcd(p - 1, n)
-    t = (p - 1) // d
-    for w in enumerate_W(n, d):
+    d, mod = gcd(p - 1, n), p ** digits
+    t, units = (p - 1) // d, gk_units(p, digits)
+    for w, weight in _w_multisets(n, d).items():
         if 0 in w:
             continue
-        prod = gk_product([(gauss_gk(wi * t, p, digits), 1) for wi in w], p, digits)
-        if prod.valuation < 1:
+        val, unit = _gauss_product([wi * t for wi in w], weight, p, mod, units)
+        if val < 1:
             raise AssertionError("all-nonzero Gauss product must have valuation >= 1")
-        yield prod.valuation - 1, prod.unit.residue
+        yield val - 1, unit
 
 
 def _koblitz_terms(p: int, n: int, digits: int):
     """(nj mod p-1, valuation, unit) of each collapsed Gauss-sum ratio / (p-1)."""
     d, mod = gcd(p - 1, n), p ** digits
-    t, inv = (p - 1) // d, pow(p - 1, -1, mod)
-    for w in enumerate_W(n, d):
+    t, units = (p - 1) // d, gk_units(p, digits)
+    nj = [n * j % (p - 1) for j in range(t)]
+    inv = pow(p - 1, -1, mod)
+    inv_den = batch_inverse([units[r] for r in nj], mod)  # 1/g(wbar^{nj})
+    for w, weight in _w_multisets(n, d).items():
         for j in range(t):
-            factors = [(gauss_gk(wi * t + j, p, digits), 1) for wi in w]
-            factors.append((gauss_gk(n * j, p, digits), -1))
-            c = gk_product(factors, p, digits)
-            yield (n * j) % (p - 1), c.valuation, c.unit.residue * inv % mod
+            yield nj[j], *_gauss_product([wi * t + j for wi in w],
+                                         weight * inv * inv_den[j], p, mod, units, nj[j])
 
 
 def _ff_terms(p: int, n: int, digits: int, alpha: int):
     """(k, valuation, unit) of prefactor * mFm-coefficient per class (p == 1 mod n),
-    with the character generator T = wbar^alpha, gcd(alpha, p-1) = 1."""
+    with the character generator T = wbar^alpha, gcd(alpha, p-1) = 1; classes
+    with one count vector n_k are summed as one term times their number."""
     if (p - 1) % n:
         raise InstanceError(f"p={p} is not 1 mod n={n}")
     if gcd(alpha, p - 1) != 1:
         raise InstanceError("generator exponent must be coprime to p-1")
     t, mod = (p - 1) // n, p ** digits
-    scale = -pow(p - 1, -1, mod)
-    for rep in canonical_classes(n, n):
-        pd = derive_params(rep.wstar, n, n)
-        pref = gk_product([(gauss_gk(alpha * wi * t, p, digits), 1)
-                           for wi in rep.wstar], p, digits)
+    scale, units = -pow(p - 1, -1, mod), gk_units(p, digits)
+    for w, weight in _class_weights(n, n).items():
+        pd = derive_params(w, n, n)
+        val, unit = _gauss_product([alpha * wi * t % (p - 1) for wi in w],
+                                   weight * scale, p, mod, units)
         a_exps = tuple((alpha * (n - k) * t) % (p - 1) for k in sorted(pd.S_w))
         b_exps = []
         for k in sorted(pd.S_wc):
             b_exps.extend([(alpha * (n - k) * t) % (p - 1)] * (pd.n_k[k] - 1))
-        unit = pref.unit.residue * scale
         for k, (v, u) in enumerate(f_coefficients(FParams(a_exps, tuple(b_exps)),
                                                   p, digits)):
-            yield k, pref.valuation + v, unit * u % mod
+            yield k, val + v, unit * u % mod
 
 
 @lru_cache(maxsize=None)

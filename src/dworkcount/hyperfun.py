@@ -3,8 +3,9 @@ counterpart mFm, plus the parameter containers the CLI parses into.
 
 mGm is evaluated literally from its definition: a sum over j = 0..p-2 of
 gamma-quotient products with (-p)-power corrections whose exponents are exact
-rational floors.  mFm is a character sum of Gauss-sum ratios, each term
-collapsed through gk_product.  The two are linked by an exact bridge: with
+rational floors.  mFm is a character sum of Gauss-sum ratios whose
+x-free coefficients are built once, in plain integers, from the Gross-Koblitz
+units (f_coefficients).  The two are linked by an exact bridge: with
 A_i = wbar^(a_i (p-1)) and B_i = wbar^(b_i (p-1)),
 mFm(A; B | t) = mGm[a; b | 1/t].
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
-from .gauss import gauss_gk, gk_product
+from .gauss import gk_units, pi_valuation
 from .padic import PadicUnit, ValuedPadic, teichmuller_table
 from .pgamma import SWEEP_LIMIT, GammaEvaluator
 
@@ -137,21 +138,34 @@ def eval_G(params: GParams, x: int, p: int, digits: int,
 
 def f_coefficients(params: FParams, p: int, digits: int) -> list[tuple[int, int]]:
     """The x-free part of each mFm summand, as (valuation, unit residue) pairs:
-    the k-th summand at x is this coefficient times wbar^k(x)."""
-    mod = p ** digits
-    m = params.m
-    denominators = ([(gauss_gk(a, p, digits), -1) for a in params.a_exps]
-                    + [(gauss_gk(-b, p, digits), -1) for b in params.b_exps])
+    the k-th summand at x is this coefficient times wbar^k(x).
+
+    Each is the Gauss-sum ratio prod g(A_i wbar^k) g(B_i^-1 wbar^-k) / g(A_i) g(B_i^-1)
+    times chi(-1)^(km), read from the Gross-Koblitz units with the pi-exponents
+    summed inline; the k-free denominator is inverted once.
+    """
+    q, mod = p - 1, p ** digits
+    units = gk_units(p, digits)
+    den_exps = [a % q for a in params.a_exps] + [-b % q for b in params.b_exps]
+    den = 1
+    for r in den_exps:
+        den = den * units[r] % mod
+    inv_den, den_pi, m = pow(den, -1, mod), sum(den_exps), params.m
     coeffs = []
-    for k in range(p - 1):
-        factors = [(gauss_gk(a + k, p, digits), 1) for a in params.a_exps]
-        factors += [(gauss_gk(-b - k, p, digits), 1) for b in params.b_exps]
-        factors += denominators
-        v = gk_product(factors, p, digits)
-        unit = v.unit.residue
-        if k * m % 2:  # chi(-1)^m = (-1)^{km}
+    for k in range(q):
+        total, unit = -den_pi, inv_den
+        for a in params.a_exps:
+            r = (a + k) % q
+            total += r
+            unit = unit * units[r] % mod
+        for b in params.b_exps:
+            r = (-b - k) % q
+            total += r
+            unit = unit * units[r] % mod
+        val = pi_valuation(total, p)
+        if (val + k * m) % 2:  # the sign of (-p)^val and chi(-1)^m = (-1)^{km}
             unit = (mod - unit) % mod
-        coeffs.append((v.valuation, unit))
+        coeffs.append((val, unit))
     return coeffs
 
 

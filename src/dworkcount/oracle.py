@@ -3,8 +3,11 @@ and the sweep harness comparing every applicable formula against it.
 
 The oracle is deliberately dumb.  It enumerates projective representatives
 (first nonzero coordinate scaled to 1) chart by chart and evaluates the
-defining polynomial with precomputed n-th power tables; it shares nothing with
-the p-adic formula paths beyond integer arithmetic mod p.
+defining polynomial with precomputed n-th power and inverse tables; it shares
+nothing with the p-adic formula paths beyond integer arithmetic mod p.
+brute_count evaluates one lambda tuple by tuple and is the reference;
+brute_count_all visits the same points once for every lambda, with the
+per-tuple sum and product hoisted out of its innermost loop.
 """
 
 from __future__ import annotations
@@ -49,34 +52,47 @@ def brute_count(p: int, n: int, lam: int) -> int:
     return count
 
 
-def brute_count_all(p: int, n: int, lam_max: int | None = None) -> dict[int, int]:
+def brute_count_all(p: int, n: int) -> dict[int, int]:
     """brute_count for every lambda in one enumeration pass.
 
-    Each affine tuple with nonzero product solves the equation for exactly one
-    lambda; tuples with zero product (and every tuple in the charts with a
-    forced zero) count for all lambda at once.  Same charts, same tables.
+    Each affine tuple with nonzero n prod x_i solves the equation for exactly
+    one lambda, (1 + sum x_i^n) / (n prod x_i); the other tuples (and every
+    tuple in the charts with a forced zero) count for all lambda at once.
+    Chart 0 runs its first n-2 free coordinates as a head carrying
+    s = 1 + sum x_i^n and q = n prod x_i mod p, and its last coordinate x as an
+    inner loop through one inverse table; a head with q = 0 (every head when
+    p | n) counts its x at once by how many x have x^n = -s.  Every other tuple
+    is visited one by one, and extra memory stays O(p).
     """
     pw = [pow(x, n, p) for x in range(p)]
-    counts = dict.fromkeys(range(p), 0)
+    inv = [0] + [pow(x, -1, p) for x in range(1, p)]
+    roots = [0] * p  # roots[r] = #{x : x^n = r}
+    for r in pw:
+        roots[r] += 1
+    counts = [0] * p
     every_lam = 0
-    n_inv = pow(n % p, -1, p) if n % p else None
-    for k in range(n):
-        free = n - 1 - k
-        for tail in product(range(p), repeat=free):
+    nonzero = range(1, p)
+    for head in product(range(p), repeat=n - 2):
+        s, q = 1, n
+        for x in head:
+            s += pw[x]
+            q = q * x % p
+        s %= p
+        if q:
+            c = inv[q]
+            for x in nonzero:
+                counts[(s + pw[x]) * inv[x] * c % p] += 1
+            every_lam += s == 0  # x = 0
+        else:  # also every head when p | n
+            every_lam += roots[-s % p]
+    for k in range(1, n):
+        for tail in product(range(p), repeat=n - 1 - k):
             total = 1
             for x in tail:
                 total += pw[x]
-            total %= p
-            prod_term = 0
-            if k == 0:
-                prod_term = 1
-                for x in tail:
-                    prod_term = prod_term * x % p
-            if prod_term and n_inv is not None:
-                counts[total * pow(prod_term, -1, p) * n_inv % p] += 1
-            elif total == 0:
+            if total % p == 0:
                 every_lam += 1
-    return {lam: c + every_lam for lam, c in counts.items()}
+    return {lam: c + every_lam for lam, c in enumerate(counts)}
 
 
 @dataclass
@@ -133,17 +149,28 @@ def verify_group(p: int, n: int, lams: list[int], kt: int | None = None) -> list
     return reports
 
 
-def _lambda_set(p: int, policy: str) -> list[int]:
+def sample_size(policy: str) -> int | None:
+    """The k of the lambda policy "sample:k", or None for "all"; ValueError otherwise."""
     if policy == "all":
-        return list(range(p))
+        return None
     if policy.startswith("sample:"):
-        k = int(policy.split(":", 1)[1])
+        text = policy.split(":", 1)[1]
+        try:
+            k = int(text)
+        except ValueError:
+            k = 0
         if k <= 0:
-            raise ValueError("sample size must be positive")
-        step = max((p - 1) // k, 1)
-        lams = {0} | {1 + i * step for i in range(k) if 1 + i * step < p}
-        return sorted(lams)
-    raise ValueError(f"unknown lambda policy {policy!r}")
+            raise ValueError(f"sample size must be a positive integer, got {text!r}")
+        return k
+    raise ValueError(f'unknown lambda policy {policy!r}: use "all" or "sample:k"')
+
+
+def _lambda_set(p: int, policy: str) -> list[int]:
+    k = sample_size(policy)
+    if k is None:
+        return list(range(p))
+    step = max((p - 1) // k, 1)
+    return sorted({0} | {1 + i * step for i in range(k) if 1 + i * step < p})
 
 
 def _odd_primes_upto(bound: int) -> list[int]:

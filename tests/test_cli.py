@@ -163,6 +163,33 @@ def test_verify_jobs_below_one_is_a_usage_error(capsys, jobs):
     assert "usage error" in err and "--jobs" in err
 
 
+@pytest.mark.parametrize("flags", [["--n-set", "2,x"],
+                                   ["--n-set", "2", "--lambda", "sample:zz"],
+                                   ["--n-set", "2", "--lambda", "sample:0"],
+                                   ["--n-set", "2", "--lambda", "bogus"]])
+def test_malformed_verify_flags_are_usage_errors(capsys, flags):
+    code, out, err = run(capsys, ["verify", "--pmax", "5", *flags])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error:")
+
+
+def test_verify_n_below_two_is_a_domain_error(capsys):
+    code, out, err = run(capsys, ["verify", "--pmax", "5", "--n-set", "1,2"])
+    assert code == 2
+    assert out == ""
+    assert "at least 2" in err
+
+
+def test_verify_json_matches_golden_output(capsys):
+    # stdout of the pre-optimisation oracle and Gauss-sum builds, byte for byte
+    code, out, _ = run(capsys, ["verify", "--pmax", "23", "--n-set", "2,3,4,5",
+                                "--lambda", "all", "--json"])
+    assert code == 0
+    golden = pathlib.Path(__file__).parent / "data" / "verify_p23.jsonl"
+    assert out.encode() == golden.read_bytes()
+
+
 def test_verify_workers_capped_at_groups(capsys, monkeypatch):
     import concurrent.futures
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -13,7 +14,8 @@ from dworkcount.dwork import (CharSum, DworkInstance, InstanceError, canonical_c
                               count_relprime, derive_params, enumerate_W,
                               k_target, k_working, main_j_factors, main_value,
                               orbit)
-from dworkcount.hyperfun import GParams, eval_G
+from dworkcount.gauss import gauss_gk, gk_product
+from dworkcount.hyperfun import FParams, GParams, eval_G, f_coefficients
 from dworkcount.padic import teichmuller
 from dworkcount.pgamma import frac_gamma_table
 
@@ -250,6 +252,105 @@ def test_folded_main_kernel_matches_per_class_build(p, n):
 
 # -- counts vs the oracle -----------------------------------------------------------
 
+# -- the integer Gauss-sum builds against gk_product --------------------------------
+# Per-term, per-vector builds through GaussSumGK/gk_product objects: the
+# reference for the plain-integer koblitz and ff builds folded by multiset.
+
+def reference_f_coefficients(params, p, digits):
+    mod = p ** digits
+    m = params.m
+    denominators = ([(gauss_gk(a, p, digits), -1) for a in params.a_exps]
+                    + [(gauss_gk(-b, p, digits), -1) for b in params.b_exps])
+    coeffs = []
+    for k in range(p - 1):
+        factors = [(gauss_gk(a + k, p, digits), 1) for a in params.a_exps]
+        factors += [(gauss_gk(-b - k, p, digits), 1) for b in params.b_exps]
+        factors += denominators
+        v = gk_product(factors, p, digits)
+        unit = v.unit.residue
+        if k * m % 2:
+            unit = (mod - unit) % mod
+        coeffs.append((v.valuation, unit))
+    return coeffs
+
+
+def reference_koblitz_consts(p, n, digits):
+    t = (p - 1) // gcd(p - 1, n)
+    for w in enumerate_W(n, gcd(p - 1, n)):
+        if 0 not in w:
+            prod = gk_product([(gauss_gk(wi * t, p, digits), 1) for wi in w], p, digits)
+            yield prod.valuation - 1, prod.unit.residue
+
+
+def reference_koblitz_terms(p, n, digits):
+    d, mod = gcd(p - 1, n), p ** digits
+    t, inv = (p - 1) // d, pow(p - 1, -1, mod)
+    for w in enumerate_W(n, d):
+        for j in range(t):
+            factors = [(gauss_gk(wi * t + j, p, digits), 1) for wi in w]
+            factors.append((gauss_gk(n * j, p, digits), -1))
+            c = gk_product(factors, p, digits)
+            yield (n * j) % (p - 1), c.valuation, c.unit.residue * inv % mod
+
+
+def reference_ff_terms(p, n, digits, alpha):
+    t, mod = (p - 1) // n, p ** digits
+    scale = -pow(p - 1, -1, mod)
+    for rep in canonical_classes(n, n):
+        pd = derive_params(rep.wstar, n, n)
+        pref = gk_product([(gauss_gk(alpha * wi * t, p, digits), 1)
+                           for wi in rep.wstar], p, digits)
+        a_exps = tuple((alpha * (n - k) * t) % (p - 1) for k in sorted(pd.S_w))
+        b_exps = []
+        for k in sorted(pd.S_wc):
+            b_exps.extend([(alpha * (n - k) * t) % (p - 1)] * (pd.n_k[k] - 1))
+        unit = pref.unit.residue * scale
+        for k, (v, u) in enumerate(reference_f_coefficients(FParams(a_exps, tuple(b_exps)),
+                                                            p, digits)):
+            yield k, pref.valuation + v, unit * u % mod
+
+
+def kernel_state(kernel):
+    return kernel.const_offset, kernel.const, kernel.offset, kernel.coeffs
+
+
+GAUSS_GRID = ([(p, n) for n in range(2, 6) for p in PRIMES_TO_97 if p <= 61 and n % p]
+              + [(7, 6), (13, 6), (31, 6)])
+
+
+@pytest.mark.parametrize("p,n", GAUSS_GRID)
+def test_integer_koblitz_kernel_matches_gk_product_build(p, n):
+    kt = k_target(p, n)
+    digits = k_working(p, n, kt)
+    consts = [(0, (p ** (n - 1) - 1) // (p - 1))] + list(reference_koblitz_consts(p, n, digits))
+    want = CharSum(p, digits, consts, reference_koblitz_terms(p, n, digits))
+    assert kernel_state(dwork._kernel("koblitz", p, n, kt, 1)) == kernel_state(want)
+
+
+@pytest.mark.parametrize("p,n", [(p, n) for p, n in GAUSS_GRID if (p - 1) % n == 0])
+def test_integer_ff_kernel_matches_gk_product_build(p, n):
+    kt = k_target(p, n)
+    digits = k_working(p, n, kt)
+    consts = [(0, (p ** (n - 1) - 1) // (p - 1))]
+    alphas = [1]
+    if n < 6 or p == 7:  # a second generator, save where the reference takes seconds
+        alphas.append(next(a for a in (5, 7, 11) if gcd(a, p - 1) == 1))
+    for alpha in alphas:
+        want = CharSum(p, digits, consts, reference_ff_terms(p, n, digits, alpha))
+        assert kernel_state(dwork._kernel("ff", p, n, kt, alpha)) == kernel_state(want), alpha
+
+
+def test_integer_f_coefficients_match_gk_product_build():
+    rng = random.Random(4)
+    for p in (q for q in PRIMES_TO_97 if q <= 61):
+        for m in (1, 2, 3):
+            params = FParams(tuple(rng.randrange(p - 1) for _ in range(m)),
+                             tuple(rng.randrange(p - 1) for _ in range(m)))
+            for digits in (1, 5):
+                assert f_coefficients(params, p, digits) == \
+                    reference_f_coefficients(params, p, digits), (p, params, digits)
+
+
 def test_count_main_examples():
     assert count_main(7, 3, 1) == oracle.brute_count(7, 3, 1) == 21
     assert count_main(7, 4, 2) == oracle.brute_count(7, 4, 2)
@@ -366,3 +467,10 @@ def test_weil_deligne_bound_past_the_oracle(p):
     for lam in (2, 3, p - 2):
         assert pow(lam, n, p) != 1
         assert abs(count_main(p, n, lam) - base) <= b * p ** ((n - 2) // 2), lam
+
+
+@pytest.mark.parametrize("p", [1009, 1013, 1201])
+def test_main_koblitz_ff_agree_past_the_oracle(p):
+    # three formula families: the main kernel shares no Gauss-sum code with the others
+    for lam in (2, 3, p - 2):
+        assert count_main(p, 4, lam) == count_koblitz(p, 4, lam) == count_ff(p, 4, lam), lam

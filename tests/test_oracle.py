@@ -3,6 +3,8 @@ from math import gcd
 
 import pytest
 
+from conftest import PRIMES_TO_31
+
 from dworkcount import oracle
 
 
@@ -49,12 +51,45 @@ def test_count_bounded_by_projective_space():
 
 
 def test_all_lambda_histogram_matches_pointwise():
-    for p in (3, 5, 7, 11):
-        for n in (2, 3, 4):
-            hist = oracle.brute_count_all(p, n)
-            assert set(hist) == set(range(p))
-            for lam in range(p):
-                assert hist[lam] == oracle.brute_count(p, n, lam), (p, n, lam)
+    cases = [(p, n) for p in (3, 5, 7, 11) for n in (2, 3, 4)]
+    cases += [(3, 5), (5, 5), (7, 5), (7, 6), (3, 3), (3, 6)]  # (3, 3), (3, 6), (5, 5): p | n
+    for p, n in cases:
+        hist = oracle.brute_count_all(p, n)
+        assert set(hist) == set(range(p))
+        for lam in range(p):
+            assert hist[lam] == oracle.brute_count(p, n, lam), (p, n, lam)
+
+
+def plain_brute_count_all(p, n):
+    """The all-lambda histogram by plain enumeration, with a per-tuple sum,
+    product and inversion in every chart: the reference for brute_count_all."""
+    pw = [pow(x, n, p) for x in range(p)]
+    counts = dict.fromkeys(range(p), 0)
+    every_lam = 0
+    n_inv = pow(n % p, -1, p) if n % p else None
+    for k in range(n):
+        for tail in product(range(p), repeat=n - 1 - k):
+            total = 1
+            for x in tail:
+                total += pw[x]
+            total %= p
+            prod_term = 0
+            if k == 0:
+                prod_term = 1
+                for x in tail:
+                    prod_term = prod_term * x % p
+            if prod_term and n_inv is not None:
+                counts[total * pow(prod_term, -1, p) * n_inv % p] += 1
+            elif total == 0:
+                every_lam += 1
+    return {lam: c + every_lam for lam, c in counts.items()}
+
+
+def test_hoisted_histogram_matches_plain_enumeration():
+    cases = [(p, n) for p in PRIMES_TO_31 for n in (2, 3, 4)]
+    cases += [(p, 5) for p in (3, 5, 7, 11)]
+    for p, n in cases:
+        assert oracle.brute_count_all(p, n) == plain_brute_count_all(p, n), (p, n)
 
 
 def test_histogram_handles_p_dividing_n():
