@@ -3,7 +3,10 @@
 
 Usage: python scripts/verify_grid.py [pmax] [n1,n2,...] [jobs]
 Defaults reproduce the full desk-scale run: p <= 31 for n in 2..4 plus the
-p <= 13 slice for n = 5.
+p <= 13 slice for n = 5.  Each method runs once per (p, n) group and its
+per-instance timing is that group time over the lambdas it serves, so the
+per-method sums are amortized group times: their total is the time each
+method took, not a sum of separate per-lambda counts.
 """
 
 import pathlib

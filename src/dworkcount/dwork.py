@@ -36,12 +36,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd
+from math import factorial, gcd
 
 from .gauss import gk_units, pi_valuation
 from .hyperfun import FParams, f_coefficients
-from .padic import (PadicUnit, ValuedPadic, batch_inverse, is_odd_prime,
-                    reconstruct_integer, teichmuller_table)
+from .padic import (PadicUnit, ValuedPadic, batch_inverse, chirp_dft, is_odd_prime,
+                    primitive_root, reconstruct_integer, teichmuller_table)
 from .pgamma import frac_gamma_table
 
 
@@ -289,12 +289,40 @@ class CharSum:
 
     def value(self, y: int) -> ValuedPadic:
         p, mod = self.p, self.mod
-        parts = [] if self.const_offset is None else [(self.const_offset, self.const)]
+        acc = None
         if y % p and self.offset is not None:
             z = teichmuller_table(p, self.digits)[pow(y, -1, p)]  # wbar(y)
             acc = 0
             for c in reversed(self.coeffs):
                 acc = (acc * z + c) % mod
+        return self._assemble(acc)
+
+    def values(self, ys) -> dict[int, ValuedPadic]:
+        """value(y) for every y in ys, from one transform of the coefficients.
+
+        With rho = w(g) for the primitive root g, wbar(g^-k) = rho^k, so the
+        character sums at every y = g^-k are the DFT sum_e C_e rho^(ek), which
+        padic.chirp_dft computes at once.
+        """
+        p = self.p
+        sums = [None] * p  # the character sum at each y; y = 0 stays None
+        if self.offset is not None:
+            teich, g = teichmuller_table(p, self.digits), primitive_root(p)
+            powers, x = [], 1
+            for _ in range(p - 1):
+                powers.append(teich[x])  # rho^e = w(g^e)
+                x = x * g % p
+            g_inv, y = pow(g, -1, p), 1
+            for acc in chirp_dft(self.coeffs, powers, self.mod):
+                sums[y] = acc
+                y = y * g_inv % p
+        return {y: self._assemble(sums[y % p]) for y in ys}
+
+    def _assemble(self, acc: int | None) -> ValuedPadic:
+        """The constant plus the character sum acc (None: no character term)."""
+        p, mod = self.p, self.mod
+        parts = [] if self.const_offset is None else [(self.const_offset, self.const)]
+        if acc is not None:
             parts.append((self.offset, acc))
         if not parts:
             return ValuedPadic.zero(p)
@@ -309,10 +337,42 @@ class CharSum:
         return ValuedPadic(p, v0 + v, PadicUnit(x, p, self.digits - v))
 
 
+def _count_vectors(n: int, d: int):
+    """Every residue-count vector (n_0, ..., n_{d-1}) of a member of W(n, d):
+    n_k >= 0, sum n_k = n and sum k*n_k == 0 (mod d)."""
+    def rest(k, left, total):
+        if k == d - 1:
+            if (total + k * left) % d == 0:
+                yield (left,)
+            return
+        for c in range(left + 1):
+            for tail in rest(k + 1, left - c, total + k * c):
+                yield (c,) + tail
+    return rest(0, n, 0)
+
+
+def _sorted_entries(n_k: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(k for k, c in enumerate(n_k) for _ in range(c))
+
+
+def _multinomial(parts) -> int:
+    """(sum of parts)! / prod part!: the arrangements of a multiset."""
+    out = factorial(sum(parts))
+    for c in parts:
+        out //= factorial(c)
+    return out
+
+
 def _class_weights(n: int, d: int) -> Counter:
     """Classes of W(n, d) per residue-count vector n_k: each vector as the sorted
-    entries of a representative (they still contain 0), with its number of classes."""
-    return Counter(tuple(sorted(rep.wstar)) for rep in canonical_classes(n, d))
+    entries of a representative (they still contain 0), with its number of classes.
+
+    The d shifts of a member have distinct first entries, so each class has
+    exactly one member that starts with 0 (its canonical representative), and
+    the classes of a vector with n_0 >= 1 number (n-1)! / ((n_0-1)! prod_{k>0} n_k!).
+    """
+    return Counter({_sorted_entries(n_k): _multinomial((n_k[0] - 1,) + n_k[1:])
+                    for n_k in _count_vectors(n, d) if n_k[0]})
 
 
 def _main_terms(p: int, n: int, digits: int):
@@ -344,9 +404,10 @@ def _gauss_product(exps, weight: int, p: int, mod: int, units,
 
 
 def _w_multisets(n: int, d: int) -> Counter:
-    """The members of W(n, d) per multiset: sorted entries, with their number.
-    Gauss-sum terms depend on w only through its multiset and are built once each."""
-    return Counter(tuple(sorted(w)) for w in enumerate_W(n, d))
+    """The members of W(n, d) per multiset: sorted entries, with their number
+    n! / prod n_k!.  Gauss-sum terms depend on w only through its multiset and
+    are built once each."""
+    return Counter({_sorted_entries(n_k): _multinomial(n_k) for n_k in _count_vectors(n, d)})
 
 
 def _koblitz_consts(p: int, n: int, digits: int):
@@ -423,7 +484,8 @@ _ARGUMENT = {
 }
 
 
-def _value(name: str, inst: DworkInstance, kt: int | None, alpha: int = 1) -> ValuedPadic:
+def _method_kernel(name: str, inst: DworkInstance, kt: int | None, alpha: int) -> CharSum:
+    """The kernel of a named method for the instance's (p, n), after its checks."""
     p, n = inst.p, inst.n
     if name not in _ARGUMENT:
         raise ValueError(f"unknown method {name!r}")
@@ -436,14 +498,37 @@ def _value(name: str, inst: DworkInstance, kt: int | None, alpha: int = 1) -> Va
         assert pd.B_w == (Fraction(1),) * (n - 1)
     if inst.lam == 0 and name != "koblitz":
         raise InstanceError("lambda = 0: use the Gauss-sum count")
-    kernel = _kernel("main" if name == "relprime" else name, p, n,
-                     kt if kt is not None else k_target(p, n), alpha)
-    return kernel.value(_ARGUMENT[name](p, n, inst.lam))
+    return _kernel("main" if name == "relprime" else name, p, n,
+                   kt if kt is not None else k_target(p, n), alpha)
+
+
+def _value(name: str, inst: DworkInstance, kt: int | None, alpha: int = 1) -> ValuedPadic:
+    kernel = _method_kernel(name, inst, kt, alpha)
+    return kernel.value(_ARGUMENT[name](inst.p, inst.n, inst.lam))
 
 
 def _count(name: str, p: int, n: int, lam: int, kt: int | None, alpha: int = 1) -> int:
     inst = DworkInstance(p, n, lam)
     return reconstruct_integer(_value(name, inst, kt, alpha), inst.projective_total)
+
+
+def count_all(name: str, p: int, n: int, kt: int | None = None,
+              alpha: int = 1) -> dict[int, int]:
+    """{lambda: N_p(lambda)} by one method for every lambda it covers: all of
+    F_p for koblitz, F_p^* for main, relprime and ff (generator exponent alpha).
+
+    The instance is checked once, and the kernel is evaluated at every
+    character argument by one transform (CharSum.values); each count equals
+    the method's single count at that lambda.
+    """
+    inst = DworkInstance(p, n, 1)
+    kernel = _method_kernel(name, inst, kt, alpha)
+    arg = _ARGUMENT[name]
+    lams = range(p) if name == "koblitz" else range(1, p)
+    ys = {lam: arg(p, n, lam) for lam in lams}
+    total = inst.projective_total
+    counts = {y: reconstruct_integer(v, total) for y, v in kernel.values(set(ys.values())).items()}
+    return {lam: counts[y] for lam, y in ys.items()}
 
 
 def count_main(p: int, n: int, lam: int, kt: int | None = None) -> int:

@@ -6,22 +6,28 @@ The oracle is deliberately dumb.  It enumerates projective representatives
 defining polynomial with precomputed n-th power and inverse tables; it shares
 nothing with the p-adic formula paths beyond integer arithmetic mod p.
 brute_count evaluates one lambda tuple by tuple and is the reference;
-brute_count_all visits the same points once for every lambda, with the
-per-tuple sum and product hoisted out of its innermost loop.
+brute_count_all counts every lambda at once, running the last coordinate of
+the first chart once per distinct (power sum, product) of the others and
+counting the lambda-free charts from a histogram of power sums.
+
+verify_group checks one (p, n) over a set of lambdas: the oracle and each
+formula method (through dwork.count_all, one transform per kernel) run once
+for the whole group, and every report picks out its lambda.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 from math import gcd
 
 from . import dwork
 
-# Most projective points (p^n - 1)/(p - 1) that `count` lets the oracle
-# enumerate, about 7 s in CPython; larger instances are refused with advice,
-# as pgamma.SWEEP_LIMIT refuses long lift sweeps.
+# Most projective points (p^n - 1)/(p - 1) that `count` and `verify` let the
+# oracle enumerate, about 7 s of brute_count in CPython; larger instances are
+# refused with advice, as pgamma.SWEEP_LIMIT refuses long lift sweeps.
 ORACLE_LIMIT = 10_000_000
 
 
@@ -58,46 +64,61 @@ def brute_count_all(p: int, n: int) -> dict[int, int]:
     Each affine tuple with nonzero n prod x_i solves the equation for exactly
     one lambda, (1 + sum x_i^n) / (n prod x_i); the other tuples (and every
     tuple in the charts with a forced zero) count for all lambda at once.
-    Chart 0 runs its first n-2 free coordinates as a head carrying
-    s = 1 + sum x_i^n and q = n prod x_i mod p, and its last coordinate x as an
-    inner loop through one inverse table; a head with q = 0 (every head when
-    p | n) counts its x at once by how many x have x^n = -s.  Every other tuple
-    is visited one by one, and extra memory stays O(p).
+    Chart 0 splits a tuple into a head, its first n-2 free coordinates, and a
+    last coordinate x.  A head enters only through s = 1 + sum x_i^n and
+    q = n prod x_i mod p, so the heads are tallied by (s, q), and x runs once
+    per distinct (s, q), weighted by its number of heads: an inner loop through
+    one inverse table, or, when q = 0 (every head when p | n), a count of the
+    x with x^n = -s.  The charts k >= 1 are lambda-free and are counted from
+    a histogram of power sums.  Extra memory is O(p^2).
     """
     pw = [pow(x, n, p) for x in range(p)]
     inv = [0] + [pow(x, -1, p) for x in range(1, p)]
     roots = [0] * p  # roots[r] = #{x : x^n = r}
     for r in pw:
         roots[r] += 1
+    heads = Counter({(1, n % p): 1})
+    for _ in range(n - 2):
+        grown = Counter()
+        for (s, q), m in heads.items():
+            for x in range(p):
+                grown[(s + pw[x]) % p, q * x % p] += m
+        heads = grown
     counts = [0] * p
     every_lam = 0
     nonzero = range(1, p)
-    for head in product(range(p), repeat=n - 2):
-        s, q = 1, n
-        for x in head:
-            s += pw[x]
-            q = q * x % p
-        s %= p
+    for (s, q), m in heads.items():
         if q:
             c = inv[q]
             for x in nonzero:
-                counts[(s + pw[x]) * inv[x] * c % p] += 1
-            every_lam += s == 0  # x = 0
-        else:  # also every head when p | n
-            every_lam += roots[-s % p]
-    for k in range(1, n):
-        for tail in product(range(p), repeat=n - 1 - k):
-            total = 1
-            for x in tail:
-                total += pw[x]
-            if total % p == 0:
-                every_lam += 1
+                counts[(s + pw[x]) * inv[x] * c % p] += m
+            if s == 0:  # x = 0
+                every_lam += m
+        else:
+            every_lam += m * roots[-s % p]
+    # chart k >= 1 has n-1-k free coordinates and no monomial term: tails[r]
+    # counts the tuples of the current length with sum x^n = r
+    powers = [(r, c) for r, c in enumerate(roots) if c]
+    tails = [1] + [0] * (p - 1)
+    for length in range(n - 1):
+        if length:
+            grown = [0] * p
+            for r, c in enumerate(tails):
+                if c:
+                    for t, k in powers:
+                        grown[(r + t) % p] += c * k
+            tails = grown
+        every_lam += tails[p - 1]  # 1 + sum x^n = 0
     return {lam: c + every_lam for lam, c in enumerate(counts)}
 
 
 @dataclass
 class CountReport:
-    """Per-instance comparison of the oracle and every applicable formula."""
+    """Per-instance comparison of the oracle and every applicable formula.
+
+    timings_ms holds, per method, the wall time of its run over the whole
+    (p, n) group divided by the number of the group's lambdas it serves.
+    """
 
     p: int
     n: int
@@ -128,22 +149,26 @@ _COUNTERS = {
 
 
 def verify_group(p: int, n: int, lams: list[int], kt: int | None = None) -> list[CountReport]:
-    """CountReports for one (p, n) over the given lambdas (oracle pass shared)."""
-    t0 = time.perf_counter()
-    oracle_all = brute_count_all(p, n)
-    oracle_ms = (time.perf_counter() - t0) * 1000 / max(len(lams), 1)
+    """CountReports for one (p, n) over the given lambdas.
+
+    The oracle and each formula method run once for every lambda of the group
+    (brute_count_all, dwork.count_all), and each report picks out its lambda;
+    a method's timing is its group time over the number of lambdas it serves.
+    """
+    lams = [lam % p for lam in lams]
+    group, group_ms = {}, {}
+    for name in _applicable_methods(p, n, 1):  # lambda = 0 only drops methods
+        t0 = time.perf_counter()
+        group[name] = (brute_count_all(p, n) if name == "oracle"
+                       else dwork.count_all(name, p, n, kt))
+        group_ms[name] = (time.perf_counter() - t0) * 1000
+    served = {name: sum(lam in counts for lam in lams) for name, counts in group.items()}
     d = gcd(p - 1, n)
     reports = []
     for lam in lams:
-        lam %= p
-        methods = {"oracle": oracle_all[lam]}
-        timings = {"oracle": round(oracle_ms, 3)}
-        for name in _applicable_methods(p, n, lam):
-            if name == "oracle":
-                continue
-            t0 = time.perf_counter()
-            methods[name] = _COUNTERS[name](p, n, lam, kt)
-            timings[name] = round((time.perf_counter() - t0) * 1000, 3)
+        names = _applicable_methods(p, n, lam)
+        methods = {name: group[name][lam] for name in names}
+        timings = {name: round(group_ms[name] / served[name], 3) for name in names}
         agreement = len(set(methods.values())) == 1
         reports.append(CountReport(p, n, lam, d, methods, agreement, timings))
     return reports
@@ -180,10 +205,20 @@ def _odd_primes_upto(bound: int) -> list[int]:
 def sweep_verify(p_max: int, n_set, lambda_policy: str = "all",
                  jobs: int = 1, kt: int | None = None) -> list[CountReport]:
     """Run the oracle and every applicable formula over the grid; deterministic
-    report order (p, n, lambda) regardless of parallelism."""
+    report order (p, n, lambda) regardless of parallelism.
+
+    A grid with a (p, n) group over ORACLE_LIMIT projective points is refused
+    with a ValueError naming the largest group, before any group runs.
+    """
     groups = [(p, n, _lambda_set(p, lambda_policy), kt)
               for p in _odd_primes_upto(p_max)
               for n in sorted(n_set) if n % p]
+    if groups:
+        points, p, n = max(((q ** m - 1) // (q - 1), q, m) for q, m, *_ in groups)
+        if points > ORACLE_LIMIT:
+            raise ValueError(f"the oracle would enumerate {points} points at p={p}, n={n}, "
+                             f"over its limit of {ORACLE_LIMIT}; lower --pmax below {p} "
+                             f"or drop n={n} from --n-set")
     if jobs > 1 and len(groups) > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:

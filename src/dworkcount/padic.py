@@ -321,6 +321,36 @@ def batch_inverse(values, mod: int) -> list[int]:
     return out
 
 
+def chirp_dft(a, powers, mod: int) -> list[int]:
+    """[sum_e a_e rho^(ek) mod `mod` for k in range(m)] for residues 0 <= a_e < mod,
+    given powers[e] = rho^e of a root of unity rho of even order m = len(powers)
+    with rho^(m/2) = -1.
+
+    Bluestein's identity ek = C(e+k, 2) - C(e, 2) - C(k, 2) turns the DFT into
+    the correlation c_k = sum_e u_e v_(e+k) of u_e = a_e rho^-C(e,2) with the
+    chirp v_i = rho^C(i,2), and the k-th sum is rho^-C(k,2) c_k.  As
+    rho^(m/2) = -1, the chirp satisfies v_(i+m) = -v_i, so c_k = P[m-1+k] - P[k-1]
+    for the product P of two length-m polynomials, computed as one big-integer
+    product by Kronecker substitution: slots of `width` bytes hold every
+    coefficient, a sum of m products below mod^2, without carries.
+    """
+    size = len(powers)
+    tri = [0] * size  # C(i, 2) mod m
+    for i in range(1, size):
+        tri[i] = (tri[i - 1] + i - 1) % size
+    width = (size * (mod - 1) ** 2).bit_length() // 8 + 1
+    packed_u = int.from_bytes(b"".join((c * powers[-e] % mod).to_bytes(width, "little")
+                                       for c, e in zip(reversed(a), reversed(tri))),
+                              "little")
+    packed_v = int.from_bytes(b"".join(powers[e].to_bytes(width, "little") for e in tri),
+                              "little")
+    raw = (packed_u * packed_v).to_bytes(2 * size * width, "little")
+    slots = [int.from_bytes(raw[i:i + width], "little")
+             for i in range(0, (2 * size - 1) * width, width)]
+    return [powers[-tri[k]] * (slots[size - 1 + k] - (slots[k - 1] if k else 0)) % mod
+            for k in range(size)]
+
+
 @lru_cache(maxsize=None)
 def teichmuller_table(p: int, digits: int) -> tuple[int, ...]:
     """Residues of the Teichmuller lifts for 1..p-1; index 0 is a 0 sentinel.

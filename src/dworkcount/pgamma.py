@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .padic import (PadicError, PadicUnit, batch_inverse, primitive_root,
+from .padic import (PadicError, PadicUnit, batch_inverse, chirp_dft, primitive_root,
                     teichmuller_table)
 
 SWEEP_LIMIT = 50_000_000
@@ -102,16 +102,10 @@ def jacobi_sums(p: int, digits: int) -> list[int]:
     """J(wbar^j, wbar) = sum_x wbar^j(x) wbar(1-x) mod p^digits for j = 0..p-2.
 
     With x = g^k for a primitive root g and zeta = wbar(g), the sums are the
-    length-(p-1) DFT J_j = sum_k a_k zeta^(jk) of a_k = wbar(1 - g^k).
-    Bluestein's identity jk = C(j+k, 2) - C(j, 2) - C(k, 2) turns it into the
-    correlation c_j = sum_k u_k v_(j+k) of u_k = a_k zeta^-C(k,2) with the chirp
-    v_m = zeta^C(m,2), and J_j = zeta^-C(j,2) c_j.  As zeta^((p-1)/2) = -1, the
-    chirp satisfies v_(m+p-1) = -v_m, so c_j = P[p-2+j] - P[j-1] for the
-    product P of two length-(p-1) polynomials, computed as one big-integer
-    product by Kronecker substitution: slots of `width` bytes hold every
-    coefficient, a sum of p-1 products below p^(2*digits), without carries.
+    length-(p-1) DFT J_j = sum_k a_k zeta^(jk) of a_k = wbar(1 - g^k), which
+    padic.chirp_dft computes as one big-integer product (zeta^((p-1)/2) = -1).
     """
-    size, mod = p - 1, p ** digits
+    size = p - 1
     teich = teichmuller_table(p, digits)
     g = primitive_root(p)
     gpow, log = [1] * size, [0] * p
@@ -120,20 +114,8 @@ def jacobi_sums(p: int, digits: int) -> list[int]:
     for k, x in enumerate(gpow):
         log[x] = k
     zeta = [teich[gpow[-e]] for e in range(size)]  # zeta^e = w(g^-e) = wbar(g^e)
-    tri = [0] * size  # C(m, 2) mod p-1
-    for m in range(1, size):
-        tri[m] = (tri[m - 1] + m - 1) % size
-    u = [0] + [zeta[(log[(1 - gpow[k]) % p] - tri[k]) % size] for k in range(1, size)]
-    width = (size * (mod - 1) ** 2).bit_length() // 8 + 1
-    packed_u = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in reversed(u)),
-                              "little")
-    packed_v = int.from_bytes(b"".join(zeta[e].to_bytes(width, "little") for e in tri),
-                              "little")
-    raw = (packed_u * packed_v).to_bytes(2 * size * width, "little")
-    slots = [int.from_bytes(raw[i:i + width], "little")
-             for i in range(0, (2 * size - 1) * width, width)]
-    return [zeta[-tri[j] % size] * (slots[size - 1 + j] - (slots[j - 1] if j else 0)) % mod
-            for j in range(size)]
+    a = [0] + [zeta[log[(1 - gpow[k]) % p]] for k in range(1, size)]
+    return chirp_dft(a, zeta, p ** digits)
 
 
 @lru_cache(maxsize=None)

@@ -246,3 +246,21 @@ def test_count_oracle_over_its_limit_is_a_domain_error(capsys, monkeypatch):
     code, out, err = run(capsys, ["count", "--p", "1009", "--n", "4", "--lambda", "3",
                                   "--method", "oracle"])
     assert code == 2 and out == ""
+
+
+def test_verify_over_the_oracle_limit_is_a_domain_error(capsys, monkeypatch):
+    argv = ["verify", "--pmax", "7", "--n-set", "2,3", "--json"]
+    monkeypatch.setattr(oracle, "ORACLE_LIMIT", 57)  # the largest group, p = 7, n = 3
+    code, out, err = run(capsys, argv)
+    assert code == 0 and out
+    monkeypatch.setattr(oracle, "ORACLE_LIMIT", 56)
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "p=7, n=3" in err and "--pmax" in err and "--n-set" in err
+    # at the real limit the refusal comes before any group runs
+    monkeypatch.undo()
+    code, out, err = run(capsys, ["verify", "--pmax", "1009", "--n-set", "4"])
+    assert code == 2 and out == ""
+    assert "p=1009, n=4" in err

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -56,6 +57,15 @@ def test_canonical_classes_structure():
                 assert not (orb & covered)
                 covered |= orb
             assert covered == set(enumerate_W(n, d))
+
+
+def test_closed_form_weights_match_enumeration():
+    for n in range(2, 8):
+        for d in (dd for dd in range(1, n + 1) if n % dd == 0):
+            assert dwork._class_weights(n, d) == \
+                Counter(tuple(sorted(rep.wstar)) for rep in canonical_classes(n, d)), (n, d)
+            assert dwork._w_multisets(n, d) == \
+                Counter(tuple(sorted(w)) for w in enumerate_W(n, d)), (n, d)
 
 
 def class_multiset_types(n, d):
@@ -338,6 +348,51 @@ def test_integer_ff_kernel_matches_gk_product_build(p, n):
     for alpha in alphas:
         want = CharSum(p, digits, consts, reference_ff_terms(p, n, digits, alpha))
         assert kernel_state(dwork._kernel("ff", p, n, kt, alpha)) == kernel_state(want), alpha
+
+
+# -- the all-y transform against Horner ---------------------------------------------
+
+# the verify_sweep grid (p <= 61 with n = 2..4, p <= 19 with n = 5) and n = 6
+SWEEP_GRID = ([(p, n) for n in (2, 3, 4) for p in PRIMES_TO_97 if p <= 61 and n % p]
+              + [(p, 5) for p in PRIMES_TO_97 if p <= 19 and p != 5]
+              + [(7, 6), (13, 6), (31, 6)])
+
+
+def sweep_kernels(p, n):
+    """(name, alpha, kernel) of every main, koblitz and ff kernel at (p, n)."""
+    kt = k_target(p, n)
+    yield "main", 1, dwork._kernel("main", p, n, kt, 1)
+    yield "koblitz", 1, dwork._kernel("koblitz", p, n, kt, 1)
+    if (p - 1) % n == 0:
+        for alpha in (1, 5):
+            if gcd(alpha, p - 1) == 1:
+                yield "ff", alpha, dwork._kernel("ff", p, n, kt, alpha)
+
+
+@pytest.mark.parametrize("p,n", SWEEP_GRID)
+def test_transform_values_match_horner(p, n):
+    for name, alpha, kernel in sweep_kernels(p, n):
+        got = kernel.values(range(p))
+        for y in range(p):
+            want = kernel.value(y)
+            assert (got[y], got[y].absolute_precision) == (want, want.absolute_precision), \
+                (name, alpha, y)
+
+
+COUNTERS = {"main": count_main, "koblitz": count_koblitz, "relprime": count_relprime}
+
+
+@pytest.mark.parametrize("p,n", SWEEP_GRID)
+def test_count_all_matches_single_counts(p, n):
+    names = ["main", "koblitz"] + ["relprime"] * (gcd(p - 1, n) == 1)
+    for name in names:
+        got = dwork.count_all(name, p, n)
+        lams = range(p) if name == "koblitz" else range(1, p)
+        assert got == {lam: COUNTERS[name](p, n, lam) for lam in lams}, name
+    for _, alpha, _ in (k for k in sweep_kernels(p, n) if k[0] == "ff"):
+        got = dwork.count_all("ff", p, n, alpha=alpha)
+        assert got == {lam: count_ff(p, n, lam, generator_exponent=alpha)
+                       for lam in range(1, p)}, alpha
 
 
 def test_integer_f_coefficients_match_gk_product_build():

@@ -87,7 +87,8 @@ def plain_brute_count_all(p, n):
 
 def test_hoisted_histogram_matches_plain_enumeration():
     cases = [(p, n) for p in PRIMES_TO_31 for n in (2, 3, 4)]
-    cases += [(p, 5) for p in (3, 5, 7, 11)]
+    cases += [(p, 5) for p in (3, 5, 7, 11, 13)]  # (5, 5): p | n
+    cases += [(7, 6), (13, 6), (3, 3), (3, 6)]
     for p, n in cases:
         assert oracle.brute_count_all(p, n) == plain_brute_count_all(p, n), (p, n)
 
