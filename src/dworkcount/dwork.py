@@ -21,9 +21,10 @@ only through the counts n_k of each residue, so classes with equal counts are
 built once and weighted by their number (5 builds for the 16 classes at n = 4,
 d = 4; 42 for the 1296 at n = 6, d = 6).
 
-All four formulas share one evaluation kernel, CharSum: a lambda-free constant
-plus sum_e C_e wbar^e(y), with y = lambda^n (main, and relprime as its d = 1
-case), y = n*lambda (Gauss-sum count) or y = lambda^{-n} (finite-field form).
+All four formulas share one evaluation kernel, padic.CharSum: a lambda-free
+constant plus sum_e C_e wbar^e(y), with y = lambda^n (main, and relprime as its
+d = 1 case), y = n*lambda (Gauss-sum count) or y = lambda^{-n} (finite-field
+form).
 Each method only builds its coefficients, once per (p, n, K_target); the
 Gauss-sum and finite-field builds multiply plain-integer Gross-Koblitz units,
 once per multiset of w (per count vector n_k for ff), weighted by its number.
@@ -40,8 +41,8 @@ from math import factorial, gcd
 
 from .gauss import gk_units, pi_valuation
 from .hyperfun import FParams, f_coefficients
-from .padic import (PadicUnit, ValuedPadic, batch_inverse, chirp_dft, is_odd_prime,
-                    primitive_root, reconstruct_integer, teichmuller_table)
+from .padic import (CharSum, PadicUnit, ValuedPadic, batch_inverse, is_odd_prime,
+                    reconstruct_integer, teichmuller_table)
 from .pgamma import frac_gamma_table
 
 
@@ -251,90 +252,6 @@ def class_g_coefficients(pd: ParamData, p: int, n: int, digits: int,
             unit = (mod - unit) % mod
         coeffs.append((exponent, unit))
     return coeffs
-
-
-# -- the shared character-sum kernel -------------------------------------------
-
-def _fold(terms, size: int, p: int, mod: int):
-    """Sum (index, valuation, unit) terms into `size` integers mod p^digits at the
-    smallest valuation seen; returns (that valuation or None, the integers)."""
-    v0, ints = None, [0] * size
-    for i, v, u in terms:
-        if v0 is None:
-            v0 = v
-        elif v < v0:
-            shift = p ** (v0 - v)
-            ints = [c * shift % mod for c in ints]
-            v0 = v
-        ints[i] = (ints[i] + u * p ** (v - v0)) % mod
-    return v0, ints
-
-
-class CharSum:
-    """const + sum_e C_e * wbar^e(y) for lambda-free terms p^v * u, u known mod p^digits.
-
-    The constant and C are folded into plain integers, each at its smallest term
-    valuation, so a value costs one Horner pass.  Like a term-by-term
-    ValuedPadic sum, the result is known to absolute precision digits plus the
-    smallest valuation among the terms it sums; at y = 0 every character
-    vanishes and only the constant's terms count.
-    """
-
-    def __init__(self, p: int, digits: int, const_terms, char_terms):
-        self.p, self.digits = p, digits
-        self.mod = p ** digits
-        self.const_offset, (self.const,) = _fold(((0, v, u) for v, u in const_terms),
-                                                 1, p, self.mod)
-        self.offset, self.coeffs = _fold(char_terms, p - 1, p, self.mod)
-
-    def value(self, y: int) -> ValuedPadic:
-        p, mod = self.p, self.mod
-        acc = None
-        if y % p and self.offset is not None:
-            z = teichmuller_table(p, self.digits)[pow(y, -1, p)]  # wbar(y)
-            acc = 0
-            for c in reversed(self.coeffs):
-                acc = (acc * z + c) % mod
-        return self._assemble(acc)
-
-    def values(self, ys) -> dict[int, ValuedPadic]:
-        """value(y) for every y in ys, from one transform of the coefficients.
-
-        With rho = w(g) for the primitive root g, wbar(g^-k) = rho^k, so the
-        character sums at every y = g^-k are the DFT sum_e C_e rho^(ek), which
-        padic.chirp_dft computes at once.
-        """
-        p = self.p
-        sums = [None] * p  # the character sum at each y; y = 0 stays None
-        if self.offset is not None:
-            teich, g = teichmuller_table(p, self.digits), primitive_root(p)
-            powers, x = [], 1
-            for _ in range(p - 1):
-                powers.append(teich[x])  # rho^e = w(g^e)
-                x = x * g % p
-            g_inv, y = pow(g, -1, p), 1
-            for acc in chirp_dft(self.coeffs, powers, self.mod):
-                sums[y] = acc
-                y = y * g_inv % p
-        return {y: self._assemble(sums[y % p]) for y in ys}
-
-    def _assemble(self, acc: int | None) -> ValuedPadic:
-        """The constant plus the character sum acc (None: no character term)."""
-        p, mod = self.p, self.mod
-        parts = [] if self.const_offset is None else [(self.const_offset, self.const)]
-        if acc is not None:
-            parts.append((self.offset, acc))
-        if not parts:
-            return ValuedPadic.zero(p)
-        v0 = min(v for v, _ in parts)
-        x = sum(c * p ** (v - v0) for v, c in parts) % mod
-        if x == 0:
-            return ValuedPadic.zero(p, v0 + self.digits)
-        v = 0
-        while x % p == 0:
-            x //= p
-            v += 1
-        return ValuedPadic(p, v0 + v, PadicUnit(x, p, self.digits - v))
 
 
 def _count_vectors(n: int, d: int):

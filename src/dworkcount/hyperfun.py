@@ -1,13 +1,14 @@
 """Evaluators for the p-adic hypergeometric sum mGm and its finite-field
 counterpart mFm, plus the parameter containers the CLI parses into.
 
-mGm is evaluated literally from its definition: a sum over j = 0..p-2 of
-gamma-quotient products with (-p)-power corrections whose exponents are exact
-rational floors.  mFm is a character sum of Gauss-sum ratios whose
-x-free coefficients are built once, in plain integers, from the Gross-Koblitz
-units (f_coefficients).  The two are linked by an exact bridge: with
-A_i = wbar^(a_i (p-1)) and B_i = wbar^(b_i (p-1)),
-mFm(A; B | t) = mGm[a; b | 1/t].
+Both are character sums -1/(p-1) * sum_j c_j wbar^j(x) whose x-free
+coefficients c_j are built in plain integers and summed by padic.CharSum, the
+one summation path the count formulas use too.  mGm's coefficients come
+literally from its definition (g_coefficients): gamma-quotient products with
+(-p)-power corrections whose exponents are exact rational floors.  mFm's are
+Gauss-sum ratios read from the Gross-Koblitz units (f_coefficients).  The two
+are linked by an exact bridge: with A_i = wbar^(a_i (p-1)) and
+B_i = wbar^(b_i (p-1)), mFm(A; B | t) = mGm[a; b | 1/t].
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from fractions import Fraction
 from math import floor
 
 from .gauss import gk_units, pi_valuation
-from .padic import PadicUnit, ValuedPadic, teichmuller_table
-from .pgamma import SWEEP_LIMIT, GammaEvaluator
+from .padic import CharSum, ValuedPadic
+from .pgamma import SWEEP_LIMIT, gamma_residues
 
 
 @dataclass(frozen=True)
@@ -78,50 +79,51 @@ class FParams:
         return FParams(exps(params.a), exps(params.b))
 
 
-def eval_g_terms(params: GParams, x: int, p: int, digits: int,
-                 sweep_limit: int | None = SWEEP_LIMIT) -> list[ValuedPadic]:
-    """The p-1 summands of the mGm sum (before the -1/(p-1) factor).
+def g_coefficients(params: GParams, p: int, digits: int,
+                   sweep_limit: int | None = SWEEP_LIMIT) -> list[tuple[int, int]]:
+    """The x-free part of each mGm summand (before the -1/(p-1) factor), as
+    (exponent, unit residue) pairs: the j-th summand at x is this coefficient
+    times wbar^j(x).
 
-    Exposed so tests can assert the reduction is schedule-independent.
+    The literal definition: gamma quotients with (-p)-exponents that are exact
+    rational floors.  It is the reference the reduced main kernel is pinned to.
     """
     params.validate_for(p)
-    x %= p
-    if x == 0:
-        raise ValueError("x = 0 annihilates every term; eval_G returns exact zero")
     mod = p ** digits
     m = params.m
     av = [q % 1 for q in params.a]   # <a_i>
     bv = [(-q) % 1 for q in params.b]  # <-b_i>
-    gammas = GammaEvaluator(p, digits, sweep_limit)
+    thetas = [Fraction(j, p - 1) for j in range(p - 1)]
     args = set(av) | set(bv)
-    for j in range(p - 1):
-        theta = Fraction(j, p - 1)
+    for theta in thetas:
         args.update((q - theta) % 1 for q in av)
         args.update((q + theta) % 1 for q in bv)
-    gammas.prefetch(args)
+    gamma = gamma_residues(args, p, digits, sweep_limit)
     denom = 1
     for q in av + bv:
-        denom = denom * gammas.get(q) % mod
+        denom = denom * gamma[q] % mod
     inv_denom = pow(denom, -1, mod)
-    teich_x = teichmuller_table(p, digits)[x]
-    chi = 1  # wbar^j(x), updated multiplicatively
-    chi_step = pow(teich_x, p - 2, mod)  # teich(x)^-1
-    terms = []
-    for j in range(p - 1):
-        theta = Fraction(j, p - 1)
-        unit = chi * inv_denom % mod
-        exponent = 0
+    coeffs = []
+    for j, theta in enumerate(thetas):
+        unit, exponent = inv_denom, 0
         for q in av:
-            unit = unit * gammas.get((q - theta) % 1) % mod
+            unit = unit * gamma[(q - theta) % 1] % mod
             exponent -= floor(q - theta)
         for q in bv:
-            unit = unit * gammas.get((q + theta) % 1) % mod
+            unit = unit * gamma[(q + theta) % 1] % mod
             exponent -= floor(q + theta)
         if (j * m + exponent) % 2:  # (-1)^{jm} and the sign of (-p)^exponent
             unit = (mod - unit) % mod
-        terms.append(ValuedPadic(p, exponent, PadicUnit(unit, p, digits)))
-        chi = chi * chi_step % mod
-    return terms
+        coeffs.append((exponent, unit))
+    return coeffs
+
+
+def _character_sum(coeffs, x: int, p: int, digits: int) -> ValuedPadic:
+    """-1/(p-1) * sum_j p^v_j u_j wbar^j(x) for coefficients (v_j, u_j), by one CharSum."""
+    mod = p ** digits
+    scale = mod - pow(p - 1, -1, mod)
+    return CharSum(p, digits, (),
+                   ((j, v, u * scale % mod) for j, (v, u) in enumerate(coeffs))).value(x)
 
 
 def eval_G(params: GParams, x: int, p: int, digits: int,
@@ -130,10 +132,7 @@ def eval_G(params: GParams, x: int, p: int, digits: int,
     if x % p == 0:
         params.validate_for(p)
         return ValuedPadic.zero(p)
-    total = ValuedPadic.zero(p)
-    for term in eval_g_terms(params, x, p, digits, sweep_limit):
-        total = total + term
-    return total * ValuedPadic.from_fraction(Fraction(-1, p - 1), p, digits)
+    return _character_sum(g_coefficients(params, p, digits, sweep_limit), x, p, digits)
 
 
 def f_coefficients(params: FParams, p: int, digits: int) -> list[tuple[int, int]]:
@@ -169,26 +168,8 @@ def f_coefficients(params: FParams, p: int, digits: int) -> list[tuple[int, int]
     return coeffs
 
 
-def eval_f_terms(params: FParams, x: int, p: int, digits: int) -> list[ValuedPadic]:
-    """The p-1 character summands of the mFm sum (before the -1/(p-1) factor)."""
-    x %= p
-    if x == 0:
-        raise ValueError("x = 0 annihilates every term; eval_F returns exact zero")
-    mod = p ** digits
-    chi = 1
-    chi_step = pow(teichmuller_table(p, digits)[x], p - 2, mod)
-    terms = []
-    for v, unit in f_coefficients(params, p, digits):
-        terms.append(ValuedPadic(p, v, PadicUnit(unit * chi % mod, p, digits)))
-        chi = chi * chi_step % mod
-    return terms
-
-
 def eval_F(params: FParams, x: int, p: int, digits: int) -> ValuedPadic:
     """The mFm value at x in F_p; exact zero at x = 0."""
     if x % p == 0:
         return ValuedPadic.zero(p)
-    total = ValuedPadic.zero(p)
-    for term in eval_f_terms(params, x, p, digits):
-        total = total + term
-    return total * ValuedPadic.from_fraction(Fraction(-1, p - 1), p, digits)
+    return _character_sum(f_coefficients(params, p, digits), x, p, digits)

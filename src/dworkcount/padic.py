@@ -1,5 +1,12 @@
-"""Fixed-precision p-adic arithmetic: units mod p^K, valuation-carrying numbers,
-Teichmuller lifts, and exact integer reconstruction.
+"""Fixed-precision p-adic values and the one character-sum kernel: units mod
+p^K, the valuation-carrying ValuedPadic, Teichmuller lifts, the chirp DFT,
+CharSum, and exact integer reconstruction.
+
+CharSum is the only code that sums valued p-adic terms.  It folds lambda-free
+terms p^v * u into plain integers at one valuation offset, and every count
+method (dwork) and every mGm/mFm evaluation (hyperfun) goes through it.
+ValuedPadic carries no arithmetic: it is the value type that CharSum returns
+and that reconstruction and the CLI read.
 
 Every value is immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads.
@@ -9,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 
@@ -69,26 +75,6 @@ class PadicUnit:
         if self.residue % self.p == 0:
             raise ValueError("residue divisible by p: not a unit")
 
-    @property
-    def modulus(self) -> int:
-        return self.p ** self.precision
-
-    def mul(self, other: "PadicUnit") -> "PadicUnit":
-        prec = min(self.precision, other.precision)
-        mod = self.p ** prec
-        return PadicUnit(self.residue * other.residue % mod, self.p, prec)
-
-    def inv(self) -> "PadicUnit":
-        return PadicUnit(pow(self.residue, -1, self.modulus), self.p, self.precision)
-
-    def pow(self, e: int) -> "PadicUnit":
-        if e < 0:
-            return self.inv().pow(-e)
-        return PadicUnit(pow(self.residue, e, self.modulus), self.p, self.precision)
-
-    def neg(self) -> "PadicUnit":
-        return PadicUnit((-self.residue) % self.modulus, self.p, self.precision)
-
 
 class ValuedPadic:
     """A p-adic number p^valuation * unit, or a distinguished zero.
@@ -110,38 +96,9 @@ class ValuedPadic:
         if unit is not None and unit.p != p:
             raise ValueError("unit prime mismatch")
 
-    # -- constructors -------------------------------------------------------
-
     @staticmethod
     def zero(p: int, precision=math.inf) -> "ValuedPadic":
         return ValuedPadic(p, 0, None, precision)
-
-    @staticmethod
-    def from_int(c: int, p: int, digits: int) -> "ValuedPadic":
-        if c == 0:
-            return ValuedPadic.zero(p)
-        v = 0
-        while c % p == 0:
-            c //= p
-            v += 1
-        return ValuedPadic(p, v, PadicUnit(c % p ** digits, p, digits))
-
-    @staticmethod
-    def from_fraction(q: Fraction, p: int, digits: int) -> "ValuedPadic":
-        if q == 0:
-            return ValuedPadic.zero(p)
-        num, den = q.numerator, q.denominator
-        v = 0
-        while num % p == 0:
-            num //= p
-            v += 1
-        while den % p == 0:
-            den //= p
-            v -= 1
-        mod = p ** digits
-        return ValuedPadic(p, v, PadicUnit(num * pow(den, -1, mod) % mod, p, digits))
-
-    # -- inspection ---------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
@@ -200,86 +157,6 @@ class ValuedPadic:
         if self.is_zero:
             return hash((self.p, "zero", self._zero_prec))
         return hash((self.p, self.valuation, self.unit))
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def _check(self, other: "ValuedPadic"):
-        if self.p != other.p:
-            raise ValueError("mixed primes")
-
-    def __add__(self, other: "ValuedPadic") -> "ValuedPadic":
-        self._check(other)
-        if self.is_zero and other.is_zero:
-            return ValuedPadic.zero(self.p, min(self._zero_prec, other._zero_prec))
-        if self.is_zero:
-            return other._truncate(min(self._zero_prec, other.absolute_precision))
-        if other.is_zero:
-            return self._truncate(min(other._zero_prec, self.absolute_precision))
-        prec = min(self.absolute_precision, other.absolute_precision)
-        base = min(self.valuation, other.valuation)
-        span = prec - base
-        if span < 1:
-            raise PrecisionError("addition lost all significant digits")
-        mod = self.p ** span
-        total = (self.unit.residue * self.p ** (self.valuation - base)
-                 + other.unit.residue * self.p ** (other.valuation - base)) % mod
-        if total == 0:
-            return ValuedPadic.zero(self.p, prec)
-        v = 0
-        while total % self.p == 0:
-            total //= self.p
-            v += 1
-        rel = span - v
-        return ValuedPadic(self.p, base + v, PadicUnit(total % self.p ** rel, self.p, rel))
-
-    def _truncate(self, abs_prec) -> "ValuedPadic":
-        if abs_prec == self.absolute_precision:
-            return self
-        if self.is_zero:
-            return ValuedPadic.zero(self.p, abs_prec)
-        rel = abs_prec - self.valuation
-        if rel < 1:
-            # every remaining digit is cut away: indistinguishable from zero
-            return ValuedPadic.zero(self.p, abs_prec)
-        return ValuedPadic(self.p, self.valuation,
-                           PadicUnit(self.unit.residue % self.p ** rel, self.p, rel))
-
-    def __neg__(self) -> "ValuedPadic":
-        if self.is_zero:
-            return self
-        return ValuedPadic(self.p, self.valuation, self.unit.neg())
-
-    def __sub__(self, other: "ValuedPadic") -> "ValuedPadic":
-        return self + (-other)
-
-    def __mul__(self, other: "ValuedPadic") -> "ValuedPadic":
-        self._check(other)
-        if self.is_zero or other.is_zero:
-            # p^v*unit times a zero known mod p^N vanishes mod p^(N+v)
-            if self.is_zero and other.is_zero:
-                prec = min(self._zero_prec + other._zero_prec, math.inf)
-            elif self.is_zero:
-                prec = self._zero_prec + other.valuation if self._zero_prec != math.inf else math.inf
-            else:
-                prec = other._zero_prec + self.valuation if other._zero_prec != math.inf else math.inf
-            return ValuedPadic.zero(self.p, prec)
-        return ValuedPadic(self.p, self.valuation + other.valuation,
-                           self.unit.mul(other.unit))
-
-    def inv(self) -> "ValuedPadic":
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of p-adic zero")
-        return ValuedPadic(self.p, -self.valuation, self.unit.inv())
-
-    def __pow__(self, e: int) -> "ValuedPadic":
-        if self.is_zero:
-            if e < 0:
-                raise ZeroDivisionError("negative power of zero")
-            if e == 0:
-                return ValuedPadic.from_int(1, self.p, 1)
-            return ValuedPadic.zero(self.p, self._zero_prec)
-        base = self.inv() if e < 0 else self
-        return ValuedPadic(base.p, base.valuation * abs(e), base.unit.pow(abs(e)))
 
 
 def teichmuller(x: int, p: int, digits: int) -> PadicUnit:
@@ -366,6 +243,88 @@ def teichmuller_table(p: int, digits: int) -> tuple[int, ...]:
         table[x] = t
         x, t = x * g % p, t * wg % mod
     return tuple(table)
+
+
+def _fold(terms, size: int, p: int, mod: int):
+    """Sum (index, valuation, unit) terms into `size` integers mod p^digits at the
+    smallest valuation seen; returns (that valuation or None, the integers)."""
+    v0, ints = None, [0] * size
+    for i, v, u in terms:
+        if v0 is None:
+            v0 = v
+        elif v < v0:
+            shift = p ** (v0 - v)
+            ints = [c * shift % mod for c in ints]
+            v0 = v
+        ints[i] = (ints[i] + u * p ** (v - v0)) % mod
+    return v0, ints
+
+
+class CharSum:
+    """const + sum_e C_e * wbar^e(y) for y-free terms p^v * u, u known mod p^digits.
+
+    The constant and C are folded into plain integers, each at its smallest term
+    valuation, so a value costs one Horner pass.  The result is known to
+    absolute precision digits plus the smallest valuation among the terms it
+    sums, and a sum that cancels is a zero carrying that precision; at y = 0
+    every character vanishes and only the constant's terms count.
+    """
+
+    def __init__(self, p: int, digits: int, const_terms, char_terms):
+        self.p, self.digits = p, digits
+        self.mod = p ** digits
+        self.const_offset, (self.const,) = _fold(((0, v, u) for v, u in const_terms),
+                                                 1, p, self.mod)
+        self.offset, self.coeffs = _fold(char_terms, p - 1, p, self.mod)
+
+    def value(self, y: int) -> ValuedPadic:
+        p, mod = self.p, self.mod
+        acc = None
+        if y % p and self.offset is not None:
+            z = teichmuller_table(p, self.digits)[pow(y, -1, p)]  # wbar(y)
+            acc = 0
+            for c in reversed(self.coeffs):
+                acc = (acc * z + c) % mod
+        return self._assemble(acc)
+
+    def values(self, ys) -> dict[int, ValuedPadic]:
+        """value(y) for every y in ys, from one transform of the coefficients.
+
+        With rho = w(g) for the primitive root g, wbar(g^-k) = rho^k, so the
+        character sums at every y = g^-k are the DFT sum_e C_e rho^(ek), which
+        padic.chirp_dft computes at once.
+        """
+        p = self.p
+        sums = [None] * p  # the character sum at each y; y = 0 stays None
+        if self.offset is not None:
+            teich, g = teichmuller_table(p, self.digits), primitive_root(p)
+            powers, x = [], 1
+            for _ in range(p - 1):
+                powers.append(teich[x])  # rho^e = w(g^e)
+                x = x * g % p
+            g_inv, y = pow(g, -1, p), 1
+            for acc in chirp_dft(self.coeffs, powers, self.mod):
+                sums[y] = acc
+                y = y * g_inv % p
+        return {y: self._assemble(sums[y % p]) for y in ys}
+
+    def _assemble(self, acc: int | None) -> ValuedPadic:
+        """The constant plus the character sum acc (None: no character term)."""
+        p, mod = self.p, self.mod
+        parts = [] if self.const_offset is None else [(self.const_offset, self.const)]
+        if acc is not None:
+            parts.append((self.offset, acc))
+        if not parts:
+            return ValuedPadic.zero(p)
+        v0 = min(v for v, _ in parts)
+        x = sum(c * p ** (v - v0) for v, c in parts) % mod
+        if x == 0:
+            return ValuedPadic.zero(p, v0 + self.digits)
+        v = 0
+        while x % p == 0:
+            x //= p
+            v += 1
+        return ValuedPadic(p, v0 + v, PadicUnit(x, p, self.digits - v))
 
 
 def char_value(j: int, x: int, p: int, digits: int) -> ValuedPadic:

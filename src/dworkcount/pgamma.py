@@ -16,9 +16,9 @@ Two evaluation routes coexist:
   of two (p-1)-slot integers plus O(p) work.  Digit-exact: tests compare it to
   the sweep and to the direct O(p^2) character sums.
 
-General rational arguments route through the table when the denominator
-divides p-1 and otherwise fall back to the sweep, which at working precisions
-beyond ~10^8 lift steps is refused with advice (see SWEEP_LIMIT).  Sweep
+General rational arguments route through gamma_residues: the table when the
+denominator divides p-1, and otherwise one shared sweep, which at working
+precisions beyond SWEEP_LIMIT lift steps is refused with advice.  Sweep
 results are memoized in-process per (p, digits); nothing is persisted.
 """
 
@@ -159,50 +159,34 @@ def pgamma_frac(r: int, p: int, digits: int) -> PadicUnit:
     return PadicUnit(frac_gamma_table(p, digits)[r], p, digits)
 
 
+def gamma_residues(args, p: int, digits: int,
+                   sweep_limit: int | None = SWEEP_LIMIT) -> dict[Fraction, int]:
+    """{q: residue of Gamma_p(q) mod p^digits} for exact rationals 0 <= q <= 1.
+
+    The one routing rule: q = 1 and arguments whose denominator divides p-1
+    come from the seeded table; every other argument is lifted and served from
+    one shared sweep.
+    """
+    mod = p ** digits
+    out, lifts = {}, {}
+    for q in set(args):
+        if not 0 <= q <= 1:
+            raise ValueError("normalize the argument into [0, 1] first")
+        if q.denominator % p == 0:
+            raise ValueError("argument denominator divisible by p")
+        if q == 1:
+            out[q] = mod - 1
+        elif (p - 1) % q.denominator == 0:
+            out[q] = frac_gamma_table(p, digits)[q.numerator * ((p - 1) // q.denominator)]
+        else:
+            lifts[q] = lift_rational(q.numerator, q.denominator, p, digits)
+    if lifts:
+        swept = batch_pgamma_residues(lifts.values(), p, digits, sweep_limit)
+        out.update((q, swept[m]) for q, m in lifts.items())
+    return out
+
+
 def gamma_of_fraction(q: Fraction, p: int, digits: int,
                       sweep_limit: int | None = SWEEP_LIMIT) -> int:
     """Residue of Gamma_p(q) mod p^digits for an exact rational 0 <= q <= 1."""
-    if not 0 <= q <= 1:
-        raise ValueError("normalize the argument into [0, 1] first")
-    if q.denominator % p == 0:
-        raise ValueError("argument denominator divisible by p")
-    if q == 1:
-        return p ** digits - 1
-    if (p - 1) % q.denominator == 0:
-        return frac_gamma_table(p, digits)[q.numerator * ((p - 1) // q.denominator)]
-    m = lift_rational(q.numerator, q.denominator, p, digits)
-    return batch_pgamma_residues([m], p, digits, sweep_limit)[m]
-
-
-class GammaEvaluator:
-    """Resolves Gamma_p at exact rationals in [0, 1], batching the lift sweeps.
-
-    Arguments with denominator dividing p-1 come from the seeded table; the
-    rest are collected by prefetch() and served from one shared sweep.
-    """
-
-    def __init__(self, p: int, digits: int, sweep_limit: int | None = SWEEP_LIMIT):
-        self.p = p
-        self.digits = digits
-        self.sweep_limit = sweep_limit
-        self._lifted: dict[Fraction, int] = {}
-
-    def prefetch(self, args) -> None:
-        pending = {}
-        for q in args:
-            if q in self._lifted or (self.p - 1) % q.denominator == 0 or q == 1:
-                continue
-            pending[q] = lift_rational(q.numerator, q.denominator, self.p, self.digits)
-        if pending:
-            got = batch_pgamma_residues(pending.values(), self.p, self.digits,
-                                        self.sweep_limit)
-            for q, m in pending.items():
-                self._lifted[q] = got[m]
-
-    def get(self, q: Fraction) -> int:
-        if q in self._lifted:
-            return self._lifted[q]
-        if q == 1 or (self.p - 1) % q.denominator == 0:
-            return gamma_of_fraction(q, self.p, self.digits, self.sweep_limit)
-        self.prefetch([q])
-        return self._lifted[q]
+    return gamma_residues([q], p, digits, sweep_limit)[q]

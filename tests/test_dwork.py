@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PRIMES_TO_97
+from conftest import PRIMES_TO_97, truncated
 
 from dworkcount import dwork, oracle
 from dworkcount.dwork import (CharSum, DworkInstance, InstanceError, canonical_classes,
@@ -164,21 +164,27 @@ def test_class_summand_representative_independence():
     for p, n in [(5, 4), (13, 4)]:
         d = gcd(p - 1, n)
         digits = k_working(p, n)
+        mod = p ** digits
+        j_factors = main_j_factors(p, n, digits)
         for rep in canonical_classes(n, d):
             members = [v for v in orbit(rep.wstar, d) if 0 in v]
+            kernels = []
+            for w in members:
+                # the prefactor (-p)^e * prod Gamma(w_i/d) and G's -1/(p-1),
+                # folded into the terms as the main count folds them
+                pd = derive_params(w, n, d)
+                e = pd.prefactor_exponent
+                pref = (-1) ** (e + 1) * pd.gamma_prefactor(p, digits).residue \
+                    * pow(p - 1, -1, mod)
+                kernels.append(CharSum(p, digits, (), [
+                    (j, e + v, pref * u % mod) for j, (v, u) in
+                    enumerate(class_g_coefficients(pd, p, n, digits, j_factors))]))
             for x in sorted({pow(lam, n, p) for lam in range(1, p)}):
-                values = []
-                for w in members:
-                    pd = derive_params(w, n, d)
-                    pref = dwork.ValuedPadic(p, pd.prefactor_exponent,
-                                             pd.gamma_prefactor(p, digits))
-                    if pd.prefactor_exponent % 2:
-                        pref = -pref
-                    values.append(pref * class_g_value(pd, x, p, n, digits))
+                values = [kernel.value(x) for kernel in kernels]
                 first = values[0]
                 for v in values[1:]:
                     prec = min(first.absolute_precision, v.absolute_precision)
-                    assert first._truncate(prec) == v._truncate(prec), \
+                    assert truncated(first, prec) == truncated(v, prec), \
                         (p, rep.wstar, members, x)
 
 

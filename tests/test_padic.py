@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -107,87 +108,112 @@ def test_char_value_homomorphism_and_period(p, data):
     digits = 4
     a = char_value(j, x, p, digits)
     b = char_value(j, y, p, digits)
-    assert (a * b).unit.residue == char_value(j, x * y % p, p, digits).unit.residue
+    product_residue = a.unit.residue * b.unit.residue % p ** digits
+    assert product_residue == char_value(j, x * y % p, p, digits).unit.residue
     assert a.unit.residue == char_value(j + (p - 1), x, p, digits).unit.residue
 
 
-# -- ValuedPadic arithmetic ----------------------------------------------------
+# -- CharSum against exact sums --------------------------------------------------
+
+def exact_char_sum(p, digits, const_terms, char_terms, y):
+    """const + sum_e p^v u wbar^e(y) as a Fraction, with the absolute precision
+    the sum is known to: digits past the smallest valuation among the terms
+    that count at y (every character vanishes at y = 0)."""
+    teich = teichmuller_table(p, digits)
+    counted = list(const_terms)
+    if y % p:
+        wbar_y = teich[pow(y, -1, p)]
+        counted += [(v, u * pow(wbar_y, e, p ** digits)) for e, v, u in char_terms]
+    if not counted:
+        return Fraction(0), math.inf
+    total = sum(Fraction(p) ** v * u for v, u in counted)
+    return total, min(v for v, _ in counted) + digits
+
+
+def reduce_exact(p, digits, total, prec):
+    """(valuation, unit residue, unit precision) of total mod p^prec, or None for
+    a zero there; total * p^(digits - prec) is an integer."""
+    low = prec - digits
+    n = total * Fraction(p) ** -low
+    assert n.denominator == 1
+    n = n.numerator % p ** digits
+    if n == 0:
+        return None
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return low + v, n, digits - v
+
+
+def observed(value):
+    if value.is_zero:
+        return None
+    return value.valuation, value.unit.residue, value.unit.precision
+
+
+@given(st.sampled_from(SMALL_PRIMES), st.integers(1, 5), st.data())
+@settings(max_examples=120, deadline=None)
+def test_field_ops_match_fractions(p, digits, data):
+    """CharSum.value(y) is the exact Fraction sum of p^v u wbar^e(y), reduced mod
+    p^(v0 + digits) for the smallest valuation v0 among the counted terms."""
+    mod = p ** digits
+    term = st.tuples(st.integers(-3, 3), st.integers(0, mod - 1))
+    const_terms = data.draw(st.lists(term, max_size=2))
+    char_terms = [(e, v, u) for e, (v, u) in
+                  data.draw(st.lists(st.tuples(st.integers(0, p - 2), term), max_size=6))]
+    kernel = padic.CharSum(p, digits, const_terms, char_terms)
+    every = kernel.values(range(p))
+    for y in range(p):
+        total, prec = exact_char_sum(p, digits, const_terms, char_terms, y)
+        got = kernel.value(y)
+        assert got == every[y]
+        assert got.absolute_precision == prec
+        if prec == math.inf:
+            assert got.is_zero
+        else:
+            assert observed(got) == reduce_exact(p, digits, total, prec), (y, total)
+
 
 def test_add_zero_identity():
-    a = ValuedPadic.from_int(12, 5, 6)
-    assert a + ValuedPadic.zero(5) == a
-
-
-def test_mul_inverse():
-    a = ValuedPadic.from_fraction(Fraction(7, 3), 5, 6)
-    one = a * a.inv()
-    assert one.valuation == 0 and one.unit.residue == 1
-
-
-def test_valuation_additivity():
-    u = ValuedPadic(7, 1, PadicUnit(3, 7, 4))
-    v = ValuedPadic(7, -1, PadicUnit(5, 7, 4))
-    w = u * v
-    assert w.valuation == 0 and w.unit.residue == 15
-
-
-def test_inverse_of_zero_raises():
-    with pytest.raises(ZeroDivisionError):
-        ValuedPadic.zero(5).inv()
+    # no terms: the exact zero at every y, with or without a character
+    empty = padic.CharSum(5, 6, (), ())
+    for y in range(5):
+        assert empty.value(y) == ValuedPadic.zero(5)
+        assert empty.value(y).absolute_precision == math.inf
+    # a constant alone, and a constant at y = 0 where every character vanishes
+    twelve = ValuedPadic(5, 0, PadicUnit(12, 5, 6))
+    assert padic.CharSum(5, 6, [(0, 12)], ()).value(3) == twelve
+    with_chars = padic.CharSum(5, 6, [(0, 12)], [(1, -2, 7), (3, 0, 4)])
+    assert with_chars.value(0) == twelve
+    assert with_chars.value(2).absolute_precision == 4  # a character term at valuation -2
 
 
 def test_cancellation_tracks_precision():
-    a = ValuedPadic.from_int(3, 5, 4)
-    z = a + (-a)
+    # total cancellation: a zero carrying absolute precision v0 + digits
+    z = padic.CharSum(5, 4, [(0, 3), (0, 5 ** 4 - 3)], ()).value(1)
     assert z.is_zero and z.absolute_precision == 4
+    # wbar^0(y) + wbar^2(y) vanishes at y = +-2 mod 5 (wbar^2(2) = -1)
+    chars = padic.CharSum(5, 4, (), [(0, -1, 1), (2, -1, 1)])
+    for y in (2, 3):
+        v = chars.value(y)
+        assert v.is_zero and v.absolute_precision == 3
+    assert chars.value(1) == ValuedPadic(5, -1, PadicUnit(2, 5, 4))
 
 
 def test_addition_precision_alignment():
-    a = ValuedPadic(5, 0, PadicUnit(2, 5, 2))   # known mod 5^2
-    b = ValuedPadic(5, 2, PadicUnit(1, 5, 1))   # known mod 5^3, valuation 2
-    c = a + b
+    # terms at valuations 0 and 2: the sum is known to the smaller one plus digits
+    c = padic.CharSum(5, 2, [(0, 2), (2, 1)], ()).value(1)
     assert c.absolute_precision == 2
-    # a one-digit operand leaves exactly one significant digit
-    d = ValuedPadic(5, 2, PadicUnit(1, 5, 1)) + ValuedPadic(5, 0, PadicUnit(2, 5, 1))
-    assert d.valuation == 0 and d.unit.residue == 2 and d.absolute_precision == 1
-    # a shallow zero swallows a deeper-valuation value entirely
-    z = ValuedPadic.zero(5, 2) + ValuedPadic(5, 3, PadicUnit(4, 5, 2))
-    assert z.is_zero and z.absolute_precision == 2
+    assert c == ValuedPadic(5, 0, PadicUnit(2, 5, 2))
+    # cancellation in the low digits leaves a deeper valuation with fewer digits
+    d = padic.CharSum(5, 3, [(0, 1), (0, 4)], ()).value(1)
+    assert d == ValuedPadic(5, 1, PadicUnit(1, 5, 2)) and d.absolute_precision == 3
 
 
 def test_digit_request_beyond_precision_raises():
     with pytest.raises(PrecisionError):
         ValuedPadic(5, 0, PadicUnit(2, 5, 2)).residue_mod(5)
-
-
-@given(st.sampled_from(SMALL_PRIMES), st.data())
-@settings(max_examples=80, deadline=None)
-def test_field_ops_match_fractions(p, data):
-    digits = 7
-    def draw_fraction():
-        num = data.draw(st.integers(-40, 40))
-        den = data.draw(st.integers(1, 40).filter(lambda d: d % p))
-        return Fraction(num, den)
-    qa, qb = draw_fraction(), draw_fraction()
-    a = ValuedPadic.from_fraction(qa, p, digits)
-    b = ValuedPadic.from_fraction(qb, p, digits)
-    sum_prec = (a + b).absolute_precision
-    want = ValuedPadic.from_fraction(qa + qb, p, digits)._truncate(sum_prec)
-    assert (a + b) == want
-    prod = a * b
-    if qa * qb != 0:
-        wantp = ValuedPadic.from_fraction(qa * qb, p, digits)._truncate(prod.absolute_precision)
-        assert prod == wantp
-    else:
-        assert prod.is_zero
-
-
-def test_intpow_matches_repeated_multiplication():
-    a = ValuedPadic.from_fraction(Fraction(3, 7), 5, 6)
-    cube = a * a * a
-    assert (a ** 3)._truncate(cube.absolute_precision) == cube
-    inv2 = (a ** -2)
-    assert (inv2 * a * a).unit.residue == 1
 
 
 # -- reconstruction --------------------------------------------------------------
@@ -197,7 +223,7 @@ def test_reconstruct_exact_zero():
 
 
 def test_reconstruct_direct_representative():
-    x = ValuedPadic.from_int(57, 7, 4)
+    x = ValuedPadic(7, 0, PadicUnit(57, 7, 4))
     assert reconstruct_integer(x, 100) == 57
 
 
@@ -205,9 +231,9 @@ def test_reconstruct_errors():
     with pytest.raises(NotAnIntegerError):
         reconstruct_integer(ValuedPadic(7, -1, PadicUnit(3, 7, 4)), 100)
     with pytest.raises(PrecisionError):
-        reconstruct_integer(ValuedPadic.from_int(5, 7, 2), 1000)  # 7^2 < 1000
+        reconstruct_integer(ValuedPadic(7, 0, PadicUnit(5, 7, 2)), 1000)  # 7^2 < 1000
     with pytest.raises(RangeError):
-        reconstruct_integer(ValuedPadic.from_int(2000, 7, 4), 100)
+        reconstruct_integer(ValuedPadic(7, 0, PadicUnit(2000, 7, 4)), 100)
 
 
 def test_is_odd_prime():
