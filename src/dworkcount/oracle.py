@@ -12,7 +12,8 @@ counting the lambda-free charts from a histogram of power sums.
 
 verify_group checks one (p, n) over a set of lambdas: the oracle and each
 formula method (through dwork.count_all, one transform per kernel) run once
-for the whole group, and every report picks out its lambda.
+for the whole group, and every report picks out its lambda.  relprime is the
+main kernel at d = 1, so its column reuses main's counts.
 """
 
 from __future__ import annotations
@@ -159,8 +160,12 @@ def verify_group(p: int, n: int, lams: list[int], kt: int | None = None) -> list
     group, group_ms = {}, {}
     for name in _applicable_methods(p, n, 1):  # lambda = 0 only drops methods
         t0 = time.perf_counter()
-        group[name] = (brute_count_all(p, n) if name == "oracle"
-                       else dwork.count_all(name, p, n, kt))
+        if name == "oracle":
+            group[name] = brute_count_all(p, n)
+        elif name == "relprime":  # the main kernel at d = 1: its counts are main's
+            group[name] = group["main"]
+        else:
+            group[name] = dwork.count_all(name, p, n, kt)
         group_ms[name] = (time.perf_counter() - t0) * 1000
     served = {name: sum(lam in counts for lam in lams) for name, counts in group.items()}
     d = gcd(p - 1, n)
@@ -207,18 +212,20 @@ def sweep_verify(p_max: int, n_set, lambda_policy: str = "all",
     """Run the oracle and every applicable formula over the grid; deterministic
     report order (p, n, lambda) regardless of parallelism.
 
-    A grid with a (p, n) group over ORACLE_LIMIT projective points is refused
-    with a ValueError naming the largest group, before any group runs.
+    A grid whose groups sum to over ORACLE_LIMIT projective points is refused
+    with a ValueError naming the total and the largest group, before any group
+    runs.
     """
     groups = [(p, n, _lambda_set(p, lambda_policy), kt)
               for p in _odd_primes_upto(p_max)
               for n in sorted(n_set) if n % p]
-    if groups:
-        points, p, n = max(((q ** m - 1) // (q - 1), q, m) for q, m, *_ in groups)
-        if points > ORACLE_LIMIT:
-            raise ValueError(f"the oracle would enumerate {points} points at p={p}, n={n}, "
-                             f"over its limit of {ORACLE_LIMIT}; lower --pmax below {p} "
-                             f"or drop n={n} from --n-set")
+    sizes = [((q ** m - 1) // (q - 1), q, m) for q, m, *_ in groups]
+    total = sum(points for points, *_ in sizes)
+    if total > ORACLE_LIMIT:
+        points, p, n = max(sizes)
+        raise ValueError(f"the oracle would enumerate {total} points over the grid, "
+                         f"{points} of them at p={p}, n={n}, over its limit of "
+                         f"{ORACLE_LIMIT}; lower --pmax or drop n={n} from --n-set")
     if jobs > 1 and len(groups) > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:

@@ -250,17 +250,23 @@ def test_count_oracle_over_its_limit_is_a_domain_error(capsys, monkeypatch):
 
 def test_verify_over_the_oracle_limit_is_a_domain_error(capsys, monkeypatch):
     argv = ["verify", "--pmax", "7", "--n-set", "2,3", "--json"]
-    monkeypatch.setattr(oracle, "ORACLE_LIMIT", 57)  # the largest group, p = 7, n = 3
+    # the grid's total: 4 + 6 + 8 points at n = 2, 31 + 57 at n = 3 (3 | 3 is skipped)
+    monkeypatch.setattr(oracle, "ORACLE_LIMIT", 106)
     code, out, err = run(capsys, argv)
     assert code == 0 and out
-    monkeypatch.setattr(oracle, "ORACLE_LIMIT", 56)
+    monkeypatch.setattr(oracle, "ORACLE_LIMIT", 105)
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
-    assert "p=7, n=3" in err and "--pmax" in err and "--n-set" in err
+    assert "106 points" in err and "57 of them at p=7, n=3" in err
+    assert "--pmax" in err and "--n-set" in err
     # at the real limit the refusal comes before any group runs
     monkeypatch.undo()
     code, out, err = run(capsys, ["verify", "--pmax", "1009", "--n-set", "4"])
     assert code == 2 and out == ""
     assert "p=1009, n=4" in err
+    # every group of this grid is in budget, but their sum is not
+    code, out, err = run(capsys, ["verify", "--pmax", "1000", "--n-set", "3"])
+    assert code == 2 and out == ""
+    assert "p=997, n=3" in err

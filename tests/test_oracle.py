@@ -115,6 +115,23 @@ def test_sweep_verify_applicability_and_agreement():
         assert set(r.timings_ms) == set(r.methods)
 
 
+def test_verify_group_reuses_main_counts_for_relprime(monkeypatch):
+    calls = []
+    count_all = oracle.dwork.count_all
+
+    def recording(name, *args):
+        calls.append(name)
+        return count_all(name, *args)
+
+    monkeypatch.setattr(oracle.dwork, "count_all", recording)
+    p, n = 11, 3  # d = gcd(10, 3) = 1
+    reports = oracle.verify_group(p, n, list(range(p)))
+    assert sorted(calls) == ["koblitz", "main"]
+    for r in reports[1:]:
+        assert r.methods["relprime"] == oracle.dwork.count_relprime(p, n, r.lam)
+    assert all(r.agreement for r in reports)
+
+
 def test_sweep_verify_skips_p_dividing_n():
     reports = oracle.sweep_verify(5, [3, 5], "all")
     assert not any(r.p == 3 and r.n == 3 for r in reports)
