@@ -24,10 +24,10 @@ d = 4; 42 for the 1296 at n = 6, d = 6).
 All four formulas share one evaluation kernel, padic.CharSum: a lambda-free
 constant plus sum_e C_e wbar^e(y), with y = lambda^n (main, and relprime as its
 d = 1 case), y = n*lambda (Gauss-sum count) or y = lambda^{-n} (finite-field
-form).
-Each method only builds its coefficients, once per (p, n, K_target); the
-Gauss-sum and finite-field builds multiply plain-integer Gross-Koblitz units,
-once per multiset of w (per count vector n_k for ff), weighted by its number.
+form).  Each method only builds its coefficients, once per (p, n, K_target);
+the Gauss-sum and finite-field builds multiply plain-integer Gross-Koblitz
+units, once per multiset of w (per count vector n_k for ff), weighted by its
+number.
 """
 
 from __future__ import annotations

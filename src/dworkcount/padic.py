@@ -2,8 +2,8 @@
 p^K, the valuation-carrying ValuedPadic, Teichmuller lifts, the chirp DFT,
 CharSum, and exact integer reconstruction.
 
-CharSum is the only code that sums valued p-adic terms.  It folds lambda-free
-terms p^v * u into plain integers at one valuation offset, and every count
+CharSum is the only code that sums valued p-adic terms.  It folds y-free terms
+p^v * u into plain integers at one valuation offset, and every count
 method (dwork) and every mGm/mFm evaluation (hyperfun) goes through it.
 ValuedPadic carries no arithmetic: it is the value type that CharSum returns
 and that reconstruction and the CLI read.

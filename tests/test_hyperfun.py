@@ -42,6 +42,10 @@ def test_fractional_part_invariance():
 def test_eval_g_at_zero_is_exact_zero():
     v = eval_G(GParams((Fraction(1, 3),), (Fraction(1),)), 0, 7, 4)
     assert v.is_zero and v.absolute_precision == float("inf")
+    # returned before any coefficient is built: this one would need a lift
+    # sweep far over the limit
+    v = eval_G(GParams((Fraction(1, 5),), (Fraction(1),)), 0, 1009, 9)
+    assert v.is_zero and v.absolute_precision == float("inf")
 
 
 def test_eval_f_at_zero_is_exact_zero():

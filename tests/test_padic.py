@@ -176,7 +176,7 @@ def test_field_ops_match_fractions(p, digits, data):
 
 
 def test_add_zero_identity():
-    # no terms: the exact zero at every y, with or without a character
+    # no terms: the exact zero at every y, y = 0 included
     empty = padic.CharSum(5, 6, (), ())
     for y in range(5):
         assert empty.value(y) == ValuedPadic.zero(5)
@@ -209,6 +209,9 @@ def test_addition_precision_alignment():
     # cancellation in the low digits leaves a deeper valuation with fewer digits
     d = padic.CharSum(5, 3, [(0, 1), (0, 4)], ()).value(1)
     assert d == ValuedPadic(5, 1, PadicUnit(1, 5, 2)) and d.absolute_precision == 3
+    # a shallow zero term swallows a deeper-valuation term entirely
+    z = padic.CharSum(5, 2, [(0, 0), (3, 4)], ()).value(1)
+    assert z.is_zero and z.absolute_precision == 2
 
 
 def test_digit_request_beyond_precision_raises():
