@@ -15,11 +15,20 @@ so every gamma lookup hits the seeded table and a count costs O(p) per class
 instead of a p^digits lift sweep.  The (-p)-exponents are still the exact
 floors of the literal definition, and tests pin the kernel against the literal
 evaluator on instances small enough to sweep.  The right-hand side above is
-free of the class, so it is built once per (p, n, K) with one shared modular
-inversion (main_j_factors); and a class's summand depends on its representative
-only through the counts n_k of each residue, so classes with equal counts are
-built once and weighted by their number (5 builds for the 16 classes at n = 4,
-d = 4; 42 for the 1296 at n = 6, d = 6).
+free of the class and has period t = (p-1)/d in j, so one period is built once
+per (p, n, K) with one shared modular inversion (main_j_factors).
+
+The main count evaluates its kernel only at y = lambda^n, a d-th power, where
+wbar^t(y) = 1: there wbar^j and wbar^(j+t) agree, so the coefficients fold
+mod t and a value is a Horner pass (or, for every lambda, a transform) of
+length t instead of p-1.  A class's summand depends on its representative
+only through the counts n_k of each residue, and every zero-containing member
+of a class is a representative.  A shift w -> w + c rotates the counts to
+n'_k = n_(k-c mod d) and reindexes j by c*t, which the fold absorbs; so one
+build serves every count vector of a rotation orbit, weighted by the orbit's
+number of classes: 3 builds instead of 5 (one per count vector) for the 16
+classes at n = d = 4, 14 instead of 42 for the 1296 at n = d = 6, and 302
+instead of 1430 at n = d = 9.
 
 All four formulas share one evaluation kernel, padic.CharSum: a lambda-free
 constant plus sum_e C_e wbar^e(y), with y = lambda^n (main, and relprime as its
@@ -36,7 +45,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 from math import factorial, gcd
 
 from .gauss import gk_units, pi_valuation
@@ -187,7 +196,10 @@ def main_j_factors(p: int, n: int, digits: int) -> list[int]:
         prod_{0<k<d} Gamma(k/d) * Gamma(<-nj/(p-1)>) * w(n)^(-nj)
             / prod_{0<=k<d} Gamma(<k/d - j/(p-1)>)   mod p^digits,
 
-    the reduced h/n gamma family.  The p-1 denominators share one inversion.
+    the reduced h/n gamma family, for one period j < t = (p-1)/d.  It has
+    period t in j: j -> j + t permutes the k of the product over all k mod d,
+    n*t/(p-1) = n/d is an integer, and w(n)^(-nt) = 1.  The t denominators
+    share one inversion.
     """
     d = gcd(p - 1, n)
     t, mod = (p - 1) // d, p ** digits
@@ -196,7 +208,7 @@ def main_j_factors(p: int, n: int, digits: int) -> list[int]:
     for k in range(1, d):
         cd_prod = cd_prod * table[k * t] % mod
     hden = []
-    for j in range(p - 1):
+    for j in range(t):
         h = 1
         for k in range(d):
             h = h * table[(k * t - j) % (p - 1)] % mod
@@ -210,13 +222,17 @@ def main_j_factors(p: int, n: int, digits: int) -> list[int]:
 
 
 def class_g_coefficients(pd: ParamData, p: int, n: int, digits: int,
-                         j_factors: list[int]) -> list[tuple[int, int]]:
+                         j_factors: list[int], powers: dict | None = None
+                         ) -> list[tuple[int, int]]:
     """Per-j coefficients c_j with  G[A_w; B_w | x] = -1/(p-1) * sum_j c_j wbar^j(x).
 
     Each c_j = (-1)^{js} (-p)^{E_j} * (gamma quotients), with the h/n family
     reduced to denominator-(p-1) lookups, j_factors = main_j_factors(p, n,
-    digits); E_j comes from the exact floors of the literal definition.
-    Returned as (E_j, unit residue mod p^digits) pairs.
+    digits) (one period, read at j mod t); E_j comes from the exact floors of
+    the literal definition.  Returned as (E_j, unit residue mod p^digits)
+    pairs for every j < p-1, so that G can be evaluated at any x.  `powers`,
+    keyed by (p, digits, e), memoizes the elementwise e-th powers of the gamma
+    table; a caller building many classes passes one dict to all of them.
     """
     d, t = pd.d, (p - 1) // pd.d
     mod = p ** digits
@@ -238,19 +254,24 @@ def class_g_coefficients(pd: ParamData, p: int, n: int, digits: int,
     for k in Sc:
         if k > 0:
             steps[p - 1 - k * t] -= pd.n_k[k] - 1
-    coeffs, exponent = [], 0
-    for j, factor in enumerate(j_factors):
-        exponent += steps[j]
-        unit = inv_denom * factor % mod
-        for k in S:
-            unit = unit * table[((d - k) * t - j) % (p - 1)] % mod
-        for k in Sc:
-            e = pd.n_k[k] - 1
-            if e:
-                unit = unit * pow(table[(k * t + j) % (p - 1)], e, mod) % mod
-        if (j * pd.s + exponent) % 2:
-            unit = (mod - unit) % mod
-        coeffs.append((exponent, unit))
+    # the units as columns over j < p-1: the period of j_factors repeated, and
+    # rotations of the gamma table, reversed for the S family
+    units = [inv_denom * f % mod for f in j_factors] * d
+    reverse = table[:1] + table[:0:-1]  # reverse[j] = Gamma(<-j/(p-1)>)
+    for k in S:
+        a = (d - k) * t  # in (0, p-1): 0 is never in S
+        units = [u * g % mod for u, g in zip(units, reverse[-a:] + reverse[:-a])]
+    powers = {} if powers is None else powers
+    for k in Sc:
+        e, b = pd.n_k[k] - 1, k * t
+        if e:
+            if (p, digits, e) not in powers:
+                powers[p, digits, e] = [pow(g, e, mod) for g in table]
+            column = powers[p, digits, e]
+            units = [u * g % mod for u, g in zip(units, column[b:] + column[:b])]
+    coeffs = []
+    for j, (exponent, unit) in enumerate(zip(accumulate(steps), units)):
+        coeffs.append((exponent, mod - unit if (j * pd.s + exponent) % 2 else unit))
     return coeffs
 
 
@@ -292,21 +313,44 @@ def _class_weights(n: int, d: int) -> Counter:
                     for n_k in _count_vectors(n, d) if n_k[0]})
 
 
-def _main_terms(p: int, n: int, digits: int):
-    """(j, valuation, unit) of (-1)^n * prefactor * G-coefficient per class.
+def _rotation_orbits(n: int, d: int) -> Counter:
+    """Classes of W(n, d) per rotation orbit of count vectors, n'_k = n_(k-c mod d):
+    each orbit as the sorted entries of one member with n_0 >= 1, with the total
+    number of classes of all its count vectors."""
+    totals, reps = Counter(), {}
+    for w, weight in _class_weights(n, d).items():
+        n_k = tuple(w.count(k) for k in range(d))
+        orbit_key = min(n_k[c:] + n_k[:c] for c in range(d))
+        totals[reps.setdefault(orbit_key, w)] += weight
+    return totals
 
-    A class's term depends on its representative only through the counts n_k,
-    so the classes of one count vector are summed as one term times their number.
+
+def _main_terms(p: int, n: int, digits: int):
+    """(j mod t, valuation, unit) of (-1)^n * prefactor * G-coefficient per class,
+    each class's terms already summed per j mod t at its smallest valuation.
+
+    The count evaluates these at y = lambda^n, a d-th power, where wbar^t(y) = 1,
+    so j folds mod t = (p-1)/d.  A class's term depends on its representative
+    only through the counts n_k, and every zero-containing member is a
+    representative.  A shift w -> w + c rotates the counts to n'_k = n_(k-c mod d)
+    and reindexes j by c*t, which the fold mod t absorbs; so each class whose
+    count vector lies in one rotation orbit has the same folded term, and each
+    orbit is built once and weighted by its number of classes.
     """
     d, mod = gcd(p - 1, n), p ** digits
+    t = (p - 1) // d
     scale = (-1) ** (n + 1) * pow(p - 1, -1, mod)  # (-1)^n times G's -1/(p-1)
-    j_factors = main_j_factors(p, n, digits)
-    for w, weight in _class_weights(n, d).items():
+    j_factors, powers = main_j_factors(p, n, digits), {}
+    for w, weight in _rotation_orbits(n, d).items():
         pd = derive_params(w, n, d)
         e = pd.prefactor_exponent  # (-p)^e carries a sign
         pref = (-1) ** e * weight * pd.gamma_prefactor(p, digits).residue * scale
-        for j, (v, u) in enumerate(class_g_coefficients(pd, p, n, digits, j_factors)):
-            yield j, e + v, pref * u % mod
+        coeffs = class_g_coefficients(pd, p, n, digits, j_factors, powers)
+        low = min(v for v, _ in coeffs)
+        shift = [p ** i for i in range(max(v for v, _ in coeffs) - low + 1)]
+        scaled = [u * shift[v - low] for v, u in coeffs]
+        for i in range(t):
+            yield i, e + low, pref * sum(scaled[i::t]) % mod
 
 
 def _gauss_product(exps, weight: int, p: int, mod: int, units,
@@ -379,17 +423,20 @@ def _ff_terms(p: int, n: int, digits: int, alpha: int):
 
 @lru_cache(maxsize=None)
 def _kernel(method: str, p: int, n: int, kt: int, alpha: int) -> CharSum:
-    """The lambda-free kernel of main, koblitz or ff for fixed (p, n, K_target)."""
+    """The lambda-free kernel of main, koblitz or ff for fixed (p, n, K_target);
+    main's has period (p-1)/d, as its argument lambda^n is a d-th power."""
     digits = k_working(p, n, kt)
     consts = [(0, (p ** (n - 1) - 1) // (p - 1))]  # the base count, a p-adic unit
+    period = p - 1
     if method == "main":
+        period //= gcd(p - 1, n)
         chars = _main_terms(p, n, digits)
     elif method == "koblitz":
         consts += _koblitz_consts(p, n, digits)
         chars = _koblitz_terms(p, n, digits)
     else:
         chars = _ff_terms(p, n, digits, alpha)
-    return CharSum(p, digits, consts, chars)
+    return CharSum(p, digits, consts, chars, period)
 
 
 # the character argument y(lambda) of each method's kernel

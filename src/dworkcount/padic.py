@@ -268,16 +268,29 @@ class CharSum:
     absolute precision digits plus the smallest valuation among the terms it
     sums, and a sum that cancels is a zero carrying that precision; at y = 0
     every character vanishes and only the constant's terms count.
+
+    C has `period` entries, a divisor t of p-1 (default p-1): a kernel whose
+    character index e is taken mod t is defined at y = 0 and at the y with
+    y^t = 1, where wbar^t(y) = 1, and raises ValueError at any other y.
     """
 
-    def __init__(self, p: int, digits: int, const_terms, char_terms):
+    def __init__(self, p: int, digits: int, const_terms, char_terms, period: int | None = None):
         self.p, self.digits = p, digits
+        self.period = p - 1 if period is None else period
+        if self.period < 1 or (p - 1) % self.period:
+            raise ValueError(f"period {self.period} does not divide p-1 = {p - 1}")
         self.mod = p ** digits
         self.const_offset, (self.const,) = _fold(((0, v, u) for v, u in const_terms),
                                                  1, p, self.mod)
-        self.offset, self.coeffs = _fold(char_terms, p - 1, p, self.mod)
+        self.offset, self.coeffs = _fold(char_terms, self.period, p, self.mod)
+
+    def _check(self, y: int) -> None:
+        if y % self.p and pow(y, self.period, self.p) != 1:
+            raise ValueError(f"y = {y} is outside the domain of a period-{self.period} "
+                             f"character sum mod {self.p}: y^{self.period} != 1")
 
     def value(self, y: int) -> ValuedPadic:
+        self._check(y)
         p, mod = self.p, self.mod
         acc = None
         if y % p and self.offset is not None:
@@ -290,22 +303,30 @@ class CharSum:
     def values(self, ys) -> dict[int, ValuedPadic]:
         """value(y) for every y in ys, from one transform of the coefficients.
 
-        With rho = w(g) for the primitive root g, wbar(g^-k) = rho^k, so the
-        character sums at every y = g^-k are the DFT sum_e C_e rho^(ek), which
-        padic.chirp_dft computes at once.
+        With rho = w(g) for the primitive root g and s = (p-1)/m, wbar(g^-sk) =
+        rho^sk, so the character sums at every y = g^-sk are the length-m DFT
+        sum_e C_e (rho^s)^(ek), which padic.chirp_dft computes at once.  m is
+        the period t when t is even, else 2t with C zero-padded (chirp_dft needs
+        an even length), and then only the even k, the y with y^t = 1, are read.
         """
-        p = self.p
+        ys = list(ys)
+        for y in ys:
+            self._check(y)
+        p, t = self.p, self.period
         sums = [None] * p  # the character sum at each y; y = 0 stays None
         if self.offset is not None:
+            m = t if t % 2 == 0 else 2 * t
             teich, g = teichmuller_table(p, self.digits), primitive_root(p)
+            gs = pow(g, (p - 1) // m, p)
             powers, x = [], 1
-            for _ in range(p - 1):
-                powers.append(teich[x])  # rho^e = w(g^e)
-                x = x * g % p
-            g_inv, y = pow(g, -1, p), 1
-            for acc in chirp_dft(self.coeffs, powers, self.mod):
+            for _ in range(m):
+                powers.append(teich[x])  # (rho^s)^e = w(g^se)
+                x = x * gs % p
+            coeffs = self.coeffs + [0] * (m - t)
+            h_inv, y = pow(g, -((p - 1) // t), p), 1
+            for acc in chirp_dft(coeffs, powers, self.mod)[::m // t]:
                 sums[y] = acc
-                y = y * g_inv % p
+                y = y * h_inv % p
         return {y: self._assemble(sums[y % p]) for y in ys}
 
     def _assemble(self, acc: int | None) -> ValuedPadic:

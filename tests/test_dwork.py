@@ -245,25 +245,92 @@ def unfolded_class_coefficients(pd, p, n, digits):
 
 
 def unfolded_main_terms(p, n, digits):
-    """(j, valuation, unit) of the main count, one class at a time."""
+    """(j, valuation, unit) of the main count, one class at a time.  A class's
+    G-coefficients are a function of its multiset (derive_params reads only the
+    counts), so they are built once per multiset; prefactors are per class."""
     d, mod = gcd(p - 1, n), p ** digits
     scale = (-1) ** (n + 1) * pow(p - 1, -1, mod)
+    coefficients = {}
     for rep in canonical_classes(n, d):
         pd = derive_params(rep.wstar, n, d)
+        key = tuple(sorted(rep.wstar))
+        if key not in coefficients:
+            coefficients[key] = unfolded_class_coefficients(pd, p, n, digits)
         e = pd.prefactor_exponent
         pref = (-1) ** e * pd.gamma_prefactor(p, digits).residue * scale
-        for j, (v, u) in enumerate(unfolded_class_coefficients(pd, p, n, digits)):
+        for j, (v, u) in enumerate(coefficients[key]):
             yield j, e + v, pref * u % mod
 
 
-@pytest.mark.parametrize("p,n", [(p, 6) for p in (7, 13, 19, 31, 37)]
+@pytest.mark.parametrize("p,n", [(p, 6) for p in (7, 13, 19, 31, 37, 43)]
+                         + [(29, 7), (43, 7)]
                          + [(p, 4) for p in PRIMES_TO_97 + (101,) if p % 4 == 1])
 def test_folded_main_kernel_matches_per_class_build(p, n):
+    """The build per rotation orbit equals every class built on its own, both
+    folded mod t = (p-1)/d: offset and coefficients alike."""
     digits = k_working(p, n)
-    folded = CharSum(p, digits, (), dwork._main_terms(p, n, digits))
-    unfolded = CharSum(p, digits, (), unfolded_main_terms(p, n, digits))
+    t = (p - 1) // gcd(p - 1, n)
+    folded = CharSum(p, digits, (), dwork._main_terms(p, n, digits), t)
+    unfolded = CharSum(p, digits, (), ((j % t, v, u) for j, v, u in
+                                       unfolded_main_terms(p, n, digits)), t)
     assert folded.offset == unfolded.offset
     assert folded.coeffs == unfolded.coeffs
+
+
+def full_length_j_factors(p, n, digits):
+    """main_j_factors built for every j < p-1 instead of one period, each
+    denominator inverted on its own."""
+    d = gcd(p - 1, n)
+    t, mod = (p - 1) // d, p ** digits
+    table = frac_gamma_table(p, digits)
+    cd_prod = 1
+    for k in range(1, d):
+        cd_prod = cd_prod * table[k * t] % mod
+    hden = []
+    for j in range(p - 1):
+        h = 1
+        for k in range(d):
+            h = h * table[(k * t - j) % (p - 1)] % mod
+        hden.append(h)
+    step = pow(teichmuller(n % p, p, digits).residue, (-n) % (p - 1), mod)
+    out, teich_pow = [], 1
+    for j, h in enumerate(hden):
+        out.append(cd_prod * table[(-n * j) % (p - 1)] % mod * teich_pow % mod
+                   * pow(h, -1, mod) % mod)
+        teich_pow = teich_pow * step % mod
+    return out
+
+
+@pytest.mark.parametrize("p", [q for q in PRIMES_TO_97 if q <= 61])
+def test_main_j_factors_one_period_matches_full_loop(p):
+    for n in range(2, 7):
+        if n % p == 0:
+            continue
+        digits = k_working(p, n)
+        t = (p - 1) // gcd(p - 1, n)
+        period = main_j_factors(p, n, digits)
+        assert len(period) == t
+        full = full_length_j_factors(p, n, digits)
+        for j in range(t):
+            for c in range(gcd(p - 1, n)):
+                assert full[j + c * t] == period[j], (n, j, c)
+
+
+def rotation_orbit(w, d):
+    """The rotations n'_k = n_(k-c mod d) of w's count vector, as a set."""
+    n_k = tuple(w.count(k) for k in range(d))
+    return frozenset(n_k[c:] + n_k[:c] for c in range(d))
+
+
+def test_rotation_orbit_totals_match_enumeration():
+    for n in range(2, 8):
+        for d in (dd for dd in range(1, n + 1) if n % dd == 0):
+            want = Counter(rotation_orbit(rep.wstar, d) for rep in canonical_classes(n, d))
+            orbits = dwork._rotation_orbits(n, d)
+            assert all(0 in w for w in orbits), (n, d)
+            assert len(orbits) == len(want), (n, d)
+            assert Counter({rotation_orbit(w, d): total
+                            for w, total in orbits.items()}) == want, (n, d)
 
 
 # -- counts vs the oracle -----------------------------------------------------------
@@ -377,9 +444,22 @@ def sweep_kernels(p, n):
 
 @pytest.mark.parametrize("p,n", SWEEP_GRID)
 def test_transform_values_match_horner(p, n):
+    """On a kernel's domain, y = 0 and the y with y^period = 1, the transform
+    equals Horner, absolute precision included; every other y raises from both.
+    Main's period is t = (p-1)/d, so its domain is 0 and the d-th powers; the
+    other kernels are defined on all of F_p."""
+    d = gcd(p - 1, n)
     for name, alpha, kernel in sweep_kernels(p, n):
-        got = kernel.values(range(p))
+        assert kernel.period == ((p - 1) // d if name == "main" else p - 1)
+        domain = [y for y in range(p) if y == 0 or pow(y, kernel.period, p) == 1]
+        got = kernel.values(domain)
         for y in range(p):
+            if y not in domain:
+                with pytest.raises(ValueError):
+                    kernel.value(y)
+                with pytest.raises(ValueError):
+                    kernel.values([y])
+                continue
             want = kernel.value(y)
             assert (got[y], got[y].absolute_precision) == (want, want.absolute_precision), \
                 (name, alpha, y)

@@ -156,15 +156,25 @@ def observed(value):
 @settings(max_examples=120, deadline=None)
 def test_field_ops_match_fractions(p, digits, data):
     """CharSum.value(y) is the exact Fraction sum of p^v u wbar^e(y), reduced mod
-    p^(v0 + digits) for the smallest valuation v0 among the counted terms."""
+    p^(v0 + digits) for the smallest valuation v0 among the counted terms, at
+    every y of its domain (y = 0 and y^period = 1), by Horner and by the
+    transform alike; any other y raises from both."""
     mod = p ** digits
+    period = data.draw(st.sampled_from([t for t in range(1, p) if (p - 1) % t == 0]))
     term = st.tuples(st.integers(-3, 3), st.integers(0, mod - 1))
     const_terms = data.draw(st.lists(term, max_size=2))
     char_terms = [(e, v, u) for e, (v, u) in
-                  data.draw(st.lists(st.tuples(st.integers(0, p - 2), term), max_size=6))]
-    kernel = padic.CharSum(p, digits, const_terms, char_terms)
-    every = kernel.values(range(p))
+                  data.draw(st.lists(st.tuples(st.integers(0, period - 1), term), max_size=6))]
+    kernel = padic.CharSum(p, digits, const_terms, char_terms, period)
+    domain = [y for y in range(p) if y == 0 or pow(y, period, p) == 1]
+    every = kernel.values(domain)
     for y in range(p):
+        if y not in domain:
+            with pytest.raises(ValueError):
+                kernel.value(y)
+            with pytest.raises(ValueError):
+                kernel.values([y])
+            continue
         total, prec = exact_char_sum(p, digits, const_terms, char_terms, y)
         got = kernel.value(y)
         assert got == every[y]
@@ -173,6 +183,12 @@ def test_field_ops_match_fractions(p, digits, data):
             assert got.is_zero
         else:
             assert observed(got) == reduce_exact(p, digits, total, prec), (y, total)
+
+
+def test_period_must_divide_p_minus_one():
+    for period in (0, 4, 5):
+        with pytest.raises(ValueError):
+            padic.CharSum(7, 2, (), (), period)
 
 
 def test_add_zero_identity():
