@@ -2,7 +2,7 @@
 """Time the all-lambda main count at the scale of the north-star targets.
 
 Usage:
-    python3 scripts/bench_scale.py [--src DIR] [--parent DIR] [--repeat N] [--out FILE]
+    python3 scripts/bench_scale.py [--src DIR] [--parent DIR] > BENCH_7.json
 
 Each timing is one `dwork.count_all("main", p, n)` over every lambda in F_p^*,
 run in a fresh interpreter that imports `dworkcount` from DIR (default: this
@@ -10,8 +10,9 @@ checkout's src), so the lru-cached tables and kernels start cold; interpreter
 start-up and the import are not timed.  With --parent, the same cases are
 also timed on a second source tree (say, a `git archive` of the parent commit
 unpacked elsewhere), alternating which side runs first, and the script checks
-that both sides return the same counts.  The result is one JSON document,
-printed or written to FILE: per case, every run and the median per side.
+that both sides return the same counts.  Each case runs REPEAT times per side.
+The result is one JSON document on stdout (progress goes to stderr): per case,
+every run and the median per side.
 """
 
 import argparse
@@ -24,6 +25,7 @@ import subprocess
 import sys
 
 CASES = [(1009, 7), (1009, 9), (1021, 10), (10009, 4)]
+REPEAT = 3
 
 WORKER = """
 import hashlib, sys, time
@@ -51,11 +53,7 @@ def main(argv=None):
                         help="source tree timed as the change (default: this checkout)")
     parser.add_argument("--parent", type=pathlib.Path,
                         help="a second source tree, timed as the parent")
-    parser.add_argument("--repeat", type=int, default=3, help="runs per case and side")
-    parser.add_argument("--out", type=pathlib.Path, help="write the JSON here, not to stdout")
     args = parser.parse_args(argv)
-    if args.repeat < 1:
-        parser.error("--repeat must be at least 1")
     sides = {"change": args.src}
     if args.parent is not None:
         sides["parent"] = args.parent
@@ -63,7 +61,7 @@ def main(argv=None):
     for p, n in CASES:
         runs = {side: [] for side in sides}
         digests = set()
-        for r in range(args.repeat):
+        for r in range(REPEAT):
             order = list(sides) if r % 2 == 0 else list(reversed(sides))
             for side in order:
                 seconds, digest = time_once(sides[side], p, n)
@@ -77,13 +75,9 @@ def main(argv=None):
                                             in case["median_s"].items())
               + ("" if case["counts_agree"] else "  COUNTS DIFFER"), file=sys.stderr)
         cases.append(case)
-    doc = json.dumps({"python": sys.version.split()[0], "machine": platform.machine(),
-                      "cpus": os.cpu_count(), "repeat": args.repeat, "cases": cases},
-                     indent=2)
-    if args.out is None:
-        print(doc)
-    else:
-        args.out.write_text(doc + "\n")
+    print(json.dumps({"python": sys.version.split()[0], "machine": platform.machine(),
+                      "cpus": os.cpu_count(), "repeat": REPEAT, "cases": cases},
+                     indent=2))
     return 0 if ok else 3
 
 

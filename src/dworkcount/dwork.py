@@ -231,8 +231,8 @@ def class_g_coefficients(pd: ParamData, p: int, n: int, digits: int,
     digits) (one period, read at j mod t); E_j comes from the exact floors of
     the literal definition.  Returned as (E_j, unit residue mod p^digits)
     pairs for every j < p-1, so that G can be evaluated at any x.  `powers`,
-    keyed by (p, digits, e), memoizes the elementwise e-th powers of the gamma
-    table; a caller building many classes passes one dict to all of them.
+    keyed by e, memoizes the elementwise e-th powers of the gamma table; a
+    caller building many classes at one (p, digits) passes one dict to them all.
     """
     d, t = pd.d, (p - 1) // pd.d
     mod = p ** digits
@@ -265,9 +265,9 @@ def class_g_coefficients(pd: ParamData, p: int, n: int, digits: int,
     for k in Sc:
         e, b = pd.n_k[k] - 1, k * t
         if e:
-            if (p, digits, e) not in powers:
-                powers[p, digits, e] = [pow(g, e, mod) for g in table]
-            column = powers[p, digits, e]
+            if e not in powers:
+                powers[e] = [pow(g, e, mod) for g in table]
+            column = powers[e]
             units = [u * g % mod for u, g in zip(units, column[b:] + column[:b])]
     coeffs = []
     for j, (exponent, unit) in enumerate(zip(accumulate(steps), units)):

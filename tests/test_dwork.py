@@ -244,21 +244,21 @@ def unfolded_class_coefficients(pd, p, n, digits):
     return coeffs
 
 
-def unfolded_main_terms(p, n, digits):
+def unfolded_main_terms(p, n, digits, coefficients):
     """(j, valuation, unit) of the main count, one class at a time.  A class's
     G-coefficients are a function of its multiset (derive_params reads only the
-    counts), so they are built once per multiset; prefactors are per class."""
+    counts), so they are built once per multiset, into `coefficients` as
+    multiset -> (params, coefficients); prefactors are per class."""
     d, mod = gcd(p - 1, n), p ** digits
     scale = (-1) ** (n + 1) * pow(p - 1, -1, mod)
-    coefficients = {}
     for rep in canonical_classes(n, d):
         pd = derive_params(rep.wstar, n, d)
         key = tuple(sorted(rep.wstar))
         if key not in coefficients:
-            coefficients[key] = unfolded_class_coefficients(pd, p, n, digits)
+            coefficients[key] = pd, unfolded_class_coefficients(pd, p, n, digits)
         e = pd.prefactor_exponent
         pref = (-1) ** e * pd.gamma_prefactor(p, digits).residue * scale
-        for j, (v, u) in enumerate(coefficients[key]):
+        for j, (v, u) in enumerate(coefficients[key][1]):
             yield j, e + v, pref * u % mod
 
 
@@ -267,14 +267,19 @@ def unfolded_main_terms(p, n, digits):
                          + [(p, 4) for p in PRIMES_TO_97 + (101,) if p % 4 == 1])
 def test_folded_main_kernel_matches_per_class_build(p, n):
     """The build per rotation orbit equals every class built on its own, both
-    folded mod t = (p-1)/d: offset and coefficients alike."""
+    folded mod t = (p-1)/d: offset and coefficients alike.  Before any fold,
+    each multiset's G-coefficients equal the per-j reference at every j < p-1."""
     digits = k_working(p, n)
     t = (p - 1) // gcd(p - 1, n)
+    coefficients = {}
     folded = CharSum(p, digits, (), dwork._main_terms(p, n, digits), t)
     unfolded = CharSum(p, digits, (), ((j % t, v, u) for j, v, u in
-                                       unfolded_main_terms(p, n, digits)), t)
+                                       unfolded_main_terms(p, n, digits, coefficients)), t)
     assert folded.offset == unfolded.offset
     assert folded.coeffs == unfolded.coeffs
+    j_factors = main_j_factors(p, n, digits)
+    for key, (pd, reference) in coefficients.items():
+        assert class_g_coefficients(pd, p, n, digits, j_factors) == reference, key
 
 
 def full_length_j_factors(p, n, digits):
