@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from functools import lru_cache
 from math import inf
 
 from . import dwork, oracle
@@ -278,10 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = lru_cache(maxsize=1)(build_parser)  # one build per process
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

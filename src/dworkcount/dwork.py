@@ -14,9 +14,25 @@ denominator-(p-1) data:
 so every gamma lookup hits the seeded table and a count costs O(p) per class
 instead of a p^digits lift sweep.  The (-p)-exponents are still the exact
 floors of the literal definition, and tests pin the kernel against the literal
-evaluator on instances small enough to sweep.  The right-hand side above is
-free of the class and has period t = (p-1)/d in j, so one period is built once
-per (p, n, K) with one shared modular inversion (main_j_factors).
+evaluator on instances small enough to sweep.
+
+The denominator on the right cancels by Morita's reflection formula
+Gamma(x) Gamma(1-x) = (-1)^R(x), R(x) in [1, p], R(x) == x (mod p).  A class's
+coefficient c_j (class_g_coefficients) carries (-1)^(js) and the factors
+Gamma(<(d-k)/d - j/(p-1)>), k in S_w: exactly the denominator's factors at
+-S_w (mod d).  Each remaining one, at -k for k in S^c_w, inverts to
+(-1)^(1 + kt + j) Gamma(<k/d + j/(p-1)>), or to 1 where that argument is 0
+(at j = ((-k) mod d) t; r_j = 1 marks these j).  Alike, prod_i Gamma(w_i/d)
+prod_{0<k<d} Gamma(k/d) over the class's constant denominator is
+(-1)^(sum_{k in S^c_w, k>0} (1 + kt)).  These signs come to (-1)^(nj+1+r_j),
+so with t = (p-1)/d and the sign of (-p)^(E_j)
+
+    prod_i Gamma(w_i/d) c_j = -(-1)^(E_j + r_j) p^(E_j) L_(j mod t) P_j,
+
+where L_j = (-1)^(nj) Gamma(<-nj/(p-1)>) w(n)^(-nj) is class-free with period
+t (main_l_factors) and P_j = prod_{k in S^c_w} Gamma(<k/d + j/(p-1)>)^(n_k) is
+a product of rotated power columns of the gamma table: the main build inverts
+nothing but p-1.
 
 The main count evaluates its kernel only at y = lambda^n, a d-th power, where
 wbar^t(y) = 1: there wbar^j and wbar^(j+t) agree, so the coefficients fold
@@ -50,7 +66,7 @@ from math import factorial, gcd
 
 from .gauss import gk_units, pi_valuation
 from .hyperfun import FParams, f_coefficients
-from .padic import (CharSum, PadicUnit, ValuedPadic, batch_inverse, is_odd_prime,
+from .padic import (CharSum, ValuedPadic, batch_inverse, is_odd_prime,
                     reconstruct_integer, teichmuller_table)
 from .pgamma import frac_gamma_table
 
@@ -139,16 +155,6 @@ class ParamData:
     s: int
     prefactor_exponent: int
 
-    def gamma_prefactor(self, p: int, digits: int) -> PadicUnit:
-        """prod_i Gamma_p(w_i / d) mod p^digits."""
-        table = frac_gamma_table(p, digits)
-        t = (p - 1) // self.d
-        res = 1
-        mod = p ** digits
-        for wi in self.w:
-            res = res * table[wi * t] % mod
-        return PadicUnit(res, p, digits)
-
 
 def derive_params(w: tuple[int, ...], n: int, d: int) -> ParamData:
     """A_w, B_w, s and friends for a zero-containing w (any such member works;
@@ -190,88 +196,75 @@ def k_working(p: int, n: int, kt: int | None = None) -> int:
 
 # -- the reduced mGm kernel ---------------------------------------------------
 
-def main_j_factors(p: int, n: int, digits: int) -> list[int]:
-    """The class-independent part of every main-count coefficient, per j:
-
-        prod_{0<k<d} Gamma(k/d) * Gamma(<-nj/(p-1)>) * w(n)^(-nj)
-            / prod_{0<=k<d} Gamma(<k/d - j/(p-1)>)   mod p^digits,
-
-    the reduced h/n gamma family, for one period j < t = (p-1)/d.  It has
-    period t in j: j -> j + t permutes the k of the product over all k mod d,
-    n*t/(p-1) = n/d is an integer, and w(n)^(-nt) = 1.  The t denominators
-    share one inversion.
-    """
+def main_l_factors(p: int, n: int, digits: int) -> list[int]:
+    """L_j = (-1)^(nj) Gamma(<-nj/(p-1)>) w(n)^(-nj) mod p^digits for one period
+    j < t = (p-1)/d: the class-free factor of every main coefficient.  It has
+    period t in j: n*t/(p-1) = n/d is an integer, w(n)^(-nt) = 1, and t is even
+    when n is odd."""
     d = gcd(p - 1, n)
     t, mod = (p - 1) // d, p ** digits
     table = frac_gamma_table(p, digits)
-    cd_prod = 1
-    for k in range(1, d):
-        cd_prod = cd_prod * table[k * t] % mod
-    hden = []
-    for j in range(t):
-        h = 1
-        for k in range(d):
-            h = h * table[(k * t - j) % (p - 1)] % mod
-        hden.append(h)
     step = pow(teichmuller_table(p, digits)[n % p], (-n) % (p - 1), mod)  # w(n)^-n
-    out, teich_pow = [], 1
-    for j, inv in enumerate(batch_inverse(hden, mod)):
-        out.append(cd_prod * table[(-n * j) % (p - 1)] % mod * teich_pow % mod * inv % mod)
-        teich_pow = teich_pow * step % mod
+    if n % 2:
+        step = mod - step
+    out, power = [], 1
+    for j in range(t):
+        out.append(table[(-n * j) % (p - 1)] * power % mod)
+        power = power * step % mod
     return out
 
 
-def class_g_coefficients(pd: ParamData, p: int, n: int, digits: int,
-                         j_factors: list[int], powers: dict | None = None
-                         ) -> list[tuple[int, int]]:
-    """Per-j coefficients c_j with  G[A_w; B_w | x] = -1/(p-1) * sum_j c_j wbar^j(x).
+def _gamma_powers(p: int, digits: int, top: int) -> list:
+    """Entry e in 1..top: the column Gamma(<j/(p-1)>)^e over j < p-1, each one
+    column product from the one below it."""
+    mod, table = p ** digits, frac_gamma_table(p, digits)
+    powers = [None, table]
+    for _ in range(top - 1):
+        powers.append([a * b % mod for a, b in zip(powers[-1], table)])
+    return powers
 
-    Each c_j = (-1)^{js} (-p)^{E_j} * (gamma quotients), with the h/n family
-    reduced to denominator-(p-1) lookups, j_factors = main_j_factors(p, n,
-    digits) (one period, read at j mod t); E_j comes from the exact floors of
-    the literal definition.  Returned as (E_j, unit residue mod p^digits)
-    pairs for every j < p-1, so that G can be evaluated at any x.  `powers`,
-    keyed by e, memoizes the elementwise e-th powers of the gamma table; a
-    caller building many classes at one (p, digits) passes one dict to them all.
-    """
-    d, t = pd.d, (p - 1) // pd.d
-    mod = p ** digits
-    table = frac_gamma_table(p, digits)
-    S = sorted(pd.S_w)
-    Sc = sorted(pd.S_wc)
-    denom = 1
-    for k in S:
-        denom = denom * table[(d - k) * t] % mod
-    for k in Sc:
-        denom = denom * pow(table[k * t], pd.n_k[k] - 1, mod) % mod
-    inv_denom = pow(denom, -1, mod)
-    # exact floors: E_j = #{a in A_w : a < j/(p-1)} - #{b in B_w : <-b> >= 1 - j/(p-1)}
-    # steps by +1 at j = floor(a(p-1)) + 1 and, for <-b> = k/d (k in S_wc, k > 0,
+
+def _class_columns(pd: ParamData, p: int, digits: int, powers: list
+                   ) -> tuple[list[int], list[int]]:
+    """(E_j, P_j) over j < p-1 for one class: the exact floors E_j of the literal
+    definition and P_j = prod_{k in S_wc} Gamma(<k/d + j/(p-1)>)^(n_k) mod
+    p^digits, each factor a rotation of a power column."""
+    t, mod = (p - 1) // pd.d, p ** digits
+    # E_j = #{a in A_w : a < j/(p-1)} - #{b in B_w : <-b> >= 1 - j/(p-1)} steps
+    # by +1 at j = floor(a(p-1)) + 1 and, for <-b> = k/d (k in S_wc, k > 0,
     # n_k - 1 times), by -1 at j = p-1-kt
     steps = [0] * p
     for q in pd.A_w:
         steps[q.numerator * (p - 1) // q.denominator + 1] += 1
-    for k in Sc:
+    for k in pd.S_wc:
         if k > 0:
             steps[p - 1 - k * t] -= pd.n_k[k] - 1
-    # the units as columns over j < p-1: the period of j_factors repeated, and
-    # rotations of the gamma table, reversed for the S family
-    units = [inv_denom * f % mod for f in j_factors] * d
-    reverse = table[:1] + table[:0:-1]  # reverse[j] = Gamma(<-j/(p-1)>)
-    for k in S:
-        a = (d - k) * t  # in (0, p-1): 0 is never in S
-        units = [u * g % mod for u, g in zip(units, reverse[-a:] + reverse[:-a])]
-    powers = {} if powers is None else powers
-    for k in Sc:
-        e, b = pd.n_k[k] - 1, k * t
-        if e:
-            if e not in powers:
-                powers[e] = [pow(g, e, mod) for g in table]
-            column = powers[e]
-            units = [u * g % mod for u, g in zip(units, column[b:] + column[:b])]
+    units = powers[pd.n_k[0]]  # 0 is in S_wc: the representative contains it
+    for k in pd.S_wc - {0}:
+        column, b = powers[pd.n_k[k]], k * t
+        units = [u * g % mod for u, g in zip(units, column[b:] + column[:b])]
+    return list(accumulate(steps[:-1])), units
+
+
+def class_g_coefficients(pd: ParamData, p: int, n: int, digits: int
+                         ) -> list[tuple[int, int]]:
+    """Per-j coefficients c_j with  G[A_w; B_w | x] = -1/(p-1) * sum_j c_j wbar^j(x),
+    as (E_j, unit residue mod p^digits) pairs for every j < p-1, so that G can
+    be evaluated at any x: c_j = -(-1)^(E_j + r_j) p^(E_j) L_(j mod t) P_j
+    / prod_i Gamma(w_i/d), with r_j and 1/Gamma(k/d) = (-1)^(1+kt) Gamma(1-k/d)
+    from the reflection formula (see the module docstring)."""
+    d, t, mod = pd.d, (p - 1) // pd.d, p ** digits
+    table = frac_gamma_table(p, digits)
+    scale = -1
+    for k in pd.S_wc - {0}:
+        scale = scale * pow((-1) ** (1 + k * t) * table[(d - k) * t], pd.n_k[k], mod) % mod
+    exps, units = _class_columns(pd, p, digits, _gamma_powers(p, digits, max(pd.n_k)))
+    flips = {(-k) % d * t for k in pd.S_wc}
+    ls = main_l_factors(p, n, digits)
     coeffs = []
-    for j, (exponent, unit) in enumerate(zip(accumulate(steps), units)):
-        coeffs.append((exponent, mod - unit if (j * pd.s + exponent) % 2 else unit))
+    for j, (exponent, unit) in enumerate(zip(exps, units)):
+        unit = scale * ls[j % t] * unit % mod
+        coeffs.append((exponent, mod - unit if (exponent + (j in flips)) % 2 else unit))
     return coeffs
 
 
@@ -335,22 +328,26 @@ def _main_terms(p: int, n: int, digits: int):
     representative.  A shift w -> w + c rotates the counts to n'_k = n_(k-c mod d)
     and reindexes j by c*t, which the fold mod t absorbs; so each class whose
     count vector lies in one rotation orbit has the same folded term, and each
-    orbit is built once and weighted by its number of classes.
+    orbit is built once and weighted by its number of classes.  By the
+    reflection formula the prefactor cancels (module docstring): a term is
+    weight (-1)^(n+e) / (p-1) * (-1)^(E_j + r_j) p^(e + E_j) L_(j mod t) P_j.
     """
     d, mod = gcd(p - 1, n), p ** digits
     t = (p - 1) // d
-    scale = (-1) ** (n + 1) * pow(p - 1, -1, mod)  # (-1)^n times G's -1/(p-1)
-    j_factors, powers = main_j_factors(p, n, digits), {}
+    inv = pow(p - 1, -1, mod)
+    ls, powers = main_l_factors(p, n, digits), _gamma_powers(p, digits, n)  # n_k <= n
     for w, weight in _rotation_orbits(n, d).items():
         pd = derive_params(w, n, d)
-        e = pd.prefactor_exponent  # (-p)^e carries a sign
-        pref = (-1) ** e * weight * pd.gamma_prefactor(p, digits).residue * scale
-        coeffs = class_g_coefficients(pd, p, n, digits, j_factors, powers)
-        low = min(v for v, _ in coeffs)
-        shift = [p ** i for i in range(max(v for v, _ in coeffs) - low + 1)]
-        scaled = [u * shift[v - low] for v, u in coeffs]
+        exps, units = _class_columns(pd, p, digits, powers)
+        low = min(exps)
+        shift = [(-p) ** i for i in range(max(exps) - low + 1)]  # (-1)^(E-low) p^(E-low)
+        scaled = [u * shift[v - low] for u, v in zip(units, exps)]
+        for k in pd.S_wc:  # r_j: the reflection at <k/d + j/(p-1)> = 0
+            scaled[(-k) % d * t] *= -1
+        e = pd.prefactor_exponent
+        scale = (-1) ** (n + e + low) * weight * inv
         for i in range(t):
-            yield i, e + low, pref * sum(scaled[i::t]) % mod
+            yield i, e + low, scale * ls[i] * sum(scaled[i::t]) % mod
 
 
 def _gauss_product(exps, weight: int, p: int, mod: int, units,

@@ -12,9 +12,10 @@ Two evaluation routes coexist:
   X^(p-1) = prod(J_j) with X == 1 (mod p), and the reflection formula closes
   the cycle.  All p-1 Jacobi sums come from one Bluestein chirp correlation,
   done as a single big-integer product (Kronecker substitution), and the
-  recursion shares one modular inversion, so the build is one multiplication
-  of two (p-1)-slot integers plus O(p) work.  Digit-exact: tests compare it to
-  the sweep and to the direct O(p^2) character sums.
+  recursion runs backward from Gamma((p-2)/(p-1)) = 1/X with one modular
+  inversion, so the build is one multiplication of two (p-1)-slot integers
+  plus O(p) work.  Digit-exact: tests compare it to the sweep and to the
+  direct O(p^2) character sums.
 
 General rational arguments route through gamma_residues: the table when the
 denominator divides p-1, and otherwise one shared sweep, which at working
@@ -27,8 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .padic import (PadicError, PadicUnit, batch_inverse, chirp_dft, primitive_root,
-                    teichmuller_table)
+from .padic import PadicError, PadicUnit, chirp_dft, primitive_root, teichmuller_table
 
 SWEEP_LIMIT = 50_000_000
 
@@ -137,10 +137,14 @@ def frac_gamma_table(p: int, digits: int) -> tuple[int, ...]:
         m2 = p ** prec
         deriv = (p - 1) * pow(x, p - 2, m2) % m2
         x = (x - (pow(x, p - 1, m2) - seed_target) * pow(deriv, -1, m2)) % m2
-    table = [1, x] + [0] * (p - 3)
-    for j, inv in enumerate(batch_inverse(jac, mod), 1):
-        table[j + 1] = (mod - table[j] * x % mod * inv % mod) % mod
-    # reflection closes the cycle: Gamma(1/(p-1)) * Gamma((p-2)/(p-1)) = 1
+    # Gamma((j+1)/(p-1)) = -Gamma(j/(p-1)) x / J_j, run backward from
+    # Gamma((p-2)/(p-1)) = 1/x (reflection), so x is the one inversion
+    table = [1] * (p - 1)
+    xinv = pow(x, -1, mod)
+    table[p - 2] = xinv
+    for j in range(p - 3, 0, -1):
+        table[j] = mod - table[j + 1] * jac[j - 1] % mod * xinv % mod
+    # the recursion returns to Gamma(1/(p-1)) = x only if prod J_j = x^(p-1)
     if table[1] * table[p - 2] % mod != 1 % mod:
         raise PadicError("gamma table failed the reflection closure check")
     half = table[(p - 1) // 2]

@@ -270,3 +270,19 @@ def test_verify_over_the_oracle_limit_is_a_domain_error(capsys, monkeypatch):
     code, out, err = run(capsys, ["verify", "--pmax", "1000", "--n-set", "3"])
     assert code == 2 and out == ""
     assert "p=997, n=3" in err
+
+
+def test_reused_parser_matches_a_fresh_one(capsys, monkeypatch):
+    """cli.main builds its parser once per process; a run of calls through it,
+    a usage error among them, prints and exits as fresh parsers do."""
+    calls = [["count", "--p", "7", "--n", "3", "--lambda", "1", "--method", "main"],
+             ["count", "--p", "7", "--n", "3"],
+             ["verify", "--pmax", "7", "--n-set", "2,3", "--json"],
+             ["gfun", "--p", "7", "--a", "1/2", "--b", "1", "--x", "1", "--json"],
+             ["count", "--p", "7", "--n", "3", "--lambda", "1", "--method", "main"]]
+    assert cli._parser() is cli._parser()
+    reused = [run(capsys, argv) for argv in calls]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [run(capsys, argv) for argv in calls]
+    assert [code for code, _, _ in reused] == [0, 1, 0, 0, 0]
+    assert reused == fresh

@@ -13,7 +13,7 @@ from dworkcount import dwork, oracle
 from dworkcount.dwork import (CharSum, DworkInstance, InstanceError, canonical_classes,
                               class_g_coefficients, count_ff, count_koblitz, count_main,
                               count_relprime, derive_params, enumerate_W,
-                              k_target, k_working, main_j_factors, main_value,
+                              k_target, k_working, main_l_factors, main_value,
                               orbit)
 from dworkcount.gauss import gauss_gk, gk_product
 from dworkcount.hyperfun import FParams, GParams, eval_G, f_coefficients
@@ -138,9 +138,18 @@ def class_g_value(pd, x, p, n, digits):
     mod = p ** digits
     scale = -pow(p - 1, -1, mod)
     terms = [(j, v, u * scale % mod)
-             for j, (v, u) in enumerate(class_g_coefficients(
-                 pd, p, n, digits, main_j_factors(p, n, digits)))]
+             for j, (v, u) in enumerate(class_g_coefficients(pd, p, n, digits))]
     return CharSum(p, digits, (), terms).value(x)
+
+
+def gamma_prefactor(pd, p, digits):
+    """prod_i Gamma_p(w_i / d) mod p^digits."""
+    table = frac_gamma_table(p, digits)
+    t, mod = (p - 1) // pd.d, p ** digits
+    res = 1
+    for wi in pd.w:
+        res = res * table[wi * t] % mod
+    return res
 
 
 @pytest.mark.parametrize("p,n", [(3, 4), (5, 3), (5, 4), (7, 3), (3, 5)])
@@ -165,7 +174,6 @@ def test_class_summand_representative_independence():
         d = gcd(p - 1, n)
         digits = k_working(p, n)
         mod = p ** digits
-        j_factors = main_j_factors(p, n, digits)
         for rep in canonical_classes(n, d):
             members = [v for v in orbit(rep.wstar, d) if 0 in v]
             kernels = []
@@ -174,11 +182,10 @@ def test_class_summand_representative_independence():
                 # folded into the terms as the main count folds them
                 pd = derive_params(w, n, d)
                 e = pd.prefactor_exponent
-                pref = (-1) ** (e + 1) * pd.gamma_prefactor(p, digits).residue \
-                    * pow(p - 1, -1, mod)
+                pref = (-1) ** (e + 1) * gamma_prefactor(pd, p, digits) * pow(p - 1, -1, mod)
                 kernels.append(CharSum(p, digits, (), [
                     (j, e + v, pref * u % mod) for j, (v, u) in
-                    enumerate(class_g_coefficients(pd, p, n, digits, j_factors))]))
+                    enumerate(class_g_coefficients(pd, p, n, digits))]))
             for x in sorted({pow(lam, n, p) for lam in range(1, p)}):
                 values = [kernel.value(x) for kernel in kernels]
                 first = values[0]
@@ -257,7 +264,7 @@ def unfolded_main_terms(p, n, digits, coefficients):
         if key not in coefficients:
             coefficients[key] = pd, unfolded_class_coefficients(pd, p, n, digits)
         e = pd.prefactor_exponent
-        pref = (-1) ** e * pd.gamma_prefactor(p, digits).residue * scale
+        pref = (-1) ** e * gamma_prefactor(pd, p, digits) * scale
         for j, (v, u) in enumerate(coefficients[key][1]):
             yield j, e + v, pref * u % mod
 
@@ -277,48 +284,64 @@ def test_folded_main_kernel_matches_per_class_build(p, n):
                                        unfolded_main_terms(p, n, digits, coefficients)), t)
     assert folded.offset == unfolded.offset
     assert folded.coeffs == unfolded.coeffs
-    j_factors = main_j_factors(p, n, digits)
     for key, (pd, reference) in coefficients.items():
-        assert class_g_coefficients(pd, p, n, digits, j_factors) == reference, key
+        assert class_g_coefficients(pd, p, n, digits) == reference, key
 
 
-def full_length_j_factors(p, n, digits):
-    """main_j_factors built for every j < p-1 instead of one period, each
-    denominator inverted on its own."""
-    d = gcd(p - 1, n)
-    t, mod = (p - 1) // d, p ** digits
+def full_length_l_factors(p, n, digits):
+    """main_l_factors built for every j < p-1 instead of one period, each
+    power taken on its own."""
+    mod = p ** digits
     table = frac_gamma_table(p, digits)
-    cd_prod = 1
-    for k in range(1, d):
-        cd_prod = cd_prod * table[k * t] % mod
-    hden = []
+    teich_n = teichmuller(n % p, p, digits).residue
+    out = []
     for j in range(p - 1):
-        h = 1
-        for k in range(d):
-            h = h * table[(k * t - j) % (p - 1)] % mod
-        hden.append(h)
-    step = pow(teichmuller(n % p, p, digits).residue, (-n) % (p - 1), mod)
-    out, teich_pow = [], 1
-    for j, h in enumerate(hden):
-        out.append(cd_prod * table[(-n * j) % (p - 1)] % mod * teich_pow % mod
-                   * pow(h, -1, mod) % mod)
-        teich_pow = teich_pow * step % mod
+        r = (-n * j) % (p - 1)
+        out.append((-1) ** (n * j) * table[r] * pow(teich_n, r, mod) % mod)
     return out
 
 
 @pytest.mark.parametrize("p", [q for q in PRIMES_TO_97 if q <= 61])
 def test_main_j_factors_one_period_matches_full_loop(p):
+    """The class-free j-factors of the main coefficients, L_j: one period
+    (main_l_factors) against the full-length loop, at every j and j + c*t."""
     for n in range(2, 7):
         if n % p == 0:
             continue
         digits = k_working(p, n)
         t = (p - 1) // gcd(p - 1, n)
-        period = main_j_factors(p, n, digits)
+        period = main_l_factors(p, n, digits)
         assert len(period) == t
-        full = full_length_j_factors(p, n, digits)
+        full = full_length_l_factors(p, n, digits)
         for j in range(t):
             for c in range(gcd(p - 1, n)):
                 assert full[j + c * t] == period[j], (n, j, c)
+
+
+@pytest.mark.parametrize("p", [q for q in PRIMES_TO_97 if q <= 61])
+def test_orbit_scalar_sign_rule(p):
+    """The prefactor prod_i Gamma(w_i/d) times prod_{0<k<d} Gamma(k/d) over the
+    class's own gamma denominator is the sign the main build relies on,
+    (-1)^(sum_{k in S^c_w, k>0} (1 + kt)), for every rotation orbit."""
+    for n in range(2, 9):
+        if n % p == 0:
+            continue
+        d, digits = gcd(p - 1, n), k_working(p, n)
+        t, mod = (p - 1) // d, p ** digits
+        table = frac_gamma_table(p, digits)
+        cd_prod = 1
+        for k in range(1, d):
+            cd_prod = cd_prod * table[k * t] % mod
+        for w in dwork._rotation_orbits(n, d):
+            pd = derive_params(w, n, d)
+            denom = 1
+            for k in pd.S_w:
+                denom = denom * table[(d - k) * t] % mod
+            for k in pd.S_wc:
+                denom = denom * pow(table[k * t], pd.n_k[k] - 1, mod) % mod
+            sign = (-1) ** sum(1 + k * t for k in pd.S_wc if k)
+            assert gamma_prefactor(pd, p, digits) * cd_prod % mod \
+                == sign * denom % mod, (n, w)
 
 
 def rotation_orbit(w, d):

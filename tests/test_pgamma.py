@@ -111,6 +111,17 @@ def test_reflection_formula_small():
             assert left * right % mod == (-1) ** x0 % mod
 
 
+def test_frac_table_reflection_pairs():
+    """table[r] * table[p-1-r] == (-1)^(r+1), the identity the backward seeding
+    recursion starts from and the main build cancels its denominators by."""
+    primes = [q for q in range(3, 400) if all(q % f for f in range(2, math.isqrt(q) + 1))]
+    for p in primes:
+        for digits in (1, 3, 7):
+            table, mod = frac_gamma_table(p, digits), p ** digits
+            for r in range(1, p - 1):
+                assert table[r] * table[p - 1 - r] % mod == (-1) ** (r + 1) % mod, (p, digits, r)
+
+
 def test_multiplication_formula_spot():
     p, m, digits = 7, 3, 3
     mod = p ** digits
