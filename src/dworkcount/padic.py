@@ -200,18 +200,32 @@ def batch_inverse(values, mod: int) -> list[int]:
 
 def chirp_dft(a, powers, mod: int) -> list[int]:
     """[sum_e a_e rho^(ek) mod `mod` for k in range(m)] for residues 0 <= a_e < mod,
-    given powers[e] = rho^e of a root of unity rho of even order m = len(powers)
-    with rho^(m/2) = -1.
+    given powers[e] = rho^e, e < m = len(powers) = len(a), of a root of unity
+    rho with rho^m = 1 (rho^(m/2) = -1 when m is even).
 
-    Bluestein's identity ek = C(e+k, 2) - C(e, 2) - C(k, 2) turns the DFT into
-    the correlation c_k = sum_e u_e v_(e+k) of u_e = a_e rho^-C(e,2) with the
-    chirp v_i = rho^C(i,2), and the k-th sum is rho^-C(k,2) c_k.  As
-    rho^(m/2) = -1, the chirp satisfies v_(i+m) = -v_i, so c_k = P[m-1+k] - P[k-1]
-    for the product P of two length-m polynomials, computed as one big-integer
-    product by Kronecker substitution: slots of `width` bytes hold every
-    coefficient, a sum of m products below mod^2, without carries.
+    An even length splits by radix 2 (Cooley-Tukey decimation in frequency):
+    X_2k and X_(2k+1) are the length-m/2 DFTs, with root rho^2, of
+    a_e + a_(e+m/2) and of (a_e - a_(e+m/2)) rho^e.  Under Karatsuba the two
+    half-length products cost about two thirds of one full-length product.
+
+    An odd length runs Bluestein's chirp: ek = C(e+k, 2) - C(e, 2) - C(k, 2)
+    turns the DFT into the correlation c_k = sum_e u_e v_(e+k) of
+    u_e = a_e rho^-C(e,2) with the chirp v_i = rho^C(i,2), and the k-th sum is
+    rho^-C(k,2) c_k.  For odd m, C(i+m, 2) == C(i, 2) (mod m), so the chirp is
+    periodic, v_(i+m) = v_i, and c_k = P[m-1+k] + P[k-1] for the product P of
+    two length-m polynomials, computed as one big-integer product by Kronecker
+    substitution: slots of `width` bytes hold every coefficient, a sum of m
+    products below mod^2, without carries.
     """
     size = len(powers)
+    if size % 2 == 0:
+        half, sub = size // 2, powers[::2]
+        lo, hi = a[:half], a[half:]
+        out = [0] * size
+        out[::2] = chirp_dft([(x + y) % mod for x, y in zip(lo, hi)], sub, mod)
+        out[1::2] = chirp_dft([(x - y) * w % mod for x, y, w in zip(lo, hi, powers)],
+                              sub, mod)
+        return out
     tri = [0] * size  # C(i, 2) mod m
     for i in range(1, size):
         tri[i] = (tri[i - 1] + i - 1) % size
@@ -224,7 +238,7 @@ def chirp_dft(a, powers, mod: int) -> list[int]:
     raw = (packed_u * packed_v).to_bytes(2 * size * width, "little")
     slots = [int.from_bytes(raw[i:i + width], "little")
              for i in range(0, (2 * size - 1) * width, width)]
-    return [powers[-tri[k]] * (slots[size - 1 + k] - (slots[k - 1] if k else 0)) % mod
+    return [powers[-tri[k]] * (slots[size - 1 + k] + (slots[k - 1] if k else 0)) % mod
             for k in range(size)]
 
 
@@ -303,11 +317,9 @@ class CharSum:
     def values(self, ys) -> dict[int, ValuedPadic]:
         """value(y) for every y in ys, from one transform of the coefficients.
 
-        With rho = w(g) for the primitive root g and s = (p-1)/m, wbar(g^-sk) =
-        rho^sk, so the character sums at every y = g^-sk are the length-m DFT
-        sum_e C_e (rho^s)^(ek), which padic.chirp_dft computes at once.  m is
-        the period t when t is even, else 2t with C zero-padded (chirp_dft needs
-        an even length), and then only the even k, the y with y^t = 1, are read.
+        With rho = w(g) for the primitive root g and s = (p-1)/t, wbar(g^-sk) =
+        rho^sk, so the character sums at every y = g^-sk are the length-t DFT
+        sum_e C_e (rho^s)^(ek), which padic.chirp_dft computes at once.
         """
         ys = list(ys)
         for y in ys:
@@ -315,18 +327,16 @@ class CharSum:
         p, t = self.p, self.period
         sums = [None] * p  # the character sum at each y; y = 0 stays None
         if self.offset is not None:
-            m = t if t % 2 == 0 else 2 * t
             teich, g = teichmuller_table(p, self.digits), primitive_root(p)
-            gs = pow(g, (p - 1) // m, p)
+            gs = pow(g, (p - 1) // t, p)
             powers, x = [], 1
-            for _ in range(m):
+            for _ in range(t):
                 powers.append(teich[x])  # (rho^s)^e = w(g^se)
                 x = x * gs % p
-            coeffs = self.coeffs + [0] * (m - t)
-            h_inv, y = pow(g, -((p - 1) // t), p), 1
-            for acc in chirp_dft(coeffs, powers, self.mod)[::m // t]:
+            gs_inv, y = pow(gs, -1, p), 1
+            for acc in chirp_dft(self.coeffs, powers, self.mod):
                 sums[y] = acc
-                y = y * h_inv % p
+                y = y * gs_inv % p
         return {y: self._assemble(sums[y % p]) for y in ys}
 
     def _assemble(self, acc: int | None) -> ValuedPadic:

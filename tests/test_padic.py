@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,23 @@ def test_batch_inverse_matches_single_inversions():
     values = [1, 2, 3, 48, 2400, 7 ** 4 - 2]
     assert batch_inverse(values, mod) == [pow(v, -1, mod) for v in values]
     assert batch_inverse([], mod) == []
+
+
+@pytest.mark.parametrize("digits", [1, 5])
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 31, 43, 61, 97, 211, 257])
+def test_chirp_dft_matches_direct_dft(p, digits):
+    """chirp_dft at every length m dividing p-1, against the O(m^2) sums: odd m
+    (the periodic Bluestein chirp), m = 1 and 2, and p = 257, where m = 256
+    splits by radix 2 all the way down to length 1."""
+    mod, rng = p ** digits, random.Random(f"{p}:{digits}")
+    root = teichmuller(primitive_root(p), p, digits).residue
+    for m in (m for m in range(1, p) if (p - 1) % m == 0):
+        rho = pow(root, (p - 1) // m, mod)
+        powers = [pow(rho, e, mod) for e in range(m)]
+        a = [rng.randrange(mod) for _ in range(m)]
+        want = [sum(x * pow(rho, e * k, mod) for e, x in enumerate(a)) % mod
+                for k in range(m)]
+        assert padic.chirp_dft(a, powers, mod) == want, m
 
 
 @given(st.sampled_from(SMALL_PRIMES), st.data())

@@ -201,3 +201,49 @@ def test_jacobi_transform_matches_direct_sums(p, digits):
     # p = 3 and p = 5 run the chirp at its shortest lengths, 2 and 4
     assert pgamma.jacobi_sums(p, digits) == direct_jacobi_sums(p, digits)
     assert frac_gamma_table(p, digits) == reference_gamma_table(p, digits)
+
+
+# -- the duplication seeding (p == 3 mod 4) -----------------------------------------
+
+PRIMES_TO_400 = [q for q in range(3, 400) if all(q % f for f in range(2, math.isqrt(q) + 1))]
+
+
+def direct_even_jacobi_sums(p, digits):
+    """J(wbar^2s, wbar^2) for s = 0..(p-3)/2 by the O(p^2) sums over x = 2..p-1."""
+    mod = p ** digits
+    xs = range(2, p)
+    bases = [teichmuller(pow(x, -2, p), p, digits).residue for x in xs]
+    running = [teichmuller(pow(1 - x, -2, p), p, digits).residue for x in xs]
+    sums = []
+    for _ in range((p - 1) // 2):
+        sums.append(sum(running) % mod)
+        running = [r * b % mod for r, b in zip(running, bases)]
+    return sums
+
+
+@pytest.mark.parametrize("digits", [1, 7])
+@pytest.mark.parametrize("p", PRIMES_TO_97)
+def test_even_jacobi_transform_matches_direct_sums(p, digits):
+    assert pgamma.even_jacobi_sums(p, digits) == direct_even_jacobi_sums(p, digits)
+
+
+@pytest.mark.parametrize("digits", [1, 3])
+@pytest.mark.parametrize("p", [q for q in PRIMES_TO_400 if q % 4 == 3 and q < 300])
+def test_duplication_seeded_table_matches_reference(p, digits):
+    """p == 3 (mod 4) seeds half the table from the order-(p-1)/2 Jacobi sums and
+    fills the odd entries by duplication; p = 3 takes the general seeding."""
+    assert frac_gamma_table(p, digits) == reference_gamma_table(p, digits)
+
+
+def test_duplication_identity():
+    """Gamma(j/(p-1)) Gamma((j+h)/(p-1)) = w(4)^j Gamma(2j/(p-1)) Gamma(1/2) for
+    j < h = (p-1)/2, on both residue classes of p mod 4, with w(4) from the
+    closed form."""
+    for p in PRIMES_TO_400:
+        h = (p - 1) // 2
+        for digits in (1, 3, 7):
+            table, mod = frac_gamma_table(p, digits), p ** digits
+            w4 = teichmuller(4, p, digits).residue
+            for j in range(h):
+                want = pow(w4, j, mod) * table[2 * j] % mod * table[h] % mod
+                assert table[j] * table[j + h] % mod == want, (p, digits, j)
