@@ -2,7 +2,7 @@
 """Time the all-lambda main count at the scale of the north-star targets.
 
 Usage:
-    python3 scripts/bench_scale.py [--src DIR] [--parent DIR] > BENCH_7.json
+    python3 scripts/bench_scale.py [--src DIR] [--parent DIR] > BENCH_<PR>.json
 
 Each timing is one `dwork.count_all("main", p, n)` over every lambda in F_p^*,
 run in a fresh interpreter that imports `dworkcount` from DIR (default: this

@@ -14,7 +14,6 @@ from .hyperfun import FParams, GParams, eval_F, eval_G
 from .oracle import CountReport, brute_count, brute_count_all, sweep_verify
 from .padic import (PadicError, PadicUnit, PrecisionError, ValuedPadic,
                     char_value, reconstruct_integer, teichmuller)
-from .pgamma import pgamma_frac
 
 __all__ = [
     "DworkInstance", "InstanceError", "canonical_classes", "count_ff",
@@ -24,7 +23,6 @@ __all__ = [
     "CountReport", "brute_count", "brute_count_all", "sweep_verify",
     "PadicError", "PadicUnit", "PrecisionError", "ValuedPadic",
     "char_value", "reconstruct_integer", "teichmuller",
-    "pgamma_frac",
 ]
 
 __version__ = "0.1.0"

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from fractions import Fraction
 from functools import lru_cache
 from math import inf
 
@@ -46,6 +47,15 @@ def _int_list(text: str) -> list[int]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a comma list of integers, got {text!r}") from None
+
+
+def _fraction_list(text: str) -> list[Fraction]:
+    """argparse type: a comma list of fractions (none for blank text)."""
+    try:
+        return [Fraction(v) for v in text.split(",")] if text.strip() else []
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of fractions, got {text!r}") from None
 
 
 def _lambda_policy(text: str) -> str:
@@ -130,10 +140,6 @@ def _cmd_count(args) -> int:
         return 2
     else:
         names = [method]
-        if method in ("main", "relprime", "ff") and inst.lam == 0:
-            print("error: lambda = 0 requires the koblitz or oracle method",
-                  file=sys.stderr)
-            return 2
 
     congruence = bool(args.precision_override)
     modulus = args.p ** kt
@@ -175,7 +181,7 @@ def _cmd_count(args) -> int:
 def _parse_g_inputs(args):
     if not is_odd_prime(args.p):
         raise ValueError(f"p={args.p} is not an odd prime")
-    params = GParams.parse(args.a, args.b)
+    params = GParams(tuple(args.a), tuple(args.b))
     params.validate_for(args.p)
     return params
 
@@ -258,8 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
                            ("ffun", "evaluate the finite-field hypergeometric sum mFm")):
         fn = sub.add_parser(name, help=helptext)
         fn.add_argument("--p", type=int, required=True)
-        fn.add_argument("--a", required=True, help='comma list of fractions, e.g. "1/4,3/4"')
-        fn.add_argument("--b", required=True, help='comma list of fractions, e.g. "1,1/2"')
+        fn.add_argument("--a", type=_fraction_list, required=True,
+                        help='comma list of fractions, e.g. "1/4,3/4"')
+        fn.add_argument("--b", type=_fraction_list, required=True,
+                        help='comma list of fractions, e.g. "1,1/2"')
         fn.add_argument("--x", type=int, required=True)
         fn.add_argument("--kw", type=_int_at_least(1), default=6,
                         help="working digits (default 6)")

@@ -18,7 +18,7 @@ evaluator on instances small enough to sweep.
 
 The denominator on the right cancels by Morita's reflection formula
 Gamma(x) Gamma(1-x) = (-1)^R(x), R(x) in [1, p], R(x) == x (mod p).  A class's
-coefficient c_j (class_g_coefficients) carries (-1)^(js) and the factors
+G-coefficient c_j carries (-1)^(js) and the factors
 Gamma(<(d-k)/d - j/(p-1)>), k in S_w: exactly the denominator's factors at
 -S_w (mod d).  Each remaining one, at -k for k in S^c_w, inverts to
 (-1)^(1 + kt + j) Gamma(<k/d + j/(p-1)>), or to 1 where that argument is 0
@@ -246,37 +246,17 @@ def _class_columns(pd: ParamData, p: int, digits: int, powers: list
     return list(accumulate(steps[:-1])), units
 
 
-def class_g_coefficients(pd: ParamData, p: int, n: int, digits: int
-                         ) -> list[tuple[int, int]]:
-    """Per-j coefficients c_j with  G[A_w; B_w | x] = -1/(p-1) * sum_j c_j wbar^j(x),
-    as (E_j, unit residue mod p^digits) pairs for every j < p-1, so that G can
-    be evaluated at any x: c_j = -(-1)^(E_j + r_j) p^(E_j) L_(j mod t) P_j
-    / prod_i Gamma(w_i/d), with r_j and 1/Gamma(k/d) = (-1)^(1+kt) Gamma(1-k/d)
-    from the reflection formula (see the module docstring)."""
-    d, t, mod = pd.d, (p - 1) // pd.d, p ** digits
-    table = frac_gamma_table(p, digits)
-    scale = -1
-    for k in pd.S_wc - {0}:
-        scale = scale * pow((-1) ** (1 + k * t) * table[(d - k) * t], pd.n_k[k], mod) % mod
-    exps, units = _class_columns(pd, p, digits, _gamma_powers(p, digits, max(pd.n_k)))
-    flips = {(-k) % d * t for k in pd.S_wc}
-    ls = main_l_factors(p, n, digits)
-    coeffs = []
-    for j, (exponent, unit) in enumerate(zip(exps, units)):
-        unit = scale * ls[j % t] * unit % mod
-        coeffs.append((exponent, mod - unit if (exponent + (j in flips)) % 2 else unit))
-    return coeffs
-
-
 def _count_vectors(n: int, d: int):
     """Every residue-count vector (n_0, ..., n_{d-1}) of a member of W(n, d):
-    n_k >= 0, sum n_k = n and sum k*n_k == 0 (mod d)."""
+    n_k >= 0, sum n_k = n and sum k*n_k == 0 (mod d), in lex order.  With
+    n_(d-1) = left - n_(d-2), the congruence fixes n_(d-2) == total + (d-1)*left
+    (mod d), so no composition is built only to be discarded."""
     def rest(k, left, total):
         if k == d - 1:
-            if (total + k * left) % d == 0:
-                yield (left,)
+            yield (left,)
             return
-        for c in range(left + 1):
+        start, step = ((total + (d - 1) * left) % d, d) if k == d - 2 else (0, 1)
+        for c in range(start, left + 1, step):
             for tail in rest(k + 1, left - c, total + k * c):
                 yield (c,) + tail
     return rest(0, n, 0)
@@ -495,11 +475,6 @@ def count_all(name: str, p: int, n: int, kt: int | None = None,
 def count_main(p: int, n: int, lam: int, kt: int | None = None) -> int:
     """N_p(lambda) by the main hypergeometric formula; lambda != 0, p not dividing n."""
     return _count("main", p, n, lam, kt)
-
-
-def main_value(p: int, n: int, lam: int, kt: int | None = None) -> ValuedPadic:
-    """The pre-reconstruction p-adic value of the main count."""
-    return _value("main", DworkInstance(p, n, lam), kt)
 
 
 def count_relprime(p: int, n: int, lam: int, kt: int | None = None) -> int:

@@ -1,5 +1,5 @@
 """Evaluators for the p-adic hypergeometric sum mGm and its finite-field
-counterpart mFm, plus the parameter containers the CLI parses into.
+counterpart mFm, plus their parameter containers.
 
 Both are character sums -1/(p-1) * sum_j c_j wbar^j(x) whose x-free
 coefficients c_j are built in plain integers and summed by padic.CharSum, the
@@ -19,7 +19,7 @@ from math import floor
 
 from .gauss import gk_units, pi_valuation
 from .padic import CharSum, ValuedPadic
-from .pgamma import SWEEP_LIMIT, gamma_residues
+from .pgamma import gamma_residues
 
 
 @dataclass(frozen=True)
@@ -36,12 +36,6 @@ class GParams:
     @property
     def m(self) -> int:
         return len(self.a)
-
-    @staticmethod
-    def parse(a_text: str, b_text: str) -> "GParams":
-        def lst(s):
-            return tuple(Fraction(t.strip()) for t in s.split(",")) if s.strip() else ()
-        return GParams(lst(a_text), lst(b_text))
 
     def validate_for(self, p: int) -> None:
         for q in self.a + self.b:
@@ -79,14 +73,14 @@ class FParams:
         return FParams(exps(params.a), exps(params.b))
 
 
-def g_coefficients(params: GParams, p: int, digits: int,
-                   sweep_limit: int | None = SWEEP_LIMIT) -> list[tuple[int, int]]:
+def g_coefficients(params: GParams, p: int, digits: int) -> list[tuple[int, int]]:
     """The x-free part of each mGm summand (before the -1/(p-1) factor), as
     (exponent, unit residue) pairs: the j-th summand at x is this coefficient
     times wbar^j(x).
 
     The literal definition: gamma quotients with (-p)-exponents that are exact
     rational floors.  It is the reference the reduced main kernel is pinned to.
+    Arguments whose denominator does not divide p-1 need pgamma's lift sweep.
     """
     params.validate_for(p)
     mod = p ** digits
@@ -98,7 +92,7 @@ def g_coefficients(params: GParams, p: int, digits: int,
     for theta in thetas:
         args.update((q - theta) % 1 for q in av)
         args.update((q + theta) % 1 for q in bv)
-    gamma = gamma_residues(args, p, digits, sweep_limit)
+    gamma = gamma_residues(args, p, digits)
     denom = 1
     for q in av + bv:
         denom = denom * gamma[q] % mod
@@ -126,13 +120,12 @@ def _character_sum(coeffs, x: int, p: int, digits: int) -> ValuedPadic:
                    ((j, v, u * scale % mod) for j, (v, u) in enumerate(coeffs))).value(x)
 
 
-def eval_G(params: GParams, x: int, p: int, digits: int,
-           sweep_limit: int | None = SWEEP_LIMIT) -> ValuedPadic:
+def eval_G(params: GParams, x: int, p: int, digits: int) -> ValuedPadic:
     """The mGm value at x in F_p; exact zero at x = 0 (chi(0) := 0 kills every term)."""
     if x % p == 0:
         params.validate_for(p)
         return ValuedPadic.zero(p)
-    return _character_sum(g_coefficients(params, p, digits, sweep_limit), x, p, digits)
+    return _character_sum(g_coefficients(params, p, digits), x, p, digits)
 
 
 def f_coefficients(params: FParams, p: int, digits: int) -> list[tuple[int, int]]:

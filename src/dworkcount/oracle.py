@@ -149,7 +149,7 @@ _COUNTERS = {
 }
 
 
-def verify_group(p: int, n: int, lams: list[int], kt: int | None = None) -> list[CountReport]:
+def verify_group(p: int, n: int, lams: list[int]) -> list[CountReport]:
     """CountReports for one (p, n) over the given lambdas.
 
     The oracle and each formula method run once for every lambda of the group
@@ -165,7 +165,7 @@ def verify_group(p: int, n: int, lams: list[int], kt: int | None = None) -> list
         elif name == "relprime":  # the main kernel at d = 1: its counts are main's
             group[name] = group["main"]
         else:
-            group[name] = dwork.count_all(name, p, n, kt)
+            group[name] = dwork.count_all(name, p, n)
         group_ms[name] = (time.perf_counter() - t0) * 1000
     served = {name: sum(lam in counts for lam in lams) for name, counts in group.items()}
     d = gcd(p - 1, n)
@@ -208,7 +208,7 @@ def _odd_primes_upto(bound: int) -> list[int]:
 
 
 def sweep_verify(p_max: int, n_set, lambda_policy: str = "all",
-                 jobs: int = 1, kt: int | None = None) -> list[CountReport]:
+                 jobs: int = 1) -> list[CountReport]:
     """Run the oracle and every applicable formula over the grid; deterministic
     report order (p, n, lambda) regardless of parallelism.
 
@@ -216,7 +216,7 @@ def sweep_verify(p_max: int, n_set, lambda_policy: str = "all",
     with a ValueError naming the total and the largest group, before any group
     runs.
     """
-    groups = [(p, n, _lambda_set(p, lambda_policy), kt)
+    groups = [(p, n, _lambda_set(p, lambda_policy))
               for p in _odd_primes_upto(p_max)
               for n in sorted(n_set) if n % p]
     sizes = [((q ** m - 1) // (q - 1), q, m) for q, m, *_ in groups]

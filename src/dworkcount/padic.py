@@ -125,14 +125,12 @@ class ValuedPadic:
             return 0
         return self.p ** self.valuation * self.unit.residue % self.p ** exponent
 
-    def digits(self, count: int | None = None) -> list[int]:
+    def digits(self) -> list[int]:
         """Base-p digits of the unit part, least significant first."""
         if self.unit is None:
             return []
-        if count is None:
-            count = self.unit.precision
         r, out = self.unit.residue, []
-        for _ in range(count):
+        for _ in range(self.unit.precision):
             r, dig = divmod(r, self.p)
             out.append(dig)
         return out

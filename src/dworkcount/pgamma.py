@@ -2,11 +2,11 @@
 
 Two evaluation routes coexist:
 
-* the definitional recurrence sweep over integer lifts, Gamma(m+1) being
-  -m*Gamma(m) for p-not-dividing-m and -Gamma(m) otherwise.  Exact, but costs
-  O(lift) multiplications with lifts as large as p^digits;
-* a fast table for every argument r/(p-1), r = 0..p-2, seeded through the
-  Gross-Koblitz form of the Gauss-sum product rule
+* the definitional recurrence sweep over integer lifts (batch_pgamma_residues),
+  Gamma(m+1) being -m*Gamma(m) for p-not-dividing-m and -Gamma(m) otherwise.
+  Exact, but costs O(lift) multiplications with lifts as large as p^digits;
+* a fast table (frac_gamma_table) for every argument r/(p-1), r = 0..p-2,
+  seeded through the Gross-Koblitz form of the Gauss-sum product rule
   g(wbar^j) g(wbar) = J(wbar^j, wbar) g(wbar^(j+1)): the Jacobi sums are plain
   character sums over F_p, the seed Gamma(1/(p-1)) is the unique Hensel root of
   X^(p-1) = prod(J_j) with X == 1 (mod p), and the reflection formula closes
@@ -26,9 +26,10 @@ Two evaluation routes coexist:
   O(p^2) character sums.
 
 General rational arguments route through gamma_residues: the table when the
-denominator divides p-1, and otherwise one shared sweep, which at working
-precisions beyond SWEEP_LIMIT lift steps is refused with advice.  Sweep
-results are memoized in-process per (p, digits); nothing is persisted.
+denominator divides p-1, and otherwise one shared sweep, which is refused with
+advice (SweepLimitError) when it would run more than SWEEP_LIMIT lift steps,
+the module constant read at call time.  Sweep results are memoized in-process
+per (p, digits); nothing is persisted.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .padic import PadicError, PadicUnit, chirp_dft, primitive_root, teichmuller_table
+from .padic import PadicError, chirp_dft, primitive_root, teichmuller_table
 
 SWEEP_LIMIT = 50_000_000
 
@@ -49,10 +50,10 @@ class SweepLimitError(PadicError):
 _sweep_memo: dict[tuple[int, int], dict[int, int]] = {}
 
 
-def batch_pgamma_residues(lifts, p: int, digits: int,
-                          sweep_limit: int | None = SWEEP_LIMIT) -> dict[int, int]:
+def batch_pgamma_residues(lifts, p: int, digits: int) -> dict[int, int]:
     """Gamma_p at every requested lift, from one shared forward sweep; values
-    are memoized per (p, digits)."""
+    are memoized per (p, digits).  A sweep of more than SWEEP_LIMIT steps from
+    one memoized lift to the next is refused with SweepLimitError."""
     mod = p ** digits
     memo = _sweep_memo.setdefault((p, digits), {})
     targets = sorted(set(lifts))
@@ -62,9 +63,9 @@ def batch_pgamma_residues(lifts, p: int, digits: int,
     pos, val = 0, 1
     for m in targets:
         if m not in memo:
-            if sweep_limit is not None and m - pos > sweep_limit:
+            if m - pos > SWEEP_LIMIT:
                 raise SweepLimitError(
-                    f"gamma lift sweep of {m - pos} steps exceeds the {sweep_limit} limit; "
+                    f"gamma lift sweep of {m - pos} steps exceeds the {SWEEP_LIMIT} limit; "
                     "use a smaller working precision (e.g. --precision-override) or "
                     "arguments with denominator dividing p-1")
             while pos < m:
@@ -74,28 +75,6 @@ def batch_pgamma_residues(lifts, p: int, digits: int,
         out[m] = val = memo[m]
         pos = m
     return out
-
-
-def pgamma_int(m: int, p: int, digits: int,
-               sweep_limit: int | None = SWEEP_LIMIT) -> PadicUnit:
-    """Gamma_p(m) mod p^digits for an integer lift 0 <= m < p^digits."""
-    if not 0 <= m < p ** digits:
-        raise ValueError("lift out of range: reduce mod p^digits first")
-    res = batch_pgamma_residues([m], p, digits, sweep_limit)[m]
-    return PadicUnit(res, p, digits)
-
-
-def batch_pgamma(lifts, p: int, digits: int) -> list[PadicUnit]:
-    got = batch_pgamma_residues(lifts, p, digits)
-    return [PadicUnit(got[m], p, digits) for m in lifts]
-
-
-def lift_frac(r: int, p: int, digits: int) -> int:
-    """The canonical integer approximant of r/(p-1): m*(p-1) == r mod p^digits."""
-    if not 0 <= r <= p - 1:
-        raise ValueError("numerator out of [0, p-1]")
-    mod = p ** digits
-    return r * pow(p - 1, -1, mod) % mod
 
 
 def lift_rational(num: int, den: int, p: int, digits: int) -> int:
@@ -226,17 +205,7 @@ def _duplicate_odd_entries(table: list[int], p: int, digits: int) -> None:
         table[h - j] = sign * teich[four_inv_j] * table[j] % mod * table[p - 1 - 2 * j] % mod
 
 
-def pgamma_frac(r: int, p: int, digits: int) -> PadicUnit:
-    """Gamma_p(r/(p-1)) mod p^digits for 0 <= r <= p-1."""
-    if not 0 <= r <= p - 1:
-        raise ValueError("numerator out of [0, p-1]")
-    if r == p - 1:  # argument 1
-        return PadicUnit(p ** digits - 1, p, digits)
-    return PadicUnit(frac_gamma_table(p, digits)[r], p, digits)
-
-
-def gamma_residues(args, p: int, digits: int,
-                   sweep_limit: int | None = SWEEP_LIMIT) -> dict[Fraction, int]:
+def gamma_residues(args, p: int, digits: int) -> dict[Fraction, int]:
     """{q: residue of Gamma_p(q) mod p^digits} for exact rationals 0 <= q <= 1.
 
     The one routing rule: q = 1 and arguments whose denominator divides p-1
@@ -257,12 +226,6 @@ def gamma_residues(args, p: int, digits: int,
         else:
             lifts[q] = lift_rational(q.numerator, q.denominator, p, digits)
     if lifts:
-        swept = batch_pgamma_residues(lifts.values(), p, digits, sweep_limit)
+        swept = batch_pgamma_residues(lifts.values(), p, digits)
         out.update((q, swept[m]) for q, m in lifts.items())
     return out
-
-
-def gamma_of_fraction(q: Fraction, p: int, digits: int,
-                      sweep_limit: int | None = SWEEP_LIMIT) -> int:
-    """Residue of Gamma_p(q) mod p^digits for an exact rational 0 <= q <= 1."""
-    return gamma_residues([q], p, digits, sweep_limit)[q]

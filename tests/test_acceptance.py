@@ -13,11 +13,11 @@ import pytest
 from conftest import PRIMES_TO_31, PRIMES_TO_97
 from dworkcount import cli, oracle
 from dworkcount.dwork import (canonical_classes, count_ff, count_main,
-                              derive_params, k_target, main_value, orbit)
+                              derive_params, k_target, method_value, orbit)
 from dworkcount.gauss import gauss_gk, gk_product, jacobi_sum
 from dworkcount.hyperfun import FParams, GParams, eval_F, eval_G
 from dworkcount.padic import char_value, teichmuller_table
-from dworkcount.pgamma import batch_pgamma_residues, gamma_of_fraction, lift_rational
+from dworkcount.pgamma import batch_pgamma_residues, gamma_residues, lift_rational
 
 
 def _ok(num, text):
@@ -139,9 +139,10 @@ def test_criterion_6b_reflection_formula():
     digits = 4
     for p in PRIMES_TO_97:
         mod = p ** digits
+        gamma = gamma_residues([Fraction(r, p - 1) for r in range(p)], p, digits)
         for r in range(p):
-            left = gamma_of_fraction(Fraction(r, p - 1), p, digits)
-            right = gamma_of_fraction(Fraction(p - 1 - r, p - 1), p, digits)
+            left = gamma[Fraction(r, p - 1)]
+            right = gamma[Fraction(p - 1 - r, p - 1)]
             x0 = p - (r % p) if r % p else p
             assert left * right % mod == (-1) ** x0 % mod, (p, r)
     _ok(6, "(b) reflection formula for all r in [0, p-1], p <= 97, K_w = 4")
@@ -155,16 +156,18 @@ def test_criterion_6c_multiplication_formula():
         for m in (2, 3, 4, 6):
             if m % p == 0:
                 continue
+            xs = [Fraction(r, p - 1) for r in range(p)]
+            gamma = gamma_residues([Fraction(h, m) for h in range(1, m)] + xs
+                                   + [(x + h) / m for x in xs for h in range(m)], p, digits)
             consts = 1
             for h in range(1, m):
-                consts = consts * gamma_of_fraction(Fraction(h, m), p, digits) % mod
-            for r in range(p):
-                x = Fraction(r, p - 1)
+                consts = consts * gamma[Fraction(h, m)] % mod
+            for r, x in enumerate(xs):
                 lhs = 1
                 for h in range(m):
-                    lhs = lhs * gamma_of_fraction((x + h) / m, p, digits) % mod
+                    lhs = lhs * gamma[(x + h) / m] % mod
                 omega = pow(teich[m % p], (r + 1 - p) % (p - 1), mod)
-                rhs = omega * gamma_of_fraction(x, p, digits) % mod * consts % mod
+                rhs = omega * gamma[x] % mod * consts % mod
                 assert lhs == rhs, (p, m, r)
     _ok(6, "(c) gamma multiplication formula, m in {2,3,4,6}, p <= 31, all r")
 
@@ -244,7 +247,7 @@ def test_criterion_7_precision_discipline(grid_reports, slice_reports):
     for r in grid_reports + slice_reports:
         if r.lam == 0:
             continue
-        value = main_value(r.p, r.n, r.lam)
+        value = method_value("main", r.p, r.n, r.lam)
         assert value.valuation >= 0, (r.p, r.n, r.lam)
         kt = k_target(r.p, r.n)
         assert value.absolute_precision >= kt

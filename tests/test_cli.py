@@ -54,6 +54,16 @@ def test_lambda_zero_routes_to_koblitz(capsys):
     assert report["methods"]["koblitz"] == oracle.brute_count(7, 4, 0)
 
 
+@pytest.mark.parametrize("override", [[], ["--precision-override", "2"]])
+@pytest.mark.parametrize("method, p", [("ff", "7"), ("relprime", "5")])
+def test_lambda_zero_is_a_domain_error_for_relprime_and_ff(capsys, method, p, override):
+    code, out, err = run(capsys, ["count", "--p", p, "--n", "3", "--lambda", "0",
+                                  "--method", method, *override])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_disagreement_exit_code(capsys, monkeypatch):
     monkeypatch.setitem(oracle._COUNTERS, "main", lambda p, n, lam, kt=None: -1)
     code, out, _ = run(capsys, ["count", "--p", "7", "--n", "3", "--lambda", "1",
@@ -98,6 +108,18 @@ def test_nonpositive_kw_is_a_usage_error(capsys, command, kw):
     assert code == 1
     assert out == ""
     assert "usage error" in err and "--kw" in err
+
+
+@pytest.mark.parametrize("command", ["gfun", "ffun"])
+@pytest.mark.parametrize("flag", ["--a", "--b"])
+@pytest.mark.parametrize("text", ["1/0", "abc", "1/2,"])
+def test_malformed_fraction_lists_are_usage_errors(capsys, command, flag, text):
+    values = {"--a": "1/2", "--b": "1", flag: text}
+    code, out, err = run(capsys, [command, "--p", "7", "--a", values["--a"],
+                                  "--b", values["--b"], "--x", "1"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error:") and flag in err
 
 
 def test_gfun_fractional_shift_invariance(capsys):

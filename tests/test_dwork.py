@@ -11,10 +11,9 @@ from conftest import PRIMES_TO_97, truncated
 
 from dworkcount import dwork, oracle
 from dworkcount.dwork import (CharSum, DworkInstance, InstanceError, canonical_classes,
-                              class_g_coefficients, count_ff, count_koblitz, count_main,
-                              count_relprime, derive_params, enumerate_W,
-                              k_target, k_working, main_l_factors, main_value,
-                              orbit)
+                              count_ff, count_koblitz, count_main, count_relprime,
+                              derive_params, enumerate_W, k_target, k_working,
+                              main_l_factors, method_value, orbit)
 from dworkcount.gauss import gauss_gk, gk_product
 from dworkcount.hyperfun import FParams, GParams, eval_G, f_coefficients
 from dworkcount.padic import teichmuller
@@ -133,12 +132,14 @@ def test_param_data_invariants(n, data):
 # -- kernel vs the literal definition ---------------------------------------------
 
 def class_g_value(pd, x, p, n, digits):
-    """G[A_w; B_w | x] through the kernel the counts evaluate: the class's
-    coefficients times G's -1/(p-1), summed by CharSum at y = x."""
+    """G[A_w; B_w | x] through the reduced kernel: the class's coefficients by
+    the per-j reference below, times G's -1/(p-1), summed by CharSum at y = x.
+    test_folded_main_kernel_matches_per_class_build pins the count's folded
+    kernel to this reference."""
     mod = p ** digits
     scale = -pow(p - 1, -1, mod)
     terms = [(j, v, u * scale % mod)
-             for j, (v, u) in enumerate(class_g_coefficients(pd, p, n, digits))]
+             for j, (v, u) in enumerate(unfolded_class_coefficients(pd, p, n, digits))]
     return CharSum(p, digits, (), terms).value(x)
 
 
@@ -185,7 +186,7 @@ def test_class_summand_representative_independence():
                 pref = (-1) ** (e + 1) * gamma_prefactor(pd, p, digits) * pow(p - 1, -1, mod)
                 kernels.append(CharSum(p, digits, (), [
                     (j, e + v, pref * u % mod) for j, (v, u) in
-                    enumerate(class_g_coefficients(pd, p, n, digits))]))
+                    enumerate(unfolded_class_coefficients(pd, p, n, digits))]))
             for x in sorted({pow(lam, n, p) for lam in range(1, p)}):
                 values = [kernel.value(x) for kernel in kernels]
                 first = values[0]
@@ -251,21 +252,21 @@ def unfolded_class_coefficients(pd, p, n, digits):
     return coeffs
 
 
-def unfolded_main_terms(p, n, digits, coefficients):
+def unfolded_main_terms(p, n, digits):
     """(j, valuation, unit) of the main count, one class at a time.  A class's
     G-coefficients are a function of its multiset (derive_params reads only the
-    counts), so they are built once per multiset, into `coefficients` as
-    multiset -> (params, coefficients); prefactors are per class."""
+    counts), so they are built once per multiset; prefactors are per class."""
     d, mod = gcd(p - 1, n), p ** digits
     scale = (-1) ** (n + 1) * pow(p - 1, -1, mod)
+    coefficients = {}
     for rep in canonical_classes(n, d):
         pd = derive_params(rep.wstar, n, d)
         key = tuple(sorted(rep.wstar))
         if key not in coefficients:
-            coefficients[key] = pd, unfolded_class_coefficients(pd, p, n, digits)
+            coefficients[key] = unfolded_class_coefficients(pd, p, n, digits)
         e = pd.prefactor_exponent
         pref = (-1) ** e * gamma_prefactor(pd, p, digits) * scale
-        for j, (v, u) in enumerate(coefficients[key][1]):
+        for j, (v, u) in enumerate(coefficients[key]):
             yield j, e + v, pref * u % mod
 
 
@@ -273,19 +274,15 @@ def unfolded_main_terms(p, n, digits, coefficients):
                          + [(29, 7), (43, 7)]
                          + [(p, 4) for p in PRIMES_TO_97 + (101,) if p % 4 == 1])
 def test_folded_main_kernel_matches_per_class_build(p, n):
-    """The build per rotation orbit equals every class built on its own, both
-    folded mod t = (p-1)/d: offset and coefficients alike.  Before any fold,
-    each multiset's G-coefficients equal the per-j reference at every j < p-1."""
+    """The build per rotation orbit equals every class built on its own by the
+    per-j reference, both folded mod t = (p-1)/d: offset and coefficients alike."""
     digits = k_working(p, n)
     t = (p - 1) // gcd(p - 1, n)
-    coefficients = {}
     folded = CharSum(p, digits, (), dwork._main_terms(p, n, digits), t)
     unfolded = CharSum(p, digits, (), ((j % t, v, u) for j, v, u in
-                                       unfolded_main_terms(p, n, digits, coefficients)), t)
+                                       unfolded_main_terms(p, n, digits)), t)
     assert folded.offset == unfolded.offset
     assert folded.coeffs == unfolded.coeffs
-    for key, (pd, reference) in coefficients.items():
-        assert class_g_coefficients(pd, p, n, digits) == reference, key
 
 
 def full_length_l_factors(p, n, digits):
@@ -342,6 +339,21 @@ def test_orbit_scalar_sign_rule(p):
             sign = (-1) ** sum(1 + k * t for k in pd.S_wc if k)
             assert gamma_prefactor(pd, p, digits) * cd_prod % mod \
                 == sign * denom % mod, (n, w)
+
+
+def compositions(n, parts):
+    """Every tuple of `parts` non-negative integers summing to n, in lex order."""
+    if parts == 1:
+        return [(n,)]
+    return [(c,) + tail for c in range(n + 1) for tail in compositions(n - c, parts - 1)]
+
+
+def test_count_vectors_match_filtered_compositions():
+    for n in range(1, 9):
+        for d in (dd for dd in range(1, n + 1) if n % dd == 0):
+            want = [v for v in compositions(n, d)
+                    if sum(k * c for k, c in enumerate(v)) % d == 0]
+            assert list(dwork._count_vectors(n, d)) == want, (n, d)
 
 
 def rotation_orbit(w, d):
@@ -580,8 +592,8 @@ def test_three_way_agreement_small_grid():
 
 
 def test_counts_are_deterministic():
-    a = main_value(11, 3, 4)
-    b = main_value(11, 3, 4)
+    a = method_value("main", 11, 3, 4)
+    b = method_value("main", 11, 3, 4)
     assert a == b and a.unit.residue == b.unit.residue
     assert count_main(11, 3, 4) == count_main(11, 3, 4)
 
@@ -621,7 +633,7 @@ def test_main_value_valuation_and_target_precision():
     for p, n in [(7, 3), (7, 4), (11, 3)]:
         kt = k_target(p, n)
         for lam in (1, p - 2):
-            value = main_value(p, n, lam)
+            value = method_value("main", p, n, lam)
             assert value.valuation >= 0
             assert value.absolute_precision >= kt
             assert count_main(p, n, lam, kt + 2) == count_main(p, n, lam)

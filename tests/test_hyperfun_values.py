@@ -70,7 +70,7 @@ def _cases():
 
 def _record(kind, p, digits, a, b, x):
     if kind == "G":
-        v = eval_G(GParams.parse(",".join(a), ",".join(b)), x, p, digits)
+        v = eval_G(GParams(tuple(map(Fraction, a)), tuple(map(Fraction, b))), x, p, digits)
     else:
         v = eval_F(FParams(tuple(a), tuple(b)), x, p, digits)
     head = [kind, p, digits, a, b, x]

@@ -8,89 +8,90 @@ from hypothesis import strategies as st
 from conftest import PRIMES_TO_31, PRIMES_TO_97, SMALL_PRIMES
 from dworkcount import pgamma
 from dworkcount.padic import PadicError, teichmuller, teichmuller_table
-from dworkcount.pgamma import (SweepLimitError, batch_pgamma, frac_gamma_table,
-                               gamma_of_fraction, lift_frac, lift_rational,
-                               pgamma_frac, pgamma_int)
+from dworkcount.pgamma import (SweepLimitError, batch_pgamma_residues, frac_gamma_table,
+                               gamma_residues, lift_rational)
 
 
 def test_pgamma_int_base_values():
     for p in SMALL_PRIMES:
         digits = 5
         mod = p ** digits
-        assert pgamma_int(0, p, digits).residue == 1
-        assert pgamma_int(1, p, digits).residue == mod - 1
-        assert pgamma_int(2, p, digits).residue == 1
+        assert batch_pgamma_residues([0], p, digits)[0] == 1
+        assert batch_pgamma_residues([1], p, digits)[1] == mod - 1
+        assert batch_pgamma_residues([2], p, digits)[2] == 1
 
 
 def test_pgamma_int_at_p_is_wilson_factorial():
     for p in SMALL_PRIMES:
         digits = 4
         mod = p ** digits
-        got = pgamma_int(p, p, digits).residue
+        got = batch_pgamma_residues([p], p, digits)[p]
         assert got == (-math.factorial(p - 1)) % mod
         assert got % p == 1  # Wilson: (p-1)! == -1 (mod p)
 
 
 def test_pgamma_int_range_check():
     with pytest.raises(ValueError):
-        pgamma_int(7 ** 3, 7, 3)
+        batch_pgamma_residues([7 ** 3], 7, 3)
 
 
 def test_lift_frac_examples():
-    assert lift_frac(0, 7, 3) == 0
-    assert lift_frac(7 - 1, 7, 3) == 1
-    assert lift_frac(1, 7, 2) == 41
+    assert lift_rational(0, 7 - 1, 7, 3) == 0
+    assert lift_rational(7 - 1, 7 - 1, 7, 3) == 1
+    assert lift_rational(1, 7 - 1, 7, 2) == 41
     assert 6 * 41 % 49 == 1
 
 
 def test_pgamma_frac_base_and_one():
     for p in SMALL_PRIMES:
-        assert pgamma_frac(0, p, 4).residue == 1
-        assert pgamma_frac(p - 1, p, 4).residue == p ** 4 - 1  # Gamma_p(1) = -1
+        assert frac_gamma_table(p, 4)[0] == 1
+        assert gamma_residues([Fraction(1)], p, 4)[1] == p ** 4 - 1  # Gamma_p(1) = -1
+
+
+def swept_gamma_table(p, digits):
+    """Gamma_p(r/(p-1)) for r = 0..p-2 by the definitional sweep over lifts."""
+    lifts = [lift_rational(r, p - 1, p, digits) for r in range(p - 1)]
+    swept = batch_pgamma_residues(lifts, p, digits)
+    return tuple(swept[m] for m in lifts)
 
 
 @pytest.mark.parametrize("p", PRIMES_TO_31)
 def test_frac_table_matches_definitional_sweep(p):
     digits = 3
-    table = frac_gamma_table(p, digits)
-    for r in range(p - 1):
-        assert table[r] == pgamma_int(lift_frac(r, p, digits), p, digits).residue
+    assert frac_gamma_table(p, digits) == swept_gamma_table(p, digits)
 
 
 def test_frac_table_matches_sweep_deeper():
     p, digits = 7, 6
-    table = frac_gamma_table(p, digits)
-    for r in range(p - 1):
-        assert table[r] == pgamma_int(lift_frac(r, p, digits), p, digits).residue
+    assert frac_gamma_table(p, digits) == swept_gamma_table(p, digits)
 
 
 def test_half_point_reflection():
     for p in SMALL_PRIMES:
         digits = 4
         mod = p ** digits
-        half = pgamma_frac((p - 1) // 2, p, digits).residue
+        half = frac_gamma_table(p, digits)[(p - 1) // 2]
         want = (-1) ** ((p + 1) // 2) % mod
         assert half * half % mod == want
 
 
 def test_pgamma_frac_precision_consistency():
     for p in (5, 7):
-        for r in range(p):
-            lo = pgamma_frac(r, p, 4).residue
-            hi = pgamma_frac(r, p, 6).residue
-            assert hi % p ** 4 == lo
+        args = [Fraction(r, p - 1) for r in range(p)]
+        lo, hi = gamma_residues(args, p, 4), gamma_residues(args, p, 6)
+        for q in args:
+            assert hi[q] % p ** 4 == lo[q]
 
 
 def test_batch_matches_single_calls():
     p, digits = 11, 3
-    assert [u.residue for u in batch_pgamma([0], p, digits)] == [1]
-    assert [u.residue for u in batch_pgamma([0, 1, 2], p, digits)] == \
-        [1, 11 ** 3 - 1, 1]
-    lifts = sorted({lift_frac(r, p, digits) for r in range(p - 1)}
+    assert batch_pgamma_residues([0], p, digits) == {0: 1}
+    assert batch_pgamma_residues([0, 1, 2], p, digits) == {0: 1, 1: 11 ** 3 - 1, 2: 1}
+    lifts = sorted({lift_rational(r, p - 1, p, digits) for r in range(p - 1)}
                    | {lift_rational(h, 3, p, digits) for h in range(3)})
-    batched = batch_pgamma(lifts, p, digits)
-    for m, unit in zip(lifts, batched):
-        assert unit.residue == pgamma_int(m, p, digits).residue
+    batched = batch_pgamma_residues(lifts, p, digits)
+    for m in lifts:
+        assert batched[m] == batch_pgamma_residues([m], p, digits)[m]
 
 
 def test_all_values_are_units():
@@ -104,9 +105,10 @@ def test_reflection_formula_small():
     for p in SMALL_PRIMES:
         digits = 4
         mod = p ** digits
+        gamma = gamma_residues([Fraction(r, p - 1) for r in range(p)], p, digits)
         for r in range(p):
-            left = gamma_of_fraction(Fraction(r, p - 1), p, digits)
-            right = gamma_of_fraction(Fraction(p - 1 - r, p - 1), p, digits)
+            left = gamma[Fraction(r, p - 1)]
+            right = gamma[Fraction(p - 1 - r, p - 1)]
             x0 = p - (r % p) if r % p else p
             assert left * right % mod == (-1) ** x0 % mod
 
@@ -126,22 +128,25 @@ def test_multiplication_formula_spot():
     p, m, digits = 7, 3, 3
     mod = p ** digits
     teich = teichmuller_table(p, digits)
+    xs = [Fraction(r, p - 1) for r in range(p)]
+    gamma = gamma_residues([Fraction(h, m) for h in range(1, m)] + xs
+                           + [(x + h) / m for x in xs for h in range(m)], p, digits)
     consts = 1
     for h in range(1, m):
-        consts = consts * gamma_of_fraction(Fraction(h, m), p, digits) % mod
-    for r in range(p):
-        x = Fraction(r, p - 1)
+        consts = consts * gamma[Fraction(h, m)] % mod
+    for r, x in enumerate(xs):
         lhs = 1
         for h in range(m):
-            lhs = lhs * gamma_of_fraction((x + h) / m, p, digits) % mod
+            lhs = lhs * gamma[(x + h) / m] % mod
         omega = pow(teich[m % p], (r + 1 - p) % (p - 1), mod)
-        rhs = omega * gamma_of_fraction(x, p, digits) % mod * consts % mod
+        rhs = omega * gamma[x] % mod * consts % mod
         assert lhs == rhs, r
 
 
-def test_sweep_limit_refusal():
+def test_sweep_limit_refusal(monkeypatch):
+    monkeypatch.setattr(pgamma, "SWEEP_LIMIT", 10 ** 5)
     with pytest.raises(SweepLimitError):
-        pgamma.batch_pgamma_residues([10 ** 7], 101, 5, sweep_limit=10 ** 5)
+        batch_pgamma_residues([10 ** 7], 101, 5)
 
 
 @given(st.sampled_from(SMALL_PRIMES), st.data())
@@ -150,9 +155,9 @@ def test_gamma_of_fraction_agrees_with_lift_path(p, data):
     digits = 3
     r = data.draw(st.integers(0, p - 2))
     q = Fraction(r, p - 1)
-    via_table = gamma_of_fraction(q, p, digits)
+    via_table = gamma_residues([q], p, digits)[q]
     m = lift_rational(q.numerator, q.denominator, p, digits)
-    assert via_table == pgamma_int(m, p, digits).residue
+    assert via_table == batch_pgamma_residues([m], p, digits)[m]
 
 
 # -- the transform against the direct character sums ------------------------------
