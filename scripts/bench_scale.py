@@ -24,7 +24,7 @@ import statistics
 import subprocess
 import sys
 
-CASES = [(1009, 7), (1009, 9), (1021, 10), (10009, 4), (10007, 4)]
+CASES = [(1009, 7), (1009, 9), (1021, 10), (10009, 4), (10007, 4), (30011, 4)]
 REPEAT = 3
 
 WORKER = """

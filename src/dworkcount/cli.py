@@ -255,8 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
     count.add_argument("--method", default="all",
                        choices=["main", "koblitz", "relprime", "ff", "oracle", "all"])
     count.add_argument("--precision-override", type=_int_at_least(0), default=0, metavar="K",
-                       help="congruence mode: report counts mod p^K instead of "
-                            "reconstructing exactly (0, the default, is off)")
+                       help="congruence mode: carry K digits and report counts mod "
+                            "p^K instead of reconstructing exactly (0, the default, "
+                            "is off)")
     count.add_argument("--json", action="store_true")
     count.set_defaults(func=_cmd_count)
 

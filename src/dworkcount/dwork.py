@@ -53,6 +53,16 @@ form).  Each method only builds its coefficients, once per (p, n, K_target);
 the Gauss-sum and finite-field builds multiply plain-integer Gross-Koblitz
 units, once per multiset of w (per count vector n_k for ff), weighted by its
 number.
+
+Precision: a count is an integer in [0, (p^n - 1)/(p - 1)], so it is pinned by
+its residue mod p^K_target, the smallest power of p over twice that bound
+(k_target).  Every kernel carries exactly K_target digits (k_working): each
+term is p^v * u with u known mod p^digits, so a value is exact mod
+p^(offset + digits), where the offset is the smallest term valuation, and
+every term valuation is >= 0 (the floors argued at _main_terms,
+_koblitz_terms and _ff_terms).  _kernel asserts that floor, and
+reconstruction refuses p^(absolute precision) <= bound, so a wrong floor is a
+PrecisionError carrying the precision ledger, never a wrong count.
 """
 
 from __future__ import annotations
@@ -66,8 +76,8 @@ from math import factorial, gcd
 
 from .gauss import gk_units, pi_valuation
 from .hyperfun import FParams, f_coefficients
-from .padic import (CharSum, ValuedPadic, batch_inverse, is_odd_prime,
-                    reconstruct_integer, teichmuller_table)
+from .padic import (CharSum, PrecisionError, ValuedPadic, batch_inverse,
+                    is_odd_prime, reconstruct_integer, teichmuller_table)
 from .pgamma import frac_gamma_table
 
 
@@ -190,8 +200,11 @@ def k_target(p: int, n: int) -> int:
 
 
 def k_working(p: int, n: int, kt: int | None = None) -> int:
-    """Digits carried internally: target + widest parameter count (n-1) + 2 guards."""
-    return (kt if kt is not None else k_target(p, n)) + (n - 1) + 2
+    """Digits every kernel carries: the target itself (k_target by default),
+    with no headroom and no guard digits.  Every term valuation is >= 0 (the
+    floor _kernel asserts), so a value is exact mod p^K_target, and
+    p^K_target exceeds twice the largest count."""
+    return kt if kt is not None else k_target(p, n)
 
 
 # -- the reduced mGm kernel ---------------------------------------------------
@@ -350,7 +363,9 @@ def _w_multisets(n: int, d: int) -> Counter:
 
 def _koblitz_consts(p: int, n: int, digits: int):
     """(valuation, unit) of g(w)/p for each all-nonzero w; the all-zero w is the
-    base term, and N_p(0, w) = 0 when some but not all entries vanish."""
+    base term, and N_p(0, w) = 0 when some but not all entries vanish.  Each
+    valuation is >= 0: the product of the g(wbar^(w_i t)) is asserted to have
+    valuation >= 1."""
     d, mod = gcd(p - 1, n), p ** digits
     t, units = (p - 1) // d, gk_units(p, digits)
     for w, weight in _w_multisets(n, d).items():
@@ -363,7 +378,10 @@ def _koblitz_consts(p: int, n: int, digits: int):
 
 
 def _koblitz_terms(p: int, n: int, digits: int):
-    """(nj mod p-1, valuation, unit) of each collapsed Gauss-sum ratio / (p-1)."""
+    """(nj mod p-1, valuation, unit) of each collapsed Gauss-sum ratio / (p-1).
+
+    The pi-exponent sum_i (w_i t + j) - (nj mod p-1) is (p-1)(m + floor(nj/(p-1)))
+    with m = sum(w)/d, so each valuation m + floor(nj/(p-1)) is >= 0."""
     d, mod = gcd(p - 1, n), p ** digits
     t, units = (p - 1) // d, gk_units(p, digits)
     nj = [n * j % (p - 1) for j in range(t)]
@@ -378,7 +396,16 @@ def _koblitz_terms(p: int, n: int, digits: int):
 def _ff_terms(p: int, n: int, digits: int, alpha: int):
     """(k, valuation, unit) of prefactor * mFm-coefficient per class (p == 1 mod n),
     with the character generator T = wbar^alpha, gcd(alpha, p-1) = 1; classes
-    with one count vector n_k are summed as one term times their number."""
+    with one count vector n_k are summed as one term times their number.
+
+    Every valuation is >= 0.  Write q = p-1 and u_r = alpha r t mod q for each
+    residue r, so the prefactor has pi-exponent P = sum_i u_(w_i) and carries
+    g(wbar^(u_r))^(n_r), one more than the n_r - 1 denominators g(B^-1) at r in
+    S_wc.  The term at character k then has valuation
+    P/q + N - c - [u_r = k for some r in S_w], where c = ceil(k/t) counts the
+    residues with u_r < k and N is their sum of n_r.  The other residues have
+    u_r >= ct, so P >= ct(n - N) and the valuation is at least N(n - c)/n - 1:
+    > -1 for k > 0 (N >= n_0 >= 1 and c < n), and P/q >= 0 at k = 0."""
     if (p - 1) % n:
         raise InstanceError(f"p={p} is not 1 mod n={n}")
     if gcd(alpha, p - 1) != 1:
@@ -401,7 +428,9 @@ def _ff_terms(p: int, n: int, digits: int, alpha: int):
 @lru_cache(maxsize=None)
 def _kernel(method: str, p: int, n: int, kt: int, alpha: int) -> CharSum:
     """The lambda-free kernel of main, koblitz or ff for fixed (p, n, K_target);
-    main's has period (p-1)/d, as its argument lambda^n is a d-th power."""
+    main's has period (p-1)/d, as its argument lambda^n is a d-th power.  It
+    carries k_working = K_target digits, which pin a count only if no term
+    valuation is negative; a build that breaks that floor raises PrecisionError."""
     digits = k_working(p, n, kt)
     consts = [(0, (p ** (n - 1) - 1) // (p - 1))]  # the base count, a p-adic unit
     period = p - 1
@@ -413,7 +442,14 @@ def _kernel(method: str, p: int, n: int, kt: int, alpha: int) -> CharSum:
         chars = _koblitz_terms(p, n, digits)
     else:
         chars = _ff_terms(p, n, digits, alpha)
-    return CharSum(p, digits, consts, chars, period)
+    kernel = CharSum(p, digits, consts, chars, period)
+    for name, offset in (("offset", kernel.offset), ("const_offset", kernel.const_offset)):
+        if offset < 0:
+            raise PrecisionError(
+                f"{method} kernel at p = {p}, n = {n}: {name} {offset} < 0, so its "
+                f"values are known only mod p^({offset} + {digits}); K_target {kt} "
+                f"and working digits {digits} rest on a valuation floor of 0")
+    return kernel
 
 
 # the character argument y(lambda) of each method's kernel
@@ -425,9 +461,14 @@ _ARGUMENT = {
 }
 
 
-def _method_kernel(name: str, inst: DworkInstance, kt: int | None, alpha: int) -> CharSum:
-    """The kernel of a named method for the instance's (p, n), after its checks."""
+def _method_kernel(name: str, inst: DworkInstance, kt: int | None,
+                   alpha: int) -> tuple[int, CharSum]:
+    """(K_target, kernel) of a named method for the instance's (p, n), after its
+    checks; K_target defaults to k_target(p, n)."""
     p, n = inst.p, inst.n
+    kt = k_target(p, n) if kt is None else kt
+    if kt < 1:
+        raise ValueError(f"K_target must be at least 1, not {kt}")
     if name not in _ARGUMENT:
         raise ValueError(f"unknown method {name!r}")
     if name == "relprime":  # the main kernel at d = 1: one (n-1)G(n-1) class
@@ -439,18 +480,26 @@ def _method_kernel(name: str, inst: DworkInstance, kt: int | None, alpha: int) -
         assert pd.B_w == (Fraction(1),) * (n - 1)
     if inst.lam == 0 and name != "koblitz":
         raise InstanceError("lambda = 0: use the Gauss-sum count")
-    return _kernel("main" if name == "relprime" else name, p, n,
-                   kt if kt is not None else k_target(p, n), alpha)
+    return kt, _kernel("main" if name == "relprime" else name, p, n, kt, alpha)
 
 
-def _value(name: str, inst: DworkInstance, kt: int | None, alpha: int = 1) -> ValuedPadic:
-    kernel = _method_kernel(name, inst, kt, alpha)
-    return kernel.value(_ARGUMENT[name](inst.p, inst.n, inst.lam))
+def _reconstruct(value: ValuedPadic, bound: int, kt: int, kernel: CharSum) -> int:
+    """reconstruct_integer, whose PrecisionError also carries the kernel's
+    precision ledger."""
+    try:
+        return reconstruct_integer(value, bound)
+    except PrecisionError as exc:
+        raise PrecisionError(
+            f"{exc}; K_target {kt}, working digits {kernel.digits}, offset "
+            f"{kernel.offset}, const_offset {kernel.const_offset}: a count needs "
+            f"a K_target with p^K_target > {bound}") from None
 
 
 def _count(name: str, p: int, n: int, lam: int, kt: int | None, alpha: int = 1) -> int:
     inst = DworkInstance(p, n, lam)
-    return reconstruct_integer(_value(name, inst, kt, alpha), inst.projective_total)
+    kt, kernel = _method_kernel(name, inst, kt, alpha)
+    value = kernel.value(_ARGUMENT[name](p, n, inst.lam))
+    return _reconstruct(value, inst.projective_total, kt, kernel)
 
 
 def count_all(name: str, p: int, n: int, kt: int | None = None,
@@ -463,12 +512,13 @@ def count_all(name: str, p: int, n: int, kt: int | None = None,
     the method's single count at that lambda.
     """
     inst = DworkInstance(p, n, 1)
-    kernel = _method_kernel(name, inst, kt, alpha)
+    kt, kernel = _method_kernel(name, inst, kt, alpha)
     arg = _ARGUMENT[name]
     lams = range(p) if name == "koblitz" else range(1, p)
     ys = {lam: arg(p, n, lam) for lam in lams}
     total = inst.projective_total
-    counts = {y: reconstruct_integer(v, total) for y, v in kernel.values(set(ys.values())).items()}
+    counts = {y: _reconstruct(v, total, kt, kernel)
+              for y, v in kernel.values(set(ys.values())).items()}
     return {lam: counts[y] for lam, y in ys.items()}
 
 
@@ -496,4 +546,5 @@ def count_koblitz(p: int, n: int, lam: int, kt: int | None = None) -> int:
 def method_value(name: str, p: int, n: int, lam: int,
                  kt: int | None = None) -> ValuedPadic:
     """Pre-reconstruction p-adic value of a named formula method."""
-    return _value(name, DworkInstance(p, n, lam), kt)
+    inst = DworkInstance(p, n, lam)
+    return _method_kernel(name, inst, kt, 1)[1].value(_ARGUMENT[name](p, n, inst.lam))

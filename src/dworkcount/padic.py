@@ -370,15 +370,14 @@ def reconstruct_integer(x: ValuedPadic, bound: int) -> int:
     """The unique integer in [0, bound] congruent to x mod p^absolute_precision."""
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    if x.is_zero:
-        if x._zero_prec != math.inf and x.p ** x._zero_prec <= bound:
-            raise PrecisionError("p^precision does not exceed the bound")
-        return 0
-    if x.valuation < 0:
+    if x.valuation < 0:  # 0 for a zero
         raise NotAnIntegerError("value has negative valuation")
     prec = x.absolute_precision
-    if x.p ** prec <= bound:
-        raise PrecisionError("p^precision does not exceed the bound; raise the working precision")
+    if prec != math.inf and x.p ** prec <= bound:
+        raise PrecisionError(f"{x.p}^{prec} does not exceed the bound {bound}: the value "
+                             f"is known to absolute precision {prec} only")
+    if x.is_zero:
+        return 0
     r = x.residue_mod(prec)
     if r > bound:
         raise RangeError(f"no representative of the value lies in [0, {bound}]")

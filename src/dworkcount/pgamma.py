@@ -66,7 +66,7 @@ def batch_pgamma_residues(lifts, p: int, digits: int) -> dict[int, int]:
             if m - pos > SWEEP_LIMIT:
                 raise SweepLimitError(
                     f"gamma lift sweep of {m - pos} steps exceeds the {SWEEP_LIMIT} limit; "
-                    "use a smaller working precision (e.g. --precision-override) or "
+                    "use a smaller working precision (gfun --kw) or "
                     "arguments with denominator dividing p-1")
             while pos < m:
                 val = val * (mod - pos) % mod if pos % p else (mod - val) % mod

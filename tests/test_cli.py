@@ -72,6 +72,14 @@ def test_disagreement_exit_code(capsys, monkeypatch):
     assert "agreement: NO" in out
 
 
+def test_too_low_a_precision_is_a_domain_error_with_the_ledger(capsys, monkeypatch):
+    monkeypatch.setattr(cli.dwork, "k_target", lambda p, n: 1)  # 7^1 <= 57 points
+    code, out, err = run(capsys, ["count", "--p", "7", "--n", "3", "--lambda", "1",
+                                  "--method", "main"])
+    assert code == 2 and out == ""
+    assert "error:" in err and "K_target 1" in err and "bound 57" in err
+
+
 def test_precision_override_labels_congruence_mode(capsys):
     code, out, _ = run(capsys, ["count", "--p", "7", "--n", "3", "--lambda", "1",
                                 "--method", "all", "--json", "--precision-override", "2"])
@@ -120,6 +128,14 @@ def test_malformed_fraction_lists_are_usage_errors(capsys, command, flag, text):
     assert code == 1
     assert out == ""
     assert err.startswith("usage error:") and flag in err
+
+
+def test_gfun_sweep_refusal_names_the_kw_flag(capsys):
+    # 1/5 has no denominator dividing p-1 = 6: its lift sweep mod 7^12 is over budget
+    code, out, err = run(capsys, ["gfun", "--p", "7", "--a", "1/5", "--b", "1", "--x", "1",
+                                  "--kw", "12"])
+    assert code == 2 and out == ""
+    assert "--kw" in err and "--precision-override" not in err
 
 
 def test_gfun_fractional_shift_invariance(capsys):

@@ -16,7 +16,7 @@ from dworkcount.dwork import (CharSum, DworkInstance, InstanceError, canonical_c
                               main_l_factors, method_value, orbit)
 from dworkcount.gauss import gauss_gk, gk_product
 from dworkcount.hyperfun import FParams, GParams, eval_G, f_coefficients
-from dworkcount.padic import teichmuller
+from dworkcount.padic import PrecisionError, is_odd_prime, teichmuller
 from dworkcount.pgamma import frac_gamma_table
 
 
@@ -626,7 +626,60 @@ def test_k_target_policy():
     for p, n in [(5, 3), (7, 4), (13, 5)]:
         kt = k_target(p, n)
         assert p ** kt > 2 * ((p ** n - 1) // (p - 1)) >= p ** (kt - 1)
-        assert k_working(p, n) == kt + n + 1
+        assert k_working(p, n) == kt            # no headroom, no guard digits
+        assert k_working(p, n, kt + 2) == kt + 2
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_every_kernel_keeps_the_valuation_floor(n):
+    # K_target working digits pin a count only if no term valuation is negative:
+    # main and koblitz at every odd p < 200 (d = 1 at p = 3, both classes mod 4),
+    # ff at alpha = 1 and the next generator exponent where p == 1 (mod n)
+    for p in filter(is_odd_prime, range(3, 200)):
+        if n % p == 0:
+            continue
+        q = p - 1
+        jobs = [("main", 1), ("koblitz", 1)]
+        if q % n == 0:
+            other = min((a for a in range(2, q) if gcd(a, q) == 1), default=1)
+            jobs += [("ff", a) for a in sorted({1, other})]
+        for method, alpha in jobs:
+            kernel = dwork._kernel(method, p, n, k_target(p, n), alpha)
+            assert kernel.digits == k_target(p, n)
+            assert kernel.offset >= 0 and kernel.const_offset >= 0, (method, p, n, alpha)
+
+
+def test_kernel_below_the_floor_raises(monkeypatch):
+    def low_terms(p, n, digits):
+        yield 0, -1, 1
+    monkeypatch.setattr(dwork, "_main_terms", low_terms)
+    with pytest.raises(PrecisionError) as err:
+        dwork._kernel.__wrapped__("main", 7, 3, 3, 1)
+    message = str(err.value)
+    assert all(part in message for part in ("main", "p = 7", "n = 3", "offset -1",
+                                            "K_target 3", "working digits 3"))
+
+
+@pytest.mark.parametrize("p, n", [(601, 4), (1009, 6), (211, 5)])
+def test_all_lambda_counts_at_target_and_target_plus_two(p, n):
+    kt = k_target(p, n)
+    counts = {}
+    for method in ("main", "koblitz", "ff"):
+        counts[method] = dwork.count_all(method, p, n)
+        assert counts[method] == dwork.count_all(method, p, n, kt + 2), method
+    del counts["koblitz"][0]
+    assert counts["main"] == counts["koblitz"] == counts["ff"]
+
+
+def test_precision_error_carries_the_ledger():
+    # K_target 1 at (7, 3): 7^1 does not exceed the bound 57
+    with pytest.raises(PrecisionError) as err:
+        count_main(7, 3, 1, kt=1)
+    message = str(err.value)
+    assert all(part in message for part in ("K_target 1", "working digits 1", "offset 0",
+                                            "absolute precision 1", "bound 57"))
+    with pytest.raises(ValueError):
+        count_main(7, 3, 1, kt=0)
 
 
 def test_main_value_valuation_and_target_precision():

@@ -6,13 +6,18 @@ over p in {5, 7, 11, 13, 17}, n = 2..5 with p not dividing n, and
 lambda in {0, 1, 2, p-1}.  Regenerate with
 `PYTHONPATH=src python tests/test_method_values.py` (only when a change to the
 values is intended).
+
+The records hold the values at K_target working digits.  They were first made
+at K_target + n + 1, the digits an earlier policy carried, so
+test_golden_values_truncate_the_former_precision pins each record to the value
+at K_target + n + 1 digits truncated to the record's absolute precision.
 """
 
 import json
 import pathlib
 
 from dworkcount import oracle
-from dworkcount.dwork import method_value
+from dworkcount.dwork import k_target, method_value
 
 DATA = pathlib.Path(__file__).parent / "data" / "method_values.json"
 PRIMES = (5, 7, 11, 13, 17)
@@ -30,11 +35,20 @@ def _cases():
                         yield name, p, n, lam
 
 
-def _record(name, p, n, lam):
-    v = method_value(name, p, n, lam)
+def _record(name, p, n, lam, kt=None):
+    v = method_value(name, p, n, lam, kt)
     if v.is_zero:
         return [name, p, n, lam, None, 0, v.absolute_precision]
     return [name, p, n, lam, v.valuation, v.unit.residue, v.absolute_precision]
+
+
+def _truncate(record, prec):
+    """The record of the same value known only to absolute precision prec."""
+    name, p, n, lam, val, residue, known = record
+    assert prec <= known
+    if val is None or val >= prec:
+        return [name, p, n, lam, None, 0, prec]
+    return [name, p, n, lam, val, residue % p ** (prec - val), prec]
 
 
 def test_method_values_match_golden():
@@ -43,6 +57,13 @@ def test_method_values_match_golden():
     assert len(got) == len(want) == 184
     for g, w in zip(got, want):
         assert g == w
+
+
+def test_golden_values_truncate_the_former_precision():
+    # same valuation, and the unit congruent mod p^(precision - valuation)
+    for w in json.loads(DATA.read_text()):
+        name, p, n, lam = w[:4]
+        assert w == _truncate(_record(name, p, n, lam, k_target(p, n) + n + 1), w[-1])
 
 
 if __name__ == "__main__":
