@@ -54,6 +54,16 @@ the Gauss-sum and finite-field builds multiply plain-integer Gross-Koblitz
 units, once per multiset of w (per count vector n_k for ff), weighted by its
 number.
 
+Validation happens once per kernel, not once per lambda.  The lambda-free
+checks (the DworkInstance preconditions with their Miller-Rabin test, the
+table limit, the K_target and its default, the method name and relprime's
+d = 1) run once per (method, p, n, K_target) in the cached _checked, and the
+kernel is built once per (method, p, n, K_target, alpha) in the cached
+_kernel.  A count then takes lambda mod p, the lambda = 0 check, y(lambda),
+one Horner pass (CharSum.residue) and an integer reconstruction
+(padic.reconstruct_residue), all on plain integers; only method_value wraps
+a kernel value as a ValuedPadic.
+
 Precision: a count is an integer in [0, (p^n - 1)/(p - 1)], so it is pinned by
 its residue mod p^K_target, the smallest power of p over twice that bound
 (k_target).  Every kernel carries exactly K_target digits (k_working): each
@@ -77,7 +87,8 @@ from math import factorial, gcd
 from .gauss import gk_units, pi_valuation
 from .hyperfun import FParams, f_coefficients
 from .padic import (CharSum, PrecisionError, ValuedPadic, batch_inverse,
-                    is_odd_prime, reconstruct_integer, teichmuller_table)
+                    check_table_size, is_odd_prime, reconstruct_residue,
+                    teichmuller_table)
 from .pgamma import frac_gamma_table
 
 
@@ -461,11 +472,14 @@ _ARGUMENT = {
 }
 
 
-def _method_kernel(name: str, inst: DworkInstance, kt: int | None,
-                   alpha: int) -> tuple[int, CharSum]:
-    """(K_target, kernel) of a named method for the instance's (p, n), after its
-    checks; K_target defaults to k_target(p, n)."""
-    p, n = inst.p, inst.n
+@lru_cache(maxsize=None)
+def _checked(name: str, p: int, n: int, kt: int | None) -> tuple[int, int]:
+    """(K_target, projective bound) of a named method at (p, n) after every
+    lambda-free check: the DworkInstance preconditions, the table limit, the
+    K_target (k_target(p, n) by default), the method name and, for relprime,
+    d = 1.  Cached, so a family of counts at one (p, n) runs them once."""
+    inst = DworkInstance(p, n, 0)
+    check_table_size(p)
     kt = k_target(p, n) if kt is None else kt
     if kt < 1:
         raise ValueError(f"K_target must be at least 1, not {kt}")
@@ -478,16 +492,26 @@ def _method_kernel(name: str, inst: DworkInstance, kt: int | None,
         pd = derive_params((0,) * n, n, 1)
         assert pd.A_w == tuple(Fraction(h, n) for h in range(1, n))
         assert pd.B_w == (Fraction(1),) * (n - 1)
-    if inst.lam == 0 and name != "koblitz":
+    return kt, inst.projective_total
+
+
+def _method_kernel(name: str, p: int, n: int, lam: int, kt: int | None,
+                   alpha: int) -> tuple[int, int, CharSum, int]:
+    """(K_target, bound, kernel, y(lambda)) of a named method, after its checks."""
+    kt, bound = _checked(name, p, n, kt)
+    lam %= p
+    if lam == 0 and name != "koblitz":
         raise InstanceError("lambda = 0: use the Gauss-sum count")
-    return kt, _kernel("main" if name == "relprime" else name, p, n, kt, alpha)
+    kernel = _kernel("main" if name == "relprime" else name, p, n, kt, alpha)
+    return kt, bound, kernel, _ARGUMENT[name](p, n, lam)
 
 
-def _reconstruct(value: ValuedPadic, bound: int, kt: int, kernel: CharSum) -> int:
-    """reconstruct_integer, whose PrecisionError also carries the kernel's
-    precision ledger."""
+def _reconstruct(result: tuple, bound: int, kt: int, kernel: CharSum) -> int:
+    """The count of a kernel's (prec, residue) result (its offset is >= 0, so
+    the residue is one), with the kernel's precision ledger appended to any
+    PrecisionError."""
     try:
-        return reconstruct_integer(value, bound)
+        return reconstruct_residue(kernel.p, *result, bound)
     except PrecisionError as exc:
         raise PrecisionError(
             f"{exc}; K_target {kt}, working digits {kernel.digits}, offset "
@@ -496,10 +520,8 @@ def _reconstruct(value: ValuedPadic, bound: int, kt: int, kernel: CharSum) -> in
 
 
 def _count(name: str, p: int, n: int, lam: int, kt: int | None, alpha: int = 1) -> int:
-    inst = DworkInstance(p, n, lam)
-    kt, kernel = _method_kernel(name, inst, kt, alpha)
-    value = kernel.value(_ARGUMENT[name](p, n, inst.lam))
-    return _reconstruct(value, inst.projective_total, kt, kernel)
+    kt, bound, kernel, y = _method_kernel(name, p, n, lam, kt, alpha)
+    return _reconstruct(kernel.residue(y), bound, kt, kernel)
 
 
 def count_all(name: str, p: int, n: int, kt: int | None = None,
@@ -507,18 +529,16 @@ def count_all(name: str, p: int, n: int, kt: int | None = None,
     """{lambda: N_p(lambda)} by one method for every lambda it covers: all of
     F_p for koblitz, F_p^* for main, relprime and ff (generator exponent alpha).
 
-    The instance is checked once, and the kernel is evaluated at every
-    character argument by one transform (CharSum.values); each count equals
-    the method's single count at that lambda.
+    The checks run once, and the kernel is evaluated at every character
+    argument by one transform (CharSum.residues); each count equals the
+    method's single count at that lambda.
     """
-    inst = DworkInstance(p, n, 1)
-    kt, kernel = _method_kernel(name, inst, kt, alpha)
+    kt, bound, kernel, _ = _method_kernel(name, p, n, 1, kt, alpha)
     arg = _ARGUMENT[name]
     lams = range(p) if name == "koblitz" else range(1, p)
     ys = {lam: arg(p, n, lam) for lam in lams}
-    total = inst.projective_total
-    counts = {y: _reconstruct(v, total, kt, kernel)
-              for y, v in kernel.values(set(ys.values())).items()}
+    counts = {y: _reconstruct(result, bound, kt, kernel)
+              for y, result in kernel.residues(set(ys.values())).items()}
     return {lam: counts[y] for lam, y in ys.items()}
 
 
@@ -546,5 +566,5 @@ def count_koblitz(p: int, n: int, lam: int, kt: int | None = None) -> int:
 def method_value(name: str, p: int, n: int, lam: int,
                  kt: int | None = None) -> ValuedPadic:
     """Pre-reconstruction p-adic value of a named formula method."""
-    inst = DworkInstance(p, n, lam)
-    return _method_kernel(name, inst, kt, 1)[1].value(_ARGUMENT[name](p, n, inst.lam))
+    _, _, kernel, y = _method_kernel(name, p, n, lam, kt, 1)
+    return kernel.value(y)

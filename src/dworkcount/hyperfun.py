@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import floor
 
 from .gauss import gk_units, pi_valuation
-from .padic import CharSum, ValuedPadic
+from .padic import CharSum, ValuedPadic, check_table_size
 from .pgamma import gamma_residues
 
 
@@ -83,6 +83,7 @@ def g_coefficients(params: GParams, p: int, digits: int) -> list[tuple[int, int]
     Arguments whose denominator does not divide p-1 need pgamma's lift sweep.
     """
     params.validate_for(p)
+    check_table_size(p)  # before the p-1 arguments below
     mod = p ** digits
     m = params.m
     av = [q % 1 for q in params.a]   # <a_i>
@@ -136,6 +137,7 @@ def f_coefficients(params: FParams, p: int, digits: int) -> list[tuple[int, int]
     times chi(-1)^(km), read from the Gross-Koblitz units with the pi-exponents
     summed inline; the k-free denominator is inverted once.
     """
+    check_table_size(p)
     q, mod = p - 1, p ** digits
     units = gk_units(p, digits)
     den_exps = [a % q for a in params.a_exps] + [-b % q for b in params.b_exps]

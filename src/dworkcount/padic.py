@@ -4,9 +4,17 @@ CharSum, and exact integer reconstruction.
 
 CharSum is the only code that sums valued p-adic terms.  It folds y-free terms
 p^v * u into plain integers at one valuation offset, and every count
-method (dwork) and every mGm/mFm evaluation (hyperfun) goes through it.
-ValuedPadic carries no arithmetic: it is the value type that CharSum returns
-and that reconstruction and the CLI read.
+method (dwork) and every mGm/mFm evaluation (hyperfun) goes through it.  Its
+one evaluation returns plain integers, an absolute precision and a residue,
+and reconstruct_residue turns those into a count: counts never build a
+ValuedPadic.  ValuedPadic carries no arithmetic: it is the value type of the
+API boundaries (CharSum.value, reconstruct_integer, method_value, gfun/ffun
+and the CLI), a thin wrapper over the same integers.
+
+Every table here and in pgamma has p entries, so a prime over TABLE_LIMIT,
+the module constant read at call time, is refused with advice
+(TableLimitError) before any table is allocated, as pgamma.SWEEP_LIMIT
+refuses long lift sweeps and oracle.ORACLE_LIMIT long enumerations.
 
 Every value is immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads.
@@ -34,6 +42,28 @@ class NotAnIntegerError(PadicError):
 
 class RangeError(PadicError):
     """No representative of the residue class lies in the requested range."""
+
+
+# Largest p for which the p-entry Teichmuller and gamma tables are built.  One
+# cold `count --method main` at n = 4 took 4.9-5.3 s and 63 MB at p = 100003,
+# and 27.8 s and 157 MB at p = 300007, the smallest prime above the limit,
+# before the limit existed (CPython 3.11, 2-core machine).  The cost grows
+# faster than p (Karatsuba transforms) and with the digits at larger n; at
+# p = 10^9 + 7 each table would take about 8 GB.
+TABLE_LIMIT = 300_000
+
+
+class TableLimitError(PadicError):
+    """p is too large for the p-entry tables every count and mGm/mFm reads."""
+
+
+def check_table_size(p: int) -> None:
+    """Refuse, with advice, a p over TABLE_LIMIT (read at call time)."""
+    if p > TABLE_LIMIT:
+        raise TableLimitError(
+            f"p = {p} is over the table limit of {TABLE_LIMIT}: counts, gfun and "
+            f"ffun read Teichmuller and gamma tables of p entries each; use a "
+            f"prime p <= {TABLE_LIMIT}")
 
 
 def is_odd_prime(n: int) -> bool:
@@ -247,6 +277,7 @@ def teichmuller_table(p: int, digits: int) -> tuple[int, ...]:
     One primitive root g is lifted by the closed form; the rest follow from
     w(g^k) = w(g)^k, one multiplication each.
     """
+    check_table_size(p)
     g, mod = primitive_root(p), p ** digits
     wg = teichmuller(g, p, digits).residue
     table = [0] * p
@@ -281,6 +312,9 @@ class CharSum:
     sums, and a sum that cancels is a zero carrying that precision; at y = 0
     every character vanishes and only the constant's terms count.
 
+    residue and residues are the one evaluation, in plain integers; value and
+    values wrap their results as ValuedPadic for the API boundaries.
+
     C has `period` entries, a divisor t of p-1 (default p-1): a kernel whose
     character index e is taken mod t is defined at y = 0 and at the y with
     y^t = 1, where wbar^t(y) = 1, and raises ValueError at any other y.
@@ -295,25 +329,46 @@ class CharSum:
         self.const_offset, (self.const,) = _fold(((0, v, u) for v, u in const_terms),
                                                  1, p, self.mod)
         self.offset, self.coeffs = _fold(char_terms, self.period, p, self.mod)
+        # the result where no character counts (y = 0, or no character term)
+        self._const_result = (math.inf, 0) if self.const_offset is None else (
+            self.const_offset + digits, self.const * p ** max(self.const_offset, 0))
+        if self.offset is not None:
+            # elsewhere p^v0 (base + acc * scale) at the smaller offset v0
+            v0 = self.offset if self.const_offset is None else min(self.offset,
+                                                                   self.const_offset)
+            self._base = 0 if self.const_offset is None else self.const * p ** (
+                self.const_offset - v0)
+            self._scale = p ** (self.offset - v0)
+            self._prec, self._lift = v0 + digits, p ** max(v0, 0)
+
+    def _with_constant(self, acc: int) -> tuple:
+        """The result of a character sum acc plus the constant."""
+        return self._prec, (self._base + acc * self._scale) % self.mod * self._lift
 
     def _check(self, y: int) -> None:
         if y % self.p and pow(y, self.period, self.p) != 1:
             raise ValueError(f"y = {y} is outside the domain of a period-{self.period} "
                              f"character sum mod {self.p}: y^{self.period} != 1")
 
-    def value(self, y: int) -> ValuedPadic:
+    def residue(self, y: int) -> tuple:
+        """(prec, r): the value at y to absolute precision prec, as the integer r.
+
+        At an offset >= 0 (every count kernel's) r is the residue mod p^prec,
+        0 <= r < p^prec; at a negative offset v0, r is p^-v0 times the value,
+        known mod p^digits.  prec is math.inf, with r = 0, when no term counts.
+        """
         self._check(y)
         p, mod = self.p, self.mod
-        acc = None
-        if y % p and self.offset is not None:
-            z = teichmuller_table(p, self.digits)[pow(y, -1, p)]  # wbar(y)
-            acc = 0
-            for c in reversed(self.coeffs):
-                acc = (acc * z + c) % mod
-        return self._assemble(acc)
+        if y % p == 0 or self.offset is None:
+            return self._const_result
+        z = teichmuller_table(p, self.digits)[pow(y, -1, p)]  # wbar(y)
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = (acc * z + c) % mod
+        return self._with_constant(acc)
 
-    def values(self, ys) -> dict[int, ValuedPadic]:
-        """value(y) for every y in ys, from one transform of the coefficients.
+    def residues(self, ys) -> dict[int, tuple]:
+        """residue(y) for every y in ys, from one transform of the coefficients.
 
         With rho = w(g) for the primitive root g and s = (p-1)/t, wbar(g^-sk) =
         rho^sk, so the character sums at every y = g^-sk are the length-t DFT
@@ -322,8 +377,8 @@ class CharSum:
         ys = list(ys)
         for y in ys:
             self._check(y)
-        p, t = self.p, self.period
-        sums = [None] * p  # the character sum at each y; y = 0 stays None
+        p, t, mod = self.p, self.period, self.mod
+        out = dict.fromkeys(ys, self._const_result)
         if self.offset is not None:
             teich, g = teichmuller_table(p, self.digits), primitive_root(p)
             gs = pow(g, (p - 1) // t, p)
@@ -331,29 +386,32 @@ class CharSum:
             for _ in range(t):
                 powers.append(teich[x])  # (rho^s)^e = w(g^se)
                 x = x * gs % p
+            sums = [None] * p  # the character sum at each y; y = 0 stays None
             gs_inv, y = pow(gs, -1, p), 1
-            for acc in chirp_dft(self.coeffs, powers, self.mod):
+            for acc in chirp_dft(self.coeffs, powers, mod):
                 sums[y] = acc
                 y = y * gs_inv % p
-        return {y: self._assemble(sums[y % p]) for y in ys}
+            for y in ys:
+                if sums[y % p] is not None:
+                    out[y] = self._with_constant(sums[y % p])
+        return out
 
-    def _assemble(self, acc: int | None) -> ValuedPadic:
-        """The constant plus the character sum acc (None: no character term)."""
-        p, mod = self.p, self.mod
-        parts = [] if self.const_offset is None else [(self.const_offset, self.const)]
-        if acc is not None:
-            parts.append((self.offset, acc))
-        if not parts:
-            return ValuedPadic.zero(p)
-        v0 = min(v for v, _ in parts)
-        x = sum(c * p ** (v - v0) for v, c in parts) % mod
-        if x == 0:
-            return ValuedPadic.zero(p, v0 + self.digits)
-        v = 0
-        while x % p == 0:
-            x //= p
+    def value(self, y: int) -> ValuedPadic:
+        return self._valued(*self.residue(y))
+
+    def values(self, ys) -> dict[int, ValuedPadic]:
+        return {y: self._valued(*result) for y, result in self.residues(ys).items()}
+
+    def _valued(self, prec, r: int) -> ValuedPadic:
+        """The ValuedPadic of a (prec, r) result of residue."""
+        p = self.p
+        if r == 0:
+            return ValuedPadic.zero(p, prec)
+        v = min(prec - self.digits, 0)
+        while r % p == 0:
+            r //= p
             v += 1
-        return ValuedPadic(p, v0 + v, PadicUnit(x, p, self.digits - v))
+        return ValuedPadic(p, v, PadicUnit(r, p, prec - v))
 
 
 def char_value(j: int, x: int, p: int, digits: int) -> ValuedPadic:
@@ -366,6 +424,18 @@ def char_value(j: int, x: int, p: int, digits: int) -> ValuedPadic:
     return ValuedPadic(p, 0, PadicUnit(pow(t, e, p ** digits), p, digits))
 
 
+def reconstruct_residue(p: int, prec, r: int, bound: int) -> int:
+    """The unique integer in [0, bound] congruent to r mod p^prec, for the
+    residue 0 <= r < p^prec of a p-adic integer known to absolute precision
+    prec (math.inf: r is exact)."""
+    if prec != math.inf and p ** prec <= bound:
+        raise PrecisionError(f"{p}^{prec} does not exceed the bound {bound}: the value "
+                             f"is known to absolute precision {prec} only")
+    if r > bound:
+        raise RangeError(f"no representative of the value lies in [0, {bound}]")
+    return r
+
+
 def reconstruct_integer(x: ValuedPadic, bound: int) -> int:
     """The unique integer in [0, bound] congruent to x mod p^absolute_precision."""
     if bound < 0:
@@ -373,12 +443,4 @@ def reconstruct_integer(x: ValuedPadic, bound: int) -> int:
     if x.valuation < 0:  # 0 for a zero
         raise NotAnIntegerError("value has negative valuation")
     prec = x.absolute_precision
-    if prec != math.inf and x.p ** prec <= bound:
-        raise PrecisionError(f"{x.p}^{prec} does not exceed the bound {bound}: the value "
-                             f"is known to absolute precision {prec} only")
-    if x.is_zero:
-        return 0
-    r = x.residue_mod(prec)
-    if r > bound:
-        raise RangeError(f"no representative of the value lies in [0, {bound}]")
-    return r
+    return reconstruct_residue(x.p, prec, x.residue_mod(prec), bound)

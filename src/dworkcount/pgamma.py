@@ -28,7 +28,8 @@ Two evaluation routes coexist:
 General rational arguments route through gamma_residues: the table when the
 denominator divides p-1, and otherwise one shared sweep, which is refused with
 advice (SweepLimitError) when it would run more than SWEEP_LIMIT lift steps,
-the module constant read at call time.  Sweep results are memoized in-process
+the module constant read at call time; the table itself refuses a p over
+padic.TABLE_LIMIT (TableLimitError).  Sweep results are memoized in-process
 per (p, digits); nothing is persisted.
 """
 
@@ -37,7 +38,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .padic import PadicError, chirp_dft, primitive_root, teichmuller_table
+from .padic import (PadicError, check_table_size, chirp_dft, primitive_root,
+                    teichmuller_table)
 
 SWEEP_LIMIT = 50_000_000
 
@@ -128,7 +130,9 @@ def even_jacobi_sums(p: int, digits: int) -> list[int]:
 def frac_gamma_table(p: int, digits: int) -> tuple[int, ...]:
     """Residues of Gamma_p(r/(p-1)) for r = 0..p-2: for p == 3 (mod 4), p > 3, the
     even entries from J(wbar^2s, wbar^2) and the odd ones by duplication, and
-    otherwise every entry from J(wbar^j, wbar)."""
+    otherwise every entry from J(wbar^j, wbar).  A p over padic.TABLE_LIMIT is
+    refused before anything is allocated."""
+    check_table_size(p)
     table = [1] * (p - 1)
     if p % 4 == 3 and p > 3:  # at p = 3, h = 1 leaves no even entry to seed
         _seed_entries(table, even_jacobi_sums(p, digits), 2, p, digits)

@@ -324,3 +324,18 @@ def test_reused_parser_matches_a_fresh_one(capsys, monkeypatch):
     fresh = [run(capsys, argv) for argv in calls]
     assert [code for code, _, _ in reused] == [0, 1, 0, 0, 0]
     assert reused == fresh
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--p", "101", "--n", "4", "--lambda", "3", "--method", "main"],
+    ["count", "--p", "101", "--n", "4", "--lambda", "3", "--method", "koblitz",
+     "--precision-override", "2"],
+    ["gfun", "--p", "101", "--a", "1/2", "--b", "1", "--x", "3"],
+    ["ffun", "--p", "101", "--a", "1/2", "--b", "1", "--x", "3"],
+])
+def test_a_prime_over_the_table_limit_is_a_domain_error(capsys, monkeypatch, argv):
+    monkeypatch.setattr("dworkcount.padic.TABLE_LIMIT", 100)
+    cli.dwork._checked.cache_clear()  # the limit is read when the checks run
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: p = 101 is over the table limit of 100")

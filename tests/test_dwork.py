@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import PRIMES_TO_97, truncated
 
-from dworkcount import dwork, oracle
+from dworkcount import dwork, oracle, padic
 from dworkcount.dwork import (CharSum, DworkInstance, InstanceError, canonical_classes,
                               count_ff, count_koblitz, count_main, count_relprime,
                               derive_params, enumerate_W, k_target, k_working,
@@ -708,3 +708,89 @@ def test_main_koblitz_ff_agree_past_the_oracle(p):
     # three formula families: the main kernel shares no Gauss-sum code with the others
     for lam in (2, 3, p - 2):
         assert count_main(p, 4, lam) == count_koblitz(p, 4, lam) == count_ff(p, 4, lam), lam
+
+
+# -- the per-lambda integer path ------------------------------------------------------
+
+def outcome(fn):
+    """fn(), or the type and text of what it raises."""
+    try:
+        return fn()
+    except Exception as exc:  # compared between the two paths, whatever it is
+        return type(exc), str(exc)
+
+
+def path_kernels(p, n, kt):
+    """(name, kernel) of every main and koblitz kernel at (p, n) and K_target
+    kt, and of the ff kernel at alpha = 1 and the next generator exponent."""
+    yield "main", dwork._kernel("main", p, n, kt, 1)
+    yield "koblitz", dwork._kernel("koblitz", p, n, kt, 1)
+    q = p - 1
+    if q % n == 0:
+        other = min((a for a in range(2, q) if gcd(a, q) == 1), default=1)
+        for alpha in sorted({1, other}):
+            yield f"ff {alpha}", dwork._kernel("ff", p, n, kt, alpha)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_integer_path_matches_the_valued_path(n):
+    """At every y of every kernel's domain the integer evaluation and
+    reconstruction give what reconstruct_integer makes of CharSum.value, the
+    transform gives the per-y results, and at a too-low K_target (1, 2) both
+    paths raise the same exception with the same text."""
+    for p in filter(is_odd_prime, range(3, 100)):
+        if n % p == 0:
+            continue
+        bound = (p ** n - 1) // (p - 1)
+        for kt in (k_target(p, n), 1, 2):
+            for name, kernel in path_kernels(p, n, kt):
+                domain = [y for y in range(p) if y == 0 or pow(y, kernel.period, p) == 1]
+                every = kernel.residues(domain)
+                for y in domain:
+                    result = kernel.residue(y)
+                    assert every[y] == result, (name, p, y)
+                    got = outcome(lambda: padic.reconstruct_residue(p, *result, bound))
+                    want = outcome(lambda: padic.reconstruct_integer(kernel.value(y), bound))
+                    assert got == want, (name, p, n, kt, y)
+                    if kt == k_target(p, n):
+                        assert isinstance(got, int), (name, p, n, y)
+
+
+def test_warm_counts_run_no_primality_test_and_build_no_valued_padic(monkeypatch):
+    calls = Counter()
+    real_prime, real_init = dwork.is_odd_prime, padic.ValuedPadic.__init__
+
+    def counted_prime(m):
+        calls["is_odd_prime"] += 1
+        return real_prime(m)
+
+    def counted_init(self, *args, **kwargs):
+        calls["ValuedPadic"] += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(dwork, "is_odd_prime", counted_prime)
+    monkeypatch.setattr(padic, "is_odd_prime", counted_prime)
+    monkeypatch.setattr(padic.ValuedPadic, "__init__", counted_init)
+    first = count_main(31, 6, 1)
+    calls.clear()
+    warm = [count_main(31, 6, lam) for lam in range(2, 31)]
+    assert calls == Counter()
+    assert [first] + warm == list(dwork.count_all("main", 31, 6).values())
+
+
+def test_checks_run_once_per_kernel_and_keep_their_order():
+    # the cached checks still refuse each bad input, in the order they always ran:
+    # the instance before K_target, K_target before the method, lambda = 0 last
+    with pytest.raises(InstanceError, match="not an odd prime"):
+        count_main(9, 2, 1, kt=0)
+    with pytest.raises(ValueError, match="K_target must be at least 1"):
+        dwork._count("nonesuch", 7, 3, 1, 0)
+    with pytest.raises(ValueError, match="unknown method"):
+        dwork._count("nonesuch", 7, 3, 1, None)
+    with pytest.raises(InstanceError, match="d = 1 formula"):
+        count_relprime(13, 4, 0)
+    with pytest.raises(InstanceError, match="lambda = 0"):
+        count_ff(7, 4, 0)           # before ff's own p == 1 (mod n) check
+    for _ in range(2):              # a failed check is not cached as a pass
+        with pytest.raises(InstanceError, match="divides"):
+            count_main(7, 7, 1)

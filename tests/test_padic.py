@@ -276,3 +276,36 @@ def test_reconstruct_errors():
 def test_is_odd_prime():
     assert all(padic.is_odd_prime(p) for p in (3, 5, 7, 31, 97, 101))
     assert not any(padic.is_odd_prime(v) for v in (1, 2, 4, 9, 15, 91, 561))
+
+
+def test_reconstruct_residue_matches_reconstruct_integer():
+    # the integer path behind reconstruct_integer: same results, same refusals
+    assert padic.reconstruct_residue(7, 4, 57, 100) == 57
+    assert padic.reconstruct_residue(7, math.inf, 0, 1000) == 0
+    with pytest.raises(PrecisionError, match="7\\^2 does not exceed the bound 1000"):
+        padic.reconstruct_residue(7, 2, 5, 1000)
+    with pytest.raises(RangeError, match="in \\[0, 100\\]"):
+        padic.reconstruct_residue(7, 4, 2000, 100)
+    for x in (ValuedPadic(7, 1, PadicUnit(3, 7, 3)), ValuedPadic.zero(7, 4)):
+        assert reconstruct_integer(x, 2400) == padic.reconstruct_residue(
+            7, 4, x.residue_mod(4), 2400)
+
+
+# -- the table limit -------------------------------------------------------------
+
+def test_default_table_limit_admits_the_documented_primes():
+    # the README and CI primes, the scale bench's largest and ROADMAP item 4's
+    assert all(p <= padic.TABLE_LIMIT for p in (1009, 1021, 10007, 10009, 30011, 100003))
+    assert padic.TABLE_LIMIT < 300007  # the smallest prime above it, which CI refuses
+
+
+def test_tables_over_the_limit_are_refused_before_allocating(monkeypatch):
+    from dworkcount.pgamma import frac_gamma_table
+    monkeypatch.setattr(padic, "TABLE_LIMIT", 100)  # read at call time
+    for table in (teichmuller_table, frac_gamma_table):
+        with pytest.raises(padic.TableLimitError) as err:
+            table.__wrapped__(101, 3)  # past the cache: the guard is in the build
+        assert isinstance(err.value, padic.PadicError)
+        assert all(part in str(err.value) for part in ("p = 101", "limit of 100",
+                                                       "use a prime p <= 100"))
+    assert len(teichmuller_table.__wrapped__(97, 3)) == 97
