@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
-"""Time the all-lambda main count at the scale of the north-star targets.
+"""Time all-lambda counts at the scale of the north-star targets.
 
 Usage:
     python3 scripts/bench_scale.py [--src DIR] [--parent DIR] > BENCH_<PR>.json
 
-Each timing is one `dwork.count_all("main", p, n)` over every lambda in F_p^*,
-run in a fresh interpreter that imports `dworkcount` from DIR (default: this
-checkout's src), so the lru-cached tables and kernels start cold; interpreter
-start-up and the import are not timed.  With --parent, the same cases are
-also timed on a second source tree (say, a `git archive` of the parent commit
-unpacked elsewhere), alternating which side runs first, and the script checks
-that both sides return the same counts.  Each case runs REPEAT times per side.
+Each timing is one `dwork.count_all(method, p, n)` over every lambda the method
+covers (F_p^* for main, all of F_p for koblitz), run in a fresh interpreter
+that imports `dworkcount` from DIR (default: this checkout's src), so the
+lru-cached tables and kernels start cold; interpreter start-up and the import
+are not timed.  With --parent, the same cases are also timed on a second
+source tree (say, a `git archive` of the parent commit unpacked elsewhere),
+alternating which side runs first, and the script checks that both sides
+return the same counts.  Each case runs REPEAT times per side.
 The result is one JSON document on stdout (progress goes to stderr): per case,
 every run and the median per side.
 """
@@ -24,24 +25,25 @@ import statistics
 import subprocess
 import sys
 
-CASES = [(1009, 7), (1009, 9), (1021, 10), (10009, 4), (10007, 4), (30011, 4)]
+CASES = [("main", 1009, 7), ("main", 1009, 9), ("main", 1021, 10), ("main", 10009, 4),
+         ("main", 10007, 4), ("main", 30011, 4), ("koblitz", 1021, 10), ("koblitz", 10009, 4)]
 REPEAT = 3
 
 WORKER = """
 import hashlib, sys, time
 sys.path.insert(0, sys.argv[1])
 from dworkcount import dwork
-p, n = int(sys.argv[2]), int(sys.argv[3])
+method, p, n = sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
 t0 = time.perf_counter()
-counts = dwork.count_all("main", p, n)
+counts = dwork.count_all(method, p, n)
 elapsed = time.perf_counter() - t0
 print(elapsed, hashlib.sha256(repr(sorted(counts.items())).encode()).hexdigest())
 """
 
 
-def time_once(src, p, n):
-    """(seconds, sha256 of the sorted counts) of one cold all-lambda main count."""
-    out = subprocess.run([sys.executable, "-c", WORKER, str(src), str(p), str(n)],
+def time_once(src, method, p, n):
+    """(seconds, sha256 of the sorted counts) of one cold all-lambda count."""
+    out = subprocess.run([sys.executable, "-c", WORKER, str(src), method, str(p), str(n)],
                          check=True, capture_output=True, text=True).stdout.split()
     return float(out[0]), out[1]
 
@@ -58,20 +60,20 @@ def main(argv=None):
     if args.parent is not None:
         sides["parent"] = args.parent
     cases, ok = [], True
-    for p, n in CASES:
+    for method, p, n in CASES:
         runs = {side: [] for side in sides}
         digests = set()
         for r in range(REPEAT):
             order = list(sides) if r % 2 == 0 else list(reversed(sides))
             for side in order:
-                seconds, digest = time_once(sides[side], p, n)
+                seconds, digest = time_once(sides[side], method, p, n)
                 runs[side].append(round(seconds, 3))
                 digests.add(digest)
-        case = {"p": p, "n": n, "runs_s": runs,
+        case = {"method": method, "p": p, "n": n, "runs_s": runs,
                 "median_s": {side: statistics.median(v) for side, v in runs.items()},
                 "counts_agree": len(digests) == 1}
         ok = ok and case["counts_agree"]
-        print(f"p={p} n={n}: " + ", ".join(f"{side} {m:.2f} s" for side, m
+        print(f"{method} p={p} n={n}: " + ", ".join(f"{side} {m:.2f} s" for side, m
                                             in case["median_s"].items())
               + ("" if case["counts_agree"] else "  COUNTS DIFFER"), file=sys.stderr)
         cases.append(case)

@@ -34,12 +34,15 @@ t (main_l_factors) and P_j = prod_{k in S^c_w} Gamma(<k/d + j/(p-1)>)^(n_k) is
 a product of rotated power columns of the gamma table: the main build inverts
 nothing but p-1.
 
-The main count evaluates its kernel only at y = lambda^n, a d-th power, where
-wbar^t(y) = 1: there wbar^j and wbar^(j+t) agree, so the coefficients fold
-mod t and a value is a Horner pass (or, for every lambda, a transform) of
-length t instead of p-1.  A class's summand depends on its representative
-only through the counts n_k of each residue, and every zero-containing member
-of a class is a representative.  A shift w -> w + c rotates the counts to
+Every kernel is evaluated only at a d-th power, y = lambda^n (main),
+(n*lambda)^n (Gauss-sum count, whose wbar^(nj)(n*lambda) is wbar^j(y)) or
+lambda^-n (finite-field form, d = n).  There wbar^t(y) = 1 with t = (p-1)/d,
+so wbar^j and wbar^(j+t) agree, the coefficients fold mod t, and a value is a
+Horner pass (or, for every lambda, a transform) of length t, not p-1.
+
+In the main count a class's summand depends on its representative only
+through the counts n_k of each residue, and every zero-containing member of a
+class is a representative.  A shift w -> w + c rotates the counts to
 n'_k = n_(k-c mod d) and reindexes j by c*t, which the fold absorbs; so one
 build serves every count vector of a rotation orbit, weighted by the orbit's
 number of classes: 3 builds instead of 5 (one per count vector) for the 16
@@ -47,12 +50,12 @@ classes at n = d = 4, 14 instead of 42 for the 1296 at n = d = 6, and 302
 instead of 1430 at n = d = 9.
 
 All four formulas share one evaluation kernel, padic.CharSum: a lambda-free
-constant plus sum_e C_e wbar^e(y), with y = lambda^n (main, and relprime as its
-d = 1 case), y = n*lambda (Gauss-sum count) or y = lambda^{-n} (finite-field
-form).  Each method only builds its coefficients, once per (p, n, K_target);
-the Gauss-sum and finite-field builds multiply plain-integer Gross-Koblitz
-units, once per multiset of w (per count vector n_k for ff), weighted by its
-number.
+constant plus sum_e C_e wbar^e(y) (relprime is main's d = 1 case).  Each
+method only builds its coefficients, once per (p, n, K_target), from
+plain-integer Gross-Koblitz units: the Gauss-sum count's sum over W at each
+j is the Y^0 coefficient of one polynomial power over the d residues in
+Z[Y]/(Y^d + p), and the finite-field build takes one term per count vector
+n_k, weighted by its number of classes.
 
 Validation happens once per kernel, not once per lambda.  The lambda-free
 checks (the DworkInstance preconditions with their Miller-Rabin test, the
@@ -354,60 +357,54 @@ def _main_terms(p: int, n: int, digits: int):
             yield i, e + low, scale * ls[i] * sum(scaled[i::t]) % mod
 
 
-def _gauss_product(exps, weight: int, p: int, mod: int, units,
-                   den_exp: int = 0) -> tuple[int, int]:
-    """(valuation, weight * unit) of prod_r g(wbar^r) over exps, each r in [0, p-1),
-    over a divisor pi^den_exp * unit whose inverse unit is folded into weight."""
-    unit = weight
-    for r in exps:
-        unit = unit * units[r] % mod
-    val = pi_valuation(sum(exps) - den_exp, p)
-    return val, (mod - unit) % mod if val % 2 else unit  # (-p)^val carries a sign
+def _y0_power(poly, n: int, p: int, mod: int) -> int:
+    """The Y^0 coefficient of poly(Y)^n in Z[Y]/(Y^d + p), mod `mod`, for poly's
+    d coefficients in [0, mod): one big-integer power by Kronecker substitution
+    (a coefficient of the exact power is below (d*mod)^n), then Y^(md) -> (-p)^m."""
+    d = len(poly)
+    width = n * (d * mod).bit_length()
+    packed = sum(c << (a * width) for a, c in enumerate(poly)) ** n
+    mask, out = (1 << width) - 1, 0
+    for m in range(n * (d - 1) // d, -1, -1):
+        out = (out * -p + (packed >> (m * d * width) & mask)) % mod
+    return out
 
 
-def _w_multisets(n: int, d: int) -> Counter:
-    """The members of W(n, d) per multiset: sorted entries, with their number
-    n! / prod n_k!.  Gauss-sum terms depend on w only through its multiset and
-    are built once each."""
-    return Counter({_sorted_entries(n_k): _multinomial(n_k) for n_k in _count_vectors(n, d)})
-
-
-def _koblitz_consts(p: int, n: int, digits: int):
-    """(valuation, unit) of g(w)/p for each all-nonzero w; the all-zero w is the
-    base term, and N_p(0, w) = 0 when some but not all entries vanish.  Each
-    valuation is >= 0: the product of the g(wbar^(w_i t)) is asserted to have
-    valuation >= 1."""
-    d, mod = gcd(p - 1, n), p ** digits
-    t, units = (p - 1) // d, gk_units(p, digits)
-    for w, weight in _w_multisets(n, d).items():
-        if 0 in w:
-            continue
-        val, unit = _gauss_product([wi * t for wi in w], weight, p, mod, units)
-        if val < 1:
-            raise AssertionError("all-nonzero Gauss product must have valuation >= 1")
-        yield val - 1, unit
+def _koblitz_const(p: int, n: int, digits: int) -> int:
+    """The sum of g(w)/p over the all-nonzero w, mod p^digits (the all-zero w is
+    the base term; N_p(0, w) = 0 when some but not all entries vanish).  With
+    m = sum(w)/d >= 1, g(w) = (-p)^m prod_i u(w_i t) sums to the Y^0 coefficient
+    of (sum_(0<a<d) u(at) Y^a)^n in Z[Y]/(Y^d + p), which units mod p^digits fix
+    mod p^(digits+1); p is asserted to divide it."""
+    t, mod = (p - 1) // gcd(p - 1, n), p ** (digits + 1)
+    y0 = _y0_power((0,) + gk_units(p, digits)[t::t], n, p, mod)
+    if y0 % p:
+        raise AssertionError("all-nonzero Gauss products must have valuation >= 1")
+    return y0 // p
 
 
 def _koblitz_terms(p: int, n: int, digits: int):
-    """(nj mod p-1, valuation, unit) of each collapsed Gauss-sum ratio / (p-1).
+    """(j, valuation, unit) for j < t of the Gauss-sum ratios
+    prod_i g(wbar^(w_i t + j)) / g(wbar^(nj)) / (p-1), summed over W.
 
-    The pi-exponent sum_i (w_i t + j) - (nj mod p-1) is (p-1)(m + floor(nj/(p-1)))
-    with m = sum(w)/d, so each valuation m + floor(nj/(p-1)) is >= 0."""
+    A ratio's pi-exponent is (p-1)(m + f_j), m = sum(w)/d, so the term carries
+    valuation f_j = floor(nj/(p-1)) >= 0; as w_i t + j < p-1, the sum over W of
+    (-p)^m prod_i u(w_i t + j) is the Y^0 coefficient of P_j^n in Z[Y]/(Y^d + p),
+    P_j = sum_(a<d) u(at + j) Y^a."""
     d, mod = gcd(p - 1, n), p ** digits
     t, units = (p - 1) // d, gk_units(p, digits)
-    nj = [n * j % (p - 1) for j in range(t)]
     inv = pow(p - 1, -1, mod)
-    inv_den = batch_inverse([units[r] for r in nj], mod)  # 1/g(wbar^{nj})
-    for w, weight in _w_multisets(n, d).items():
-        for j in range(t):
-            yield nj[j], *_gauss_product([wi * t + j for wi in w],
-                                         weight * inv * inv_den[j], p, mod, units, nj[j])
+    inv_den = batch_inverse([units[n * j % (p - 1)] for j in range(t)], mod)  # 1/u(nj)
+    for j in range(t):
+        f = n * j // (p - 1)
+        y0 = _y0_power(units[j::t], n, p, mod)
+        yield j, f, (-1) ** f * y0 * inv * inv_den[j] % mod
 
 
 def _ff_terms(p: int, n: int, digits: int, alpha: int):
-    """(k, valuation, unit) of prefactor * mFm-coefficient per class (p == 1 mod n),
-    with the character generator T = wbar^alpha, gcd(alpha, p-1) = 1; classes
-    with one count vector n_k are summed as one term times their number.
+    """(k mod t, valuation, unit) of prefactor * mFm-coefficient per class (p == 1
+    mod n), with the character generator T = wbar^alpha, gcd(alpha, p-1) = 1;
+    classes with one count vector n_k are summed as one term times their number.
 
     Every valuation is >= 0.  Write q = p-1 and u_r = alpha r t mod q for each
     residue r, so the prefactor has pi-exponent P = sum_i u_(w_i) and carries
@@ -425,35 +422,37 @@ def _ff_terms(p: int, n: int, digits: int, alpha: int):
     scale, units = -pow(p - 1, -1, mod), gk_units(p, digits)
     for w, weight in _class_weights(n, n).items():
         pd = derive_params(w, n, n)
-        val, unit = _gauss_product([alpha * wi * t % (p - 1) for wi in w],
-                                   weight * scale, p, mod, units)
+        exps, unit = [alpha * wi * t % (p - 1) for wi in w], weight * scale
+        for r in exps:
+            unit = unit * units[r] % mod
+        val = pi_valuation(sum(exps), p)
+        if val % 2:  # (-p)^val carries a sign
+            unit = -unit
         a_exps = tuple((alpha * (n - k) * t) % (p - 1) for k in sorted(pd.S_w))
         b_exps = []
         for k in sorted(pd.S_wc):
             b_exps.extend([(alpha * (n - k) * t) % (p - 1)] * (pd.n_k[k] - 1))
         for k, (v, u) in enumerate(f_coefficients(FParams(a_exps, tuple(b_exps)),
                                                   p, digits)):
-            yield k, val + v, unit * u % mod
+            yield k % t, val + v, unit * u % mod
 
 
 @lru_cache(maxsize=None)
 def _kernel(method: str, p: int, n: int, kt: int, alpha: int) -> CharSum:
-    """The lambda-free kernel of main, koblitz or ff for fixed (p, n, K_target);
-    main's has period (p-1)/d, as its argument lambda^n is a d-th power.  It
+    """The lambda-free kernel of main, koblitz or ff for fixed (p, n, K_target),
+    of period (p-1)/d: each method's argument is a d-th power.  It
     carries k_working = K_target digits, which pin a count only if no term
     valuation is negative; a build that breaks that floor raises PrecisionError."""
     digits = k_working(p, n, kt)
     consts = [(0, (p ** (n - 1) - 1) // (p - 1))]  # the base count, a p-adic unit
-    period = p - 1
     if method == "main":
-        period //= gcd(p - 1, n)
         chars = _main_terms(p, n, digits)
     elif method == "koblitz":
-        consts += _koblitz_consts(p, n, digits)
+        consts.append((0, _koblitz_const(p, n, digits)))
         chars = _koblitz_terms(p, n, digits)
     else:
         chars = _ff_terms(p, n, digits, alpha)
-    kernel = CharSum(p, digits, consts, chars, period)
+    kernel = CharSum(p, digits, consts, chars, (p - 1) // gcd(p - 1, n))
     for name, offset in (("offset", kernel.offset), ("const_offset", kernel.const_offset)):
         if offset < 0:
             raise PrecisionError(
@@ -467,7 +466,7 @@ def _kernel(method: str, p: int, n: int, kt: int, alpha: int) -> CharSum:
 _ARGUMENT = {
     "main": lambda p, n, lam: pow(lam, n, p),
     "relprime": lambda p, n, lam: pow(lam, n, p),
-    "koblitz": lambda p, n, lam: n * lam % p,
+    "koblitz": lambda p, n, lam: pow(n * lam, n, p),
     "ff": lambda p, n, lam: pow(lam, -n, p),
 }
 

@@ -63,8 +63,6 @@ def test_closed_form_weights_match_enumeration():
         for d in (dd for dd in range(1, n + 1) if n % dd == 0):
             assert dwork._class_weights(n, d) == \
                 Counter(tuple(sorted(rep.wstar)) for rep in canonical_classes(n, d)), (n, d)
-            assert dwork._w_multisets(n, d) == \
-                Counter(tuple(sorted(w)) for w in enumerate_W(n, d)), (n, d)
 
 
 def class_multiset_types(n, d):
@@ -377,7 +375,8 @@ def test_rotation_orbit_totals_match_enumeration():
 
 # -- the integer Gauss-sum builds against gk_product --------------------------------
 # Per-term, per-vector builds through GaussSumGK/gk_product objects: the
-# reference for the plain-integer koblitz and ff builds folded by multiset.
+# reference for the plain-integer koblitz build (a polynomial power over the
+# residues) and ff build (one term per count vector), each of period t.
 
 def reference_f_coefficients(params, p, digits):
     mod = p ** digits
@@ -406,6 +405,8 @@ def reference_koblitz_consts(p, n, digits):
 
 
 def reference_koblitz_terms(p, n, digits):
+    """Indexed by j < t: the kernel is evaluated at (n lambda)^n, where
+    wbar^j((n lambda)^n) = wbar^(nj)(n lambda)."""
     d, mod = gcd(p - 1, n), p ** digits
     t, inv = (p - 1) // d, pow(p - 1, -1, mod)
     for w in enumerate_W(n, d):
@@ -413,10 +414,11 @@ def reference_koblitz_terms(p, n, digits):
             factors = [(gauss_gk(wi * t + j, p, digits), 1) for wi in w]
             factors.append((gauss_gk(n * j, p, digits), -1))
             c = gk_product(factors, p, digits)
-            yield (n * j) % (p - 1), c.valuation, c.unit.residue * inv % mod
+            yield j, c.valuation, c.unit.residue * inv % mod
 
 
 def reference_ff_terms(p, n, digits, alpha):
+    """Folded by k mod t: the kernel is evaluated at lambda^-n, an n-th power."""
     t, mod = (p - 1) // n, p ** digits
     scale = -pow(p - 1, -1, mod)
     for rep in canonical_classes(n, n):
@@ -430,7 +432,7 @@ def reference_ff_terms(p, n, digits, alpha):
         unit = pref.unit.residue * scale
         for k, (v, u) in enumerate(reference_f_coefficients(FParams(a_exps, tuple(b_exps)),
                                                             p, digits)):
-            yield k, pref.valuation + v, unit * u % mod
+            yield k % t, pref.valuation + v, unit * u % mod
 
 
 def kernel_state(kernel):
@@ -446,7 +448,8 @@ def test_integer_koblitz_kernel_matches_gk_product_build(p, n):
     kt = k_target(p, n)
     digits = k_working(p, n, kt)
     consts = [(0, (p ** (n - 1) - 1) // (p - 1))] + list(reference_koblitz_consts(p, n, digits))
-    want = CharSum(p, digits, consts, reference_koblitz_terms(p, n, digits))
+    want = CharSum(p, digits, consts, reference_koblitz_terms(p, n, digits),
+                   (p - 1) // gcd(p - 1, n))
     assert kernel_state(dwork._kernel("koblitz", p, n, kt, 1)) == kernel_state(want)
 
 
@@ -459,7 +462,8 @@ def test_integer_ff_kernel_matches_gk_product_build(p, n):
     if n < 6 or p == 7:  # a second generator, save where the reference takes seconds
         alphas.append(next(a for a in (5, 7, 11) if gcd(a, p - 1) == 1))
     for alpha in alphas:
-        want = CharSum(p, digits, consts, reference_ff_terms(p, n, digits, alpha))
+        want = CharSum(p, digits, consts, reference_ff_terms(p, n, digits, alpha),
+                       (p - 1) // n)
         assert kernel_state(dwork._kernel("ff", p, n, kt, alpha)) == kernel_state(want), alpha
 
 
@@ -486,11 +490,11 @@ def sweep_kernels(p, n):
 def test_transform_values_match_horner(p, n):
     """On a kernel's domain, y = 0 and the y with y^period = 1, the transform
     equals Horner, absolute precision included; every other y raises from both.
-    Main's period is t = (p-1)/d, so its domain is 0 and the d-th powers; the
-    other kernels are defined on all of F_p."""
+    Every kernel has period t = (p-1)/d, so its domain is 0 and the d-th
+    powers."""
     d = gcd(p - 1, n)
     for name, alpha, kernel in sweep_kernels(p, n):
-        assert kernel.period == ((p - 1) // d if name == "main" else p - 1)
+        assert kernel.period == (p - 1) // d, name
         domain = [y for y in range(p) if y == 0 or pow(y, kernel.period, p) == 1]
         got = kernel.values(domain)
         for y in range(p):
@@ -589,6 +593,17 @@ def test_three_way_agreement_small_grid():
                 want = all_counts[lam]
                 assert count_main(p, n, lam) == want
                 assert count_koblitz(p, n, lam) == want
+
+
+@pytest.mark.parametrize("p,n", [(29, 7), (17, 8), (19, 9), (11, 10)])
+def test_all_lambda_counts_match_the_oracle_at_large_n(p, n):
+    # d = n at each: koblitz's polynomial power at d residues, main's orbits
+    # and ff's folded count vectors, all past n = 6
+    want = oracle.brute_count_all(p, n)
+    assert dwork.count_all("koblitz", p, n) == want
+    del want[0]
+    assert dwork.count_all("main", p, n) == want
+    assert dwork.count_all("ff", p, n) == want
 
 
 def test_counts_are_deterministic():
