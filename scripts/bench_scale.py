@@ -5,7 +5,7 @@ Usage:
     python3 scripts/bench_scale.py [--src DIR] [--parent DIR] > BENCH_<PR>.json
 
 Each timing is one `dwork.count_all(method, p, n)` over every lambda the method
-covers (F_p^* for main, all of F_p for koblitz), run in a fresh interpreter
+covers (F_p^* for main and ff, all of F_p for koblitz), run in a fresh interpreter
 that imports `dworkcount` from DIR (default: this checkout's src), so the
 lru-cached tables and kernels start cold; interpreter start-up and the import
 are not timed.  With --parent, the same cases are also timed on a second
@@ -26,7 +26,8 @@ import subprocess
 import sys
 
 CASES = [("main", 1009, 7), ("main", 1009, 9), ("main", 1021, 10), ("main", 10009, 4),
-         ("main", 10007, 4), ("main", 30011, 4), ("koblitz", 1021, 10), ("koblitz", 10009, 4)]
+         ("main", 10007, 4), ("main", 30011, 4), ("koblitz", 1021, 10), ("koblitz", 10009, 4),
+         ("ff", 1009, 8)]
 REPEAT = 3
 
 WORKER = """

@@ -40,30 +40,31 @@ lambda^-n (finite-field form, d = n).  There wbar^t(y) = 1 with t = (p-1)/d,
 so wbar^j and wbar^(j+t) agree, the coefficients fold mod t, and a value is a
 Horner pass (or, for every lambda, a transform) of length t, not p-1.
 
-In the main count a class's summand depends on its representative only
-through the counts n_k of each residue, and every zero-containing member of a
-class is a representative.  A shift w -> w + c rotates the counts to
-n'_k = n_(k-c mod d) and reindexes j by c*t, which the fold absorbs; so one
-build serves every count vector of a rotation orbit, weighted by the orbit's
-number of classes: 3 builds instead of 5 (one per count vector) for the 16
-classes at n = d = 4, 14 instead of 42 for the 1296 at n = d = 6, and 302
-instead of 1430 at n = d = 9.
+In the main and finite-field counts a class's summand depends on its
+representative only through the counts n_k of each residue, and every
+zero-containing member of a class is a representative.  A shift w -> w + c
+rotates the counts to n'_k = n_(k-c mod d) and reindexes j by c*t, which the
+fold absorbs; so both build once per rotation orbit of count vectors, weighted
+by its multinomial(n_k) / s classes (s rotations fix n_k, and each of the
+orbit's d / s vectors has multinomial(n_k) members of W, d per class): 3
+builds instead of 5 (one per count vector) for the 16 classes at n = d = 4, 14
+instead of 42 for the 1296 at n = d = 6, and 302 instead of 1430 at n = d = 9.
 
 All four formulas share one evaluation kernel, padic.CharSum: a lambda-free
 constant plus sum_e C_e wbar^e(y) (relprime is main's d = 1 case).  Each
 method only builds its coefficients, once per (p, n, K_target), from
 plain-integer Gross-Koblitz units: the Gauss-sum count's sum over W at each
 j is the Y^0 coefficient of one polynomial power over the d residues in
-Z[Y]/(Y^d + p), and the finite-field build takes one term per count vector
-n_k, weighted by its number of classes.
+Z[Y]/(Y^d + p), and the main and finite-field builds read their parameter
+steps and exponents from each orbit's counts n_k.
 
 Validation happens once per kernel, not once per lambda.  The lambda-free
 checks (the DworkInstance preconditions with their Miller-Rabin test, the
-table limit, the K_target and its default, the method name and relprime's
-d = 1) run once per (method, p, n, K_target) in the cached _checked, and the
-kernel is built once per (method, p, n, K_target, alpha) in the cached
-_kernel.  A count then takes lambda mod p, the lambda = 0 check, y(lambda),
-one Horner pass (CharSum.residue) and an integer reconstruction
+table limit, the K_target and its default, the method name, relprime's d = 1
+and the orbit limit) run once per (method, p, n, K_target) in the cached
+_checked, and the kernel is built once per (method, p, n, K_target, alpha) in
+the cached _kernel.  A count then takes lambda mod p, the lambda = 0 check,
+y(lambda), one Horner pass (CharSum.residue) and an integer reconstruction
 (padic.reconstruct_residue), all on plain integers; only method_value wraps
 a kernel value as a ValuedPadic.
 
@@ -80,12 +81,11 @@ PrecisionError carrying the precision ledger, never a wrong count.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
-from math import factorial, gcd
+from math import comb, factorial, gcd
 
 from .gauss import gk_units, pi_valuation
 from .hyperfun import FParams, f_coefficients
@@ -97,6 +97,13 @@ from .pgamma import frac_gamma_table
 
 class InstanceError(ValueError):
     """The (p, n, lambda) triple violates a precondition of the chosen method."""
+
+
+# Largest estimated rotation orbits times p-1 of a main, relprime or ff build,
+# read at call time.  All-lambda main at (1021, 12), 9389 * 1020 = 9.6e6, took
+# 21 s on a shared 2-core machine (CPython 3.11.7), so the limit admits builds
+# of about 45 s; (1009, 14) is 1.0e8 and (41, 20) 6.9e9.
+ORBIT_LIMIT = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -135,7 +142,6 @@ class ClassRep:
     """A diagonal-shift equivalence class, named by its canonical representative."""
 
     wstar: tuple[int, ...]
-    orbit_size: int
 
 
 def enumerate_W(n: int, d: int) -> list[tuple[int, ...]]:
@@ -161,7 +167,7 @@ def canonical_classes(n: int, d: int) -> list[ClassRep]:
         orb = orbit(w, d)
         seen.update(orb)
         rep = min(v for v in orb if 0 in v)
-        reps.append(ClassRep(rep, d))
+        reps.append(ClassRep(rep))
     return sorted(reps, key=lambda c: c.wstar)
 
 
@@ -251,25 +257,25 @@ def _gamma_powers(p: int, digits: int, top: int) -> list:
     return powers
 
 
-def _class_columns(pd: ParamData, p: int, digits: int, powers: list
-                   ) -> tuple[list[int], list[int]]:
-    """(E_j, P_j) over j < p-1 for one class: the exact floors E_j of the literal
-    definition and P_j = prod_{k in S_wc} Gamma(<k/d + j/(p-1)>)^(n_k) mod
-    p^digits, each factor a rotation of a power column."""
-    t, mod = (p - 1) // pd.d, p ** digits
+def _class_columns(n_k: tuple[int, ...], p: int, digits: int, powers: list,
+                   h_steps: list[int]) -> tuple[list[int], list[int]]:
+    """(E_j, P_j) over j < p-1 for a class with counts n_k, n_0 >= 1: the exact
+    floors E_j of the literal definition, from h_steps (A_w's class-free h/n),
+    and P_j = prod_{n_k > 0} Gamma(<k/d + j/(p-1)>)^(n_k) mod p^digits, each
+    factor a rotation of a power column."""
+    d = len(n_k)
+    t, mod = (p - 1) // d, p ** digits
     # E_j = #{a in A_w : a < j/(p-1)} - #{b in B_w : <-b> >= 1 - j/(p-1)} steps
-    # by +1 at j = floor(a(p-1)) + 1 and, for <-b> = k/d (k in S_wc, k > 0,
-    # n_k - 1 times), by -1 at j = p-1-kt
-    steps = [0] * p
-    for q in pd.A_w:
-        steps[q.numerator * (p - 1) // q.denominator + 1] += 1
-    for k in pd.S_wc:
-        if k > 0:
-            steps[p - 1 - k * t] -= pd.n_k[k] - 1
-    units = powers[pd.n_k[0]]  # 0 is in S_wc: the representative contains it
-    for k in pd.S_wc - {0}:
-        column, b = powers[pd.n_k[k]], k * t
-        units = [u * g % mod for u, g in zip(units, column[b:] + column[:b])]
+    # by +1 at j = floor(a(p-1)) + 1, so at (d-k)t + 1 for a = (d-k)/d (k absent),
+    # and, for <-b> = k/d (k > 0 present, n_k - 1 times), by -1 at j = p-1-kt
+    steps, units = h_steps[:], powers[n_k[0]]
+    for k in range(1, d):
+        if n_k[k]:
+            steps[p - 1 - k * t] -= n_k[k] - 1
+            column, b = powers[n_k[k]], k * t
+            units = [u * g % mod for u, g in zip(units, column[b:] + column[:b])]
+        else:
+            steps[(d - k) * t + 1] += 1
     return list(accumulate(steps[:-1])), units
 
 
@@ -289,10 +295,6 @@ def _count_vectors(n: int, d: int):
     return rest(0, n, 0)
 
 
-def _sorted_entries(n_k: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(k for k, c in enumerate(n_k) for _ in range(c))
-
-
 def _multinomial(parts) -> int:
     """(sum of parts)! / prod part!: the arrangements of a multiset."""
     out = factorial(sum(parts))
@@ -301,28 +303,14 @@ def _multinomial(parts) -> int:
     return out
 
 
-def _class_weights(n: int, d: int) -> Counter:
-    """Classes of W(n, d) per residue-count vector n_k: each vector as the sorted
-    entries of a representative (they still contain 0), with its number of classes.
-
-    The d shifts of a member have distinct first entries, so each class has
-    exactly one member that starts with 0 (its canonical representative), and
-    the classes of a vector with n_0 >= 1 number (n-1)! / ((n_0-1)! prod_{k>0} n_k!).
-    """
-    return Counter({_sorted_entries(n_k): _multinomial((n_k[0] - 1,) + n_k[1:])
-                    for n_k in _count_vectors(n, d) if n_k[0]})
-
-
-def _rotation_orbits(n: int, d: int) -> Counter:
-    """Classes of W(n, d) per rotation orbit of count vectors, n'_k = n_(k-c mod d):
-    each orbit as the sorted entries of one member with n_0 >= 1, with the total
-    number of classes of all its count vectors."""
-    totals, reps = Counter(), {}
-    for w, weight in _class_weights(n, d).items():
-        n_k = tuple(w.count(k) for k in range(d))
-        orbit_key = min(n_k[c:] + n_k[:c] for c in range(d))
-        totals[reps.setdefault(orbit_key, w)] += weight
-    return totals
+def _rotation_orbits(n: int, d: int):
+    """(n_k, classes) once per rotation orbit n'_k = n_(k-c mod d) of the count
+    vectors of W(n, d): n_k is the orbit's lex-largest rotation (so n_0 >= 1),
+    and classes = multinomial(n_k) / #{rotations fixing n_k} (module docstring)."""
+    for n_k in _count_vectors(n, d):
+        rotations = [n_k[c:] + n_k[:c] for c in range(d)]
+        if n_k == max(rotations):
+            yield n_k, _multinomial(n_k) // rotations.count(n_k)
 
 
 def _main_terms(p: int, n: int, digits: int):
@@ -337,22 +325,26 @@ def _main_terms(p: int, n: int, digits: int):
     count vector lies in one rotation orbit has the same folded term, and each
     orbit is built once and weighted by its number of classes.  By the
     reflection formula the prefactor cancels (module docstring): a term is
-    weight (-1)^(n+e) / (p-1) * (-1)^(E_j + r_j) p^(e + E_j) L_(j mod t) P_j.
+    weight (-1)^(n+e) / (p-1) * (-1)^(E_j + r_j) p^(e + E_j) L_(j mod t) P_j,
+    with e = sum_k k n_k / d.
     """
     d, mod = gcd(p - 1, n), p ** digits
     t = (p - 1) // d
     inv = pow(p - 1, -1, mod)
     ls, powers = main_l_factors(p, n, digits), _gamma_powers(p, digits, n)  # n_k <= n
-    for w, weight in _rotation_orbits(n, d).items():
-        pd = derive_params(w, n, d)
-        exps, units = _class_columns(pd, p, digits, powers)
+    h_steps = [0] * p  # A_w's h/n, h not== 0 (n/d): +1 at floor(h(p-1)/n) + 1
+    for h in set(range(n)) - set(range(0, n, n // d)):
+        h_steps[h * (p - 1) // n + 1] += 1
+    for n_k, classes in _rotation_orbits(n, d):
+        exps, units = _class_columns(n_k, p, digits, powers, h_steps)
         low = min(exps)
         shift = [(-p) ** i for i in range(max(exps) - low + 1)]  # (-1)^(E-low) p^(E-low)
         scaled = [u * shift[v - low] for u, v in zip(units, exps)]
-        for k in pd.S_wc:  # r_j: the reflection at <k/d + j/(p-1)> = 0
-            scaled[(-k) % d * t] *= -1
-        e = pd.prefactor_exponent
-        scale = (-1) ** (n + e + low) * weight * inv
+        for k in range(d):  # r_j: the reflection at <k/d + j/(p-1)> = 0, k present
+            if n_k[k]:
+                scaled[(-k) % d * t] *= -1
+        e = sum(k * c for k, c in enumerate(n_k)) // d
+        scale = (-1) ** (n + e + low) * classes * inv
         for i in range(t):
             yield i, e + low, scale * ls[i] * sum(scaled[i::t]) % mod
 
@@ -403,8 +395,9 @@ def _koblitz_terms(p: int, n: int, digits: int):
 
 def _ff_terms(p: int, n: int, digits: int, alpha: int):
     """(k mod t, valuation, unit) of prefactor * mFm-coefficient per class (p == 1
-    mod n), with the character generator T = wbar^alpha, gcd(alpha, p-1) = 1;
-    classes with one count vector n_k are summed as one term times their number.
+    mod n), with the character generator T = wbar^alpha, gcd(alpha, p-1) = 1.
+    As in the main count, the folded class term depends only on the counts n_k
+    and is rotation-invariant, so each orbit is one term times its classes.
 
     Every valuation is >= 0.  Write q = p-1 and u_r = alpha r t mod q for each
     residue r, so the prefactor has pi-exponent P = sum_i u_(w_i) and carries
@@ -420,20 +413,18 @@ def _ff_terms(p: int, n: int, digits: int, alpha: int):
         raise InstanceError("generator exponent must be coprime to p-1")
     t, mod = (p - 1) // n, p ** digits
     scale, units = -pow(p - 1, -1, mod), gk_units(p, digits)
-    for w, weight in _class_weights(n, n).items():
-        pd = derive_params(w, n, n)
-        exps, unit = [alpha * wi * t % (p - 1) for wi in w], weight * scale
-        for r in exps:
-            unit = unit * units[r] % mod
-        val = pi_valuation(sum(exps), p)
+    exps = [alpha * r * t % (p - 1) for r in range(n)]  # u_r
+    for n_k, classes in _rotation_orbits(n, n):
+        unit = classes * scale
+        for r, c in zip(exps, n_k):  # the prefactor g(wbar^(u_r))^(n_r)
+            unit = unit * pow(units[r], c, mod) % mod
+        val = pi_valuation(sum(r * c for r, c in zip(exps, n_k)), p)
         if val % 2:  # (-p)^val carries a sign
             unit = -unit
-        a_exps = tuple((alpha * (n - k) * t) % (p - 1) for k in sorted(pd.S_w))
-        b_exps = []
-        for k in sorted(pd.S_wc):
-            b_exps.extend([(alpha * (n - k) * t) % (p - 1)] * (pd.n_k[k] - 1))
-        for k, (v, u) in enumerate(f_coefficients(FParams(a_exps, tuple(b_exps)),
-                                                  p, digits)):
+        # A = wbar^(-u_r) at n_r = 0, B = n_r - 1 copies of it at n_r > 0
+        a_exps = tuple(-r % (p - 1) for r, c in zip(exps, n_k) if not c)
+        b_exps = tuple(-r % (p - 1) for r, c in zip(exps, n_k) for _ in range(c - 1))
+        for k, (v, u) in enumerate(f_coefficients(FParams(a_exps, b_exps), p, digits)):
             yield k % t, val + v, unit * u % mod
 
 
@@ -475,8 +466,9 @@ _ARGUMENT = {
 def _checked(name: str, p: int, n: int, kt: int | None) -> tuple[int, int]:
     """(K_target, projective bound) of a named method at (p, n) after every
     lambda-free check: the DworkInstance preconditions, the table limit, the
-    K_target (k_target(p, n) by default), the method name and, for relprime,
-    d = 1.  Cached, so a family of counts at one (p, n) runs them once."""
+    K_target (k_target(p, n) by default), the method name, for relprime d = 1,
+    and, for every method but koblitz, the orbit limit.  Cached, so a family
+    of counts at one (p, n) runs them once."""
     inst = DworkInstance(p, n, 0)
     check_table_size(p)
     kt = k_target(p, n) if kt is None else kt
@@ -491,6 +483,12 @@ def _checked(name: str, p: int, n: int, kt: int | None) -> tuple[int, int]:
         pd = derive_params((0,) * n, n, 1)
         assert pd.A_w == tuple(Fraction(h, n) for h in range(1, n))
         assert pd.B_w == (Fraction(1),) * (n - 1)
+    orbits = comb(n + inst.d - 1, n) // inst.d ** 2  # koblitz builds none
+    if name != "koblitz" and orbits * (p - 1) > ORBIT_LIMIT:
+        raise InstanceError(
+            f"the {name} build at p = {p}, n = {n} has about {orbits} rotation "
+            f"orbits, and orbits times p-1 = {orbits * (p - 1)} is over the "
+            f"orbit limit of {ORBIT_LIMIT}; use --method koblitz")
     return kt, inst.projective_total
 
 

@@ -339,3 +339,13 @@ def test_a_prime_over_the_table_limit_is_a_domain_error(capsys, monkeypatch, arg
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert err.startswith("error: p = 101 is over the table limit of 100")
+
+
+@pytest.mark.parametrize("method", ["main", "ff"])
+def test_too_many_rotation_orbits_is_a_domain_error(capsys, method):
+    # d = gcd(40, 20) = 20: about 1.7e8 orbits, refused before any kernel is built
+    code, out, err = run(capsys, ["count", "--p", "41", "--n", "20", "--lambda", "3",
+                                  "--method", method])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "orbit limit" in err
+    assert "--method koblitz" in err

@@ -50,19 +50,11 @@ def test_canonical_classes_structure():
             covered = set()
             for rep in classes:
                 assert 0 in rep.wstar
-                assert rep.orbit_size == d
                 orb = set(orbit(rep.wstar, d))
                 assert len(orb) == d
                 assert not (orb & covered)
                 covered |= orb
             assert covered == set(enumerate_W(n, d))
-
-
-def test_closed_form_weights_match_enumeration():
-    for n in range(2, 8):
-        for d in (dd for dd in range(1, n + 1) if n % dd == 0):
-            assert dwork._class_weights(n, d) == \
-                Counter(tuple(sorted(rep.wstar)) for rep in canonical_classes(n, d)), (n, d)
 
 
 def class_multiset_types(n, d):
@@ -327,7 +319,8 @@ def test_orbit_scalar_sign_rule(p):
         cd_prod = 1
         for k in range(1, d):
             cd_prod = cd_prod * table[k * t] % mod
-        for w in dwork._rotation_orbits(n, d):
+        for n_k, _ in dwork._rotation_orbits(n, d):
+            w = tuple(k for k, c in enumerate(n_k) for _ in range(c))
             pd = derive_params(w, n, d)
             denom = 1
             for k in pd.S_w:
@@ -354,21 +347,20 @@ def test_count_vectors_match_filtered_compositions():
             assert list(dwork._count_vectors(n, d)) == want, (n, d)
 
 
-def rotation_orbit(w, d):
-    """The rotations n'_k = n_(k-c mod d) of w's count vector, as a set."""
-    n_k = tuple(w.count(k) for k in range(d))
-    return frozenset(n_k[c:] + n_k[:c] for c in range(d))
+def rotations(n_k):
+    """The rotations n'_k = n_(k-c mod d) of a count vector, as a set."""
+    return frozenset(n_k[c:] + n_k[:c] for c in range(len(n_k)))
 
 
 def test_rotation_orbit_totals_match_enumeration():
     for n in range(2, 8):
         for d in (dd for dd in range(1, n + 1) if n % dd == 0):
-            want = Counter(rotation_orbit(rep.wstar, d) for rep in canonical_classes(n, d))
-            orbits = dwork._rotation_orbits(n, d)
-            assert all(0 in w for w in orbits), (n, d)
+            want = Counter(rotations(tuple(rep.wstar.count(k) for k in range(d)))
+                           for rep in canonical_classes(n, d))
+            orbits = list(dwork._rotation_orbits(n, d))
+            assert all(n_k[0] >= 1 for n_k, _ in orbits), (n, d)
             assert len(orbits) == len(want), (n, d)
-            assert Counter({rotation_orbit(w, d): total
-                            for w, total in orbits.items()}) == want, (n, d)
+            assert Counter({rotations(n_k): total for n_k, total in orbits}) == want, (n, d)
 
 
 # -- counts vs the oracle -----------------------------------------------------------
@@ -376,7 +368,7 @@ def test_rotation_orbit_totals_match_enumeration():
 # -- the integer Gauss-sum builds against gk_product --------------------------------
 # Per-term, per-vector builds through GaussSumGK/gk_product objects: the
 # reference for the plain-integer koblitz build (a polynomial power over the
-# residues) and ff build (one term per count vector), each of period t.
+# residues) and ff build (one term per rotation orbit), each of period t.
 
 def reference_f_coefficients(params, p, digits):
     mod = p ** digits
@@ -809,3 +801,19 @@ def test_checks_run_once_per_kernel_and_keep_their_order():
     for _ in range(2):              # a failed check is not cached as a pass
         with pytest.raises(InstanceError, match="divides"):
             count_main(7, 7, 1)
+
+
+def test_orbit_limit_admits_the_documented_sizes_and_is_read_at_call_time(monkeypatch):
+    # all-lambda main at (1021, 12), about 9389 orbits times 1020, stays admitted;
+    # (41, 20), where d = n = 20, is refused for main and ff
+    assert dwork._checked("main", 1021, 12, None)[0] == k_target(1021, 12)
+    for name in ("main", "ff"):
+        with pytest.raises(InstanceError, match="orbit limit of 20000000"):
+            dwork._checked(name, 41, 20, None)
+    assert dwork._checked("koblitz", 41, 20, None)[0] == k_target(41, 20)
+    monkeypatch.setattr(dwork, "ORBIT_LIMIT", 100)
+    dwork._checked.cache_clear()  # the limit is read when the checks run
+    with pytest.raises(InstanceError, match=r"about 2 rotation orbits, and orbits "
+                                            r"times p-1 = 104 is over the orbit limit of 100"):
+        count_main(53, 4, 2)  # d = 4: C(7, 4) // 16 = 2 orbits
+    assert count_main(13, 4, 2) == oracle.brute_count(13, 4, 2)  # 2 * 12 <= 100
