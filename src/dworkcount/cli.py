@@ -1,6 +1,11 @@
 """Command-line interface: point counts, direct mGm/mFm evaluation and the
 verification sweep.
 
+`count --method all` runs the oracle and every method in dwork.applicable.
+oracle.brute_count and dwork.count refuse an input outside their domain or
+over a budget with an InstanceError: an error with a single --method, and a
+notice on stderr, skipping that method, under --method all.
+
 Exit codes: 0 success/agreement, 1 usage error, 2 domain or precondition
 error, 3 disagreement detected.
 """
@@ -124,29 +129,17 @@ def _cmd_count(args) -> int:
         print("notice: lambda = 0 is outside the main formula; routing to the "
               "Gauss-sum count", file=sys.stderr)
         method = "koblitz"
-    points = inst.projective_total
-    over_budget = points > oracle.ORACLE_LIMIT
     if method == "all":
-        names = ["oracle"] + [m for m in ("main", "koblitz", "relprime", "ff")
-                              if m in oracle._applicable_methods(args.p, args.n, inst.lam)]
-        if over_budget:
-            print(f"notice: skipping the oracle: it would enumerate {points} points, "
-                  f"over its limit of {oracle.ORACLE_LIMIT}", file=sys.stderr)
-            names.remove("oracle")
-    elif method == "oracle" and over_budget:
-        print(f"error: the oracle would enumerate {points} points, over its limit of "
-              f"{oracle.ORACLE_LIMIT}; use --method main or koblitz, or a smaller p or n",
-              file=sys.stderr)
-        return 2
+        names = ["oracle", *dwork.applicable(args.p, args.n, inst.lam)]
     else:
         names = [method]
 
     congruence = bool(args.precision_override)
     modulus = args.p ** kt
     methods, timings = {}, {}
-    try:
-        for name in names:
-            t0 = time.perf_counter()
+    for name in names:
+        t0 = time.perf_counter()
+        try:
             if name == "oracle":
                 result = oracle.brute_count(args.p, args.n, inst.lam)
                 if congruence:
@@ -155,12 +148,15 @@ def _cmd_count(args) -> int:
                 result = dwork.method_value(name, args.p, args.n, inst.lam,
                                             kt).residue_mod(kt)
             else:
-                result = oracle._COUNTERS[name](args.p, args.n, inst.lam, kt)
-            methods[name] = result
-            timings[name] = round((time.perf_counter() - t0) * 1000, 3)
-    except (dwork.InstanceError, PadicError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+                result = dwork.count(name, args.p, args.n, inst.lam, kt)
+        except (dwork.InstanceError, PadicError) as exc:
+            if method == "all" and isinstance(exc, dwork.InstanceError):
+                print(f"notice: skipping the {name} count: {exc}", file=sys.stderr)
+                continue
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        methods[name] = result
+        timings[name] = round((time.perf_counter() - t0) * 1000, 3)
 
     agreement = len(set(methods.values())) == 1
     report = {"p": args.p, "n": args.n, "lambda": inst.lam, "d": inst.d,
@@ -171,9 +167,9 @@ def _cmd_count(args) -> int:
         print(json.dumps(report, sort_keys=True))
     else:
         suffix = f" (mod {args.p}^{kt})" if congruence else ""
-        for name in names:
-            print(f"{name:>9}: {methods[name]}{suffix}")
-        if len(names) > 1:
+        for name, result in methods.items():
+            print(f"{name:>9}: {result}{suffix}")
+        if len(methods) > 1:
             print("agreement:", "yes" if agreement else "NO")
     return 0 if agreement else 3
 

@@ -59,14 +59,14 @@ Z[Y]/(Y^d + p), and the main and finite-field builds read their parameter
 steps and exponents from each orbit's counts n_k.
 
 Validation happens once per kernel, not once per lambda.  The lambda-free
-checks (the DworkInstance preconditions with their Miller-Rabin test, the
-table limit, the K_target and its default, the method name, relprime's d = 1
-and the orbit limit) run once per (method, p, n, K_target) in the cached
+input checks and budgets (the DworkInstance preconditions with their
+Miller-Rabin test, the table limit, the K_target and its default, the method
+name and the orbit limit) run once per (method, p, n, K_target) in the cached
 _checked, and the kernel is built once per (method, p, n, K_target, alpha) in
-the cached _kernel.  A count then takes lambda mod p, the lambda = 0 check,
-y(lambda), one Horner pass (CharSum.residue) and an integer reconstruction
-(padic.reconstruct_residue), all on plain integers; only method_value wraps
-a kernel value as a ValuedPadic.
+the cached _kernel.  A count then takes lambda mod p, the domain rule
+(_refusal), y(lambda), one Horner pass (CharSum.residue) and an integer
+reconstruction (padic.reconstruct_residue), all on plain integers; only
+method_value wraps a kernel value as a ValuedPadic.
 
 Precision: a count is an integer in [0, (p^n - 1)/(p - 1)], so it is pinned by
 its residue mod p^K_target, the smallest power of p over twice that bound
@@ -407,8 +407,6 @@ def _ff_terms(p: int, n: int, digits: int, alpha: int):
     residues with u_r < k and N is their sum of n_r.  The other residues have
     u_r >= ct, so P >= ct(n - N) and the valuation is at least N(n - c)/n - 1:
     > -1 for k > 0 (N >= n_0 >= 1 and c < n), and P/q >= 0 at k = 0."""
-    if (p - 1) % n:
-        raise InstanceError(f"p={p} is not 1 mod n={n}")
     if gcd(alpha, p - 1) != 1:
         raise InstanceError("generator exponent must be coprime to p-1")
     t, mod = (p - 1) // n, p ** digits
@@ -453,22 +451,41 @@ def _kernel(method: str, p: int, n: int, kt: int, alpha: int) -> CharSum:
     return kernel
 
 
-# the character argument y(lambda) of each method's kernel
+# the character argument y(lambda) of each method's kernel, in applicable's order
 _ARGUMENT = {
     "main": lambda p, n, lam: pow(lam, n, p),
-    "relprime": lambda p, n, lam: pow(lam, n, p),
     "koblitz": lambda p, n, lam: pow(n * lam, n, p),
+    "relprime": lambda p, n, lam: pow(lam, n, p),
     "ff": lambda p, n, lam: pow(lam, -n, p),
 }
+
+
+def _refusal(name: str, p: int, n: int, lam: int) -> str | None:
+    """Why a named method does not cover lambda at (p, n), or None: the one
+    domain rule, in this order.  relprime needs d = 1, every method but
+    koblitz needs lambda != 0, and ff needs p == 1 (mod n)."""
+    if name == "relprime" and gcd(p - 1, n) != 1:
+        return f"gcd(p-1, n) = {gcd(p - 1, n)} != 1: the d = 1 formula does not apply"
+    if lam % p == 0 and name != "koblitz":
+        return "lambda = 0: use the Gauss-sum count"
+    if name == "ff" and (p - 1) % n:
+        return f"p={p} is not 1 mod n={n}"
+    return None
+
+
+def applicable(p: int, n: int, lam: int) -> list[str]:
+    """The formula methods that cover lambda at (p, n), in the order main,
+    koblitz, relprime, ff; count refuses the others, and any over a budget."""
+    return [name for name in _ARGUMENT if _refusal(name, p, n, lam) is None]
 
 
 @lru_cache(maxsize=None)
 def _checked(name: str, p: int, n: int, kt: int | None) -> tuple[int, int]:
     """(K_target, projective bound) of a named method at (p, n) after every
-    lambda-free check: the DworkInstance preconditions, the table limit, the
-    K_target (k_target(p, n) by default), the method name, for relprime d = 1,
-    and, for every method but koblitz, the orbit limit.  Cached, so a family
-    of counts at one (p, n) runs them once."""
+    lambda-free input check and budget: the DworkInstance preconditions, the
+    table limit, the K_target (k_target(p, n) by default), the method name
+    and, for main and ff, the orbit limit.  Cached, so a family of counts at
+    one (p, n) runs them once."""
     inst = DworkInstance(p, n, 0)
     check_table_size(p)
     kt = k_target(p, n) if kt is None else kt
@@ -476,15 +493,8 @@ def _checked(name: str, p: int, n: int, kt: int | None) -> tuple[int, int]:
         raise ValueError(f"K_target must be at least 1, not {kt}")
     if name not in _ARGUMENT:
         raise ValueError(f"unknown method {name!r}")
-    if name == "relprime":  # the main kernel at d = 1: one (n-1)G(n-1) class
-        if inst.d != 1:
-            raise InstanceError(f"gcd(p-1, n) = {inst.d} != 1: "
-                                "the d = 1 formula does not apply")
-        pd = derive_params((0,) * n, n, 1)
-        assert pd.A_w == tuple(Fraction(h, n) for h in range(1, n))
-        assert pd.B_w == (Fraction(1),) * (n - 1)
-    orbits = comb(n + inst.d - 1, n) // inst.d ** 2  # koblitz builds none
-    if name != "koblitz" and orbits * (p - 1) > ORBIT_LIMIT:
+    orbits = comb(n + inst.d - 1, n) // inst.d ** 2  # koblitz builds none, relprime one
+    if name in ("main", "ff") and orbits * (p - 1) > ORBIT_LIMIT:
         raise InstanceError(
             f"the {name} build at p = {p}, n = {n} has about {orbits} rotation "
             f"orbits, and orbits times p-1 = {orbits * (p - 1)} is over the "
@@ -494,11 +504,12 @@ def _checked(name: str, p: int, n: int, kt: int | None) -> tuple[int, int]:
 
 def _method_kernel(name: str, p: int, n: int, lam: int, kt: int | None,
                    alpha: int) -> tuple[int, int, CharSum, int]:
-    """(K_target, bound, kernel, y(lambda)) of a named method, after its checks."""
+    """(K_target, bound, kernel, y(lambda)) of a named method, after its checks:
+    _checked's, then the domain rule (_refusal)."""
     kt, bound = _checked(name, p, n, kt)
     lam %= p
-    if lam == 0 and name != "koblitz":
-        raise InstanceError("lambda = 0: use the Gauss-sum count")
+    if refusal := _refusal(name, p, n, lam):
+        raise InstanceError(refusal)
     kernel = _kernel("main" if name == "relprime" else name, p, n, kt, alpha)
     return kt, bound, kernel, _ARGUMENT[name](p, n, lam)
 
@@ -516,7 +527,11 @@ def _reconstruct(result: tuple, bound: int, kt: int, kernel: CharSum) -> int:
             f"a K_target with p^K_target > {bound}") from None
 
 
-def _count(name: str, p: int, n: int, lam: int, kt: int | None, alpha: int = 1) -> int:
+def count(name: str, p: int, n: int, lam: int, kt: int | None = None,
+          alpha: int = 1) -> int:
+    """N_p(lambda) by a named formula method (ff with generator exponent
+    alpha); InstanceError where applicable(p, n, lambda) leaves it out or a
+    budget refuses it."""
     kt, bound, kernel, y = _method_kernel(name, p, n, lam, kt, alpha)
     return _reconstruct(kernel.residue(y), bound, kt, kernel)
 
@@ -532,7 +547,7 @@ def count_all(name: str, p: int, n: int, kt: int | None = None,
     """
     kt, bound, kernel, _ = _method_kernel(name, p, n, 1, kt, alpha)
     arg = _ARGUMENT[name]
-    lams = range(p) if name == "koblitz" else range(1, p)
+    lams = range(1, p) if _refusal(name, p, n, 0) else range(p)
     ys = {lam: arg(p, n, lam) for lam in lams}
     counts = {y: _reconstruct(result, bound, kt, kernel)
               for y, result in kernel.residues(set(ys.values())).items()}
@@ -541,23 +556,23 @@ def count_all(name: str, p: int, n: int, kt: int | None = None,
 
 def count_main(p: int, n: int, lam: int, kt: int | None = None) -> int:
     """N_p(lambda) by the main hypergeometric formula; lambda != 0, p not dividing n."""
-    return _count("main", p, n, lam, kt)
+    return count("main", p, n, lam, kt)
 
 
 def count_relprime(p: int, n: int, lam: int, kt: int | None = None) -> int:
     """N_p(lambda) by the d = 1 specialization: one (n-1)G(n-1) evaluation."""
-    return _count("relprime", p, n, lam, kt)
+    return count("relprime", p, n, lam, kt)
 
 
 def count_ff(p: int, n: int, lam: int, kt: int | None = None,
              generator_exponent: int = 1) -> int:
     """N_p(lambda) by the finite-field-hypergeometric form (p == 1 mod n)."""
-    return _count("ff", p, n, lam, kt, generator_exponent)
+    return count("ff", p, n, lam, kt, generator_exponent)
 
 
 def count_koblitz(p: int, n: int, lam: int, kt: int | None = None) -> int:
     """N_p(lambda) by the Gauss-sum count; lambda = 0 allowed."""
-    return _count("koblitz", p, n, lam, kt)
+    return count("koblitz", p, n, lam, kt)
 
 
 def method_value(name: str, p: int, n: int, lam: int,

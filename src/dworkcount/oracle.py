@@ -5,15 +5,16 @@ The oracle is deliberately dumb.  It enumerates projective representatives
 (first nonzero coordinate scaled to 1) chart by chart and evaluates the
 defining polynomial with precomputed n-th power and inverse tables; it shares
 nothing with the p-adic formula paths beyond integer arithmetic mod p.
-brute_count evaluates one lambda tuple by tuple and is the reference;
+brute_count evaluates one lambda tuple by tuple and is the reference; it
+refuses an instance over ORACLE_LIMIT points before enumerating any.
 brute_count_all counts every lambda at once, running the last coordinate of
 the first chart once per distinct (power sum, product) of the others and
 counting the lambda-free charts from a histogram of power sums.
 
 verify_group checks one (p, n) over a set of lambdas: the oracle and each
-formula method (through dwork.count_all, one transform per kernel) run once
-for the whole group, and every report picks out its lambda.  relprime is the
-main kernel at d = 1, so its column reuses main's counts.
+method in dwork.applicable (through dwork.count_all, one transform per kernel)
+run once for the whole group, and every report picks out its lambda.
+relprime is the main kernel at d = 1, so its column reuses main's counts.
 """
 
 from __future__ import annotations
@@ -26,17 +27,23 @@ from math import gcd
 
 from . import dwork
 
-# Most projective points (p^n - 1)/(p - 1) that `count` and `verify` let the
-# oracle enumerate, about 7 s of brute_count in CPython; larger instances are
-# refused with advice, as pgamma.SWEEP_LIMIT refuses long lift sweeps.
+# Most projective points (p^n - 1)/(p - 1) that brute_count and `verify` let
+# the oracle enumerate, about 7 s of brute_count in CPython; larger instances
+# are refused with advice, as pgamma.SWEEP_LIMIT refuses long lift sweeps.
 ORACLE_LIMIT = 10_000_000
 
 
 def brute_count(p: int, n: int, lam: int) -> int:
     """Points of x_1^n + ... + x_n^n - n*lam*x_1...x_n = 0 in P^(n-1)(F_p).
 
-    Total: works for lam = 0 and even p | n.
+    Total: works for lam = 0 and even p | n.  Over ORACLE_LIMIT points (read
+    at call time) it raises dwork.InstanceError before enumerating any.
     """
+    points = (p ** n - 1) // (p - 1)
+    if points > ORACLE_LIMIT:
+        raise dwork.InstanceError(
+            f"the oracle would enumerate {points} points, over its limit of "
+            f"{ORACLE_LIMIT}; use --method main or koblitz, or a smaller p or n")
     lam %= p
     pw = [pow(x, n, p) for x in range(p)]
     nl = n * lam % p
@@ -130,25 +137,6 @@ class CountReport:
     timings_ms: dict[str, float] = field(default_factory=dict)
 
 
-def _applicable_methods(p: int, n: int, lam: int) -> list[str]:
-    methods = ["oracle", "koblitz"]
-    if lam % p != 0:
-        methods.append("main")
-        if gcd(p - 1, n) == 1:
-            methods.append("relprime")
-        if (p - 1) % n == 0:
-            methods.append("ff")
-    return methods
-
-
-_COUNTERS = {
-    "main": dwork.count_main,
-    "koblitz": dwork.count_koblitz,
-    "relprime": dwork.count_relprime,
-    "ff": dwork.count_ff,
-}
-
-
 def verify_group(p: int, n: int, lams: list[int]) -> list[CountReport]:
     """CountReports for one (p, n) over the given lambdas.
 
@@ -158,7 +146,7 @@ def verify_group(p: int, n: int, lams: list[int]) -> list[CountReport]:
     """
     lams = [lam % p for lam in lams]
     group, group_ms = {}, {}
-    for name in _applicable_methods(p, n, 1):  # lambda = 0 only drops methods
+    for name in ["oracle", *dwork.applicable(p, n, 1)]:  # lambda = 0 only drops methods
         t0 = time.perf_counter()
         if name == "oracle":
             group[name] = brute_count_all(p, n)
@@ -171,7 +159,7 @@ def verify_group(p: int, n: int, lams: list[int]) -> list[CountReport]:
     d = gcd(p - 1, n)
     reports = []
     for lam in lams:
-        names = _applicable_methods(p, n, lam)
+        names = ["oracle", *dwork.applicable(p, n, lam)]
         methods = {name: group[name][lam] for name in names}
         timings = {name: round(group_ms[name] / served[name], 3) for name in names}
         agreement = len(set(methods.values())) == 1

@@ -1,5 +1,5 @@
 """Acceptance gate: one test per criterion, each printing a PASS line
-(run with `pytest -s tests/test_acceptance.py -v`, or scripts/run_acceptance.py).
+(run with `pytest -s tests/test_acceptance.py -v`).
 """
 
 import json

@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from dworkcount import cli, oracle
+from dworkcount import cli, dwork, oracle
 
 
 def run(capsys, argv):
@@ -65,7 +65,9 @@ def test_lambda_zero_is_a_domain_error_for_relprime_and_ff(capsys, method, p, ov
 
 
 def test_disagreement_exit_code(capsys, monkeypatch):
-    monkeypatch.setitem(oracle._COUNTERS, "main", lambda p, n, lam, kt=None: -1)
+    count = dwork.count
+    monkeypatch.setattr(dwork, "count", lambda name, *args: -1 if name == "main"
+                        else count(name, *args))
     code, out, _ = run(capsys, ["count", "--p", "7", "--n", "3", "--lambda", "1",
                                 "--method", "all"])
     assert code == 3
@@ -349,3 +351,17 @@ def test_too_many_rotation_orbits_is_a_domain_error(capsys, method):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "orbit limit" in err
     assert "--method koblitz" in err
+
+
+def test_count_all_skips_every_method_over_a_budget(capsys):
+    # the oracle is over its limit and main and ff over the orbit limit, but
+    # koblitz still answers, so --method all reports it alone
+    code, out, err = run(capsys, ["count", "--p", "41", "--n", "20", "--lambda", "3",
+                                  "--method", "all", "--json"])
+    assert code == 0
+    assert json.loads(out)["methods"] == {"koblitz": 110937250840650895768436283800}
+    notices = err.splitlines()
+    assert len(notices) == 3 and all(line.startswith("notice: ") for line in notices)
+    assert notices[0].startswith("notice: skipping the oracle") and "over its limit" in err
+    assert notices[1].startswith("notice: skipping the main count") and "orbit limit" in notices[1]
+    assert notices[2].startswith("notice: skipping the ff count") and "orbit limit" in notices[2]

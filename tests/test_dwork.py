@@ -548,6 +548,11 @@ def test_literal_g_reproduces_d1_count():
 
 
 def test_relprime_specialization():
+    # at d = 1 the main count has the one class (0, ..., 0), an (n-1)G(n-1)
+    for n in range(2, 9):
+        pd = derive_params((0,) * n, n, 1)
+        assert pd.A_w == tuple(Fraction(h, n) for h in range(1, n))
+        assert pd.B_w == (Fraction(1),) * (n - 1)
     for lam in (1, 3, 6):
         assert count_relprime(7, 5, lam) == count_main(7, 5, lam)
     assert count_relprime(5, 3, 2) == oracle.brute_count(5, 3, 2)
@@ -791,9 +796,9 @@ def test_checks_run_once_per_kernel_and_keep_their_order():
     with pytest.raises(InstanceError, match="not an odd prime"):
         count_main(9, 2, 1, kt=0)
     with pytest.raises(ValueError, match="K_target must be at least 1"):
-        dwork._count("nonesuch", 7, 3, 1, 0)
+        dwork.count("nonesuch", 7, 3, 1, 0)
     with pytest.raises(ValueError, match="unknown method"):
-        dwork._count("nonesuch", 7, 3, 1, None)
+        dwork.count("nonesuch", 7, 3, 1, None)
     with pytest.raises(InstanceError, match="d = 1 formula"):
         count_relprime(13, 4, 0)
     with pytest.raises(InstanceError, match="lambda = 0"):
@@ -801,6 +806,24 @@ def test_checks_run_once_per_kernel_and_keep_their_order():
     for _ in range(2):              # a failed check is not cached as a pass
         with pytest.raises(InstanceError, match="divides"):
             count_main(7, 7, 1)
+
+
+def test_applicable_and_count_read_one_rule():
+    # count agrees with the Gauss-sum count exactly where applicable lists the
+    # method, and refuses it everywhere else
+    names = ("main", "koblitz", "relprime", "ff")
+    for p in (q for q in range(3, 60) if is_odd_prime(q)):
+        for n in (m for m in range(2, 8) if m % p):
+            for lam in sorted({0, 1, p - 1}):
+                covered = dwork.applicable(p, n, lam)
+                assert covered == [name for name in names if name in covered]
+                for name in names:
+                    if name in covered:
+                        got = dwork.count(name, p, n, lam)
+                        assert got == count_koblitz(p, n, lam), (name, p, n, lam)
+                    else:
+                        with pytest.raises(InstanceError):
+                            dwork.count(name, p, n, lam)
 
 
 def test_orbit_limit_admits_the_documented_sizes_and_is_read_at_call_time(monkeypatch):
