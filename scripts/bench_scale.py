@@ -11,9 +11,12 @@ lru-cached tables and kernels start cold; interpreter start-up and the import
 are not timed.  With --parent, the same cases are also timed on a second
 source tree (say, a `git archive` of the parent commit unpacked elsewhere),
 alternating which side runs first, and the script checks that both sides
-return the same counts.  Each case runs REPEAT times per side.
+return the same counts.  Each case runs REPEAT times per side.  A run that
+the method refuses (dwork.InstanceError, say a budget) is recorded as
+"refused"; every other run also checks, untimed, that its counts equal the
+koblitz counts at each lambda it covers.
 The result is one JSON document on stdout (progress goes to stderr): per case,
-every run and the median per side.
+every run, the median per side and both checks.
 """
 
 import argparse
@@ -25,9 +28,10 @@ import statistics
 import subprocess
 import sys
 
-CASES = [("main", 1009, 7), ("main", 1009, 9), ("main", 1021, 10), ("main", 10009, 4),
-         ("main", 10007, 4), ("main", 30011, 4), ("koblitz", 1021, 10), ("koblitz", 10009, 4),
-         ("ff", 1009, 8)]
+CASES = [("main", 1009, 7), ("main", 1009, 9), ("main", 1021, 10), ("main", 1021, 12),
+         ("main", 1009, 14), ("main", 101, 50), ("main", 10009, 4), ("main", 10007, 4),
+         ("main", 30011, 4), ("koblitz", 1021, 10), ("koblitz", 10009, 4),
+         ("koblitz", 101, 50), ("ff", 1009, 8)]
 REPEAT = 3
 
 WORKER = """
@@ -36,17 +40,26 @@ sys.path.insert(0, sys.argv[1])
 from dworkcount import dwork
 method, p, n = sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
 t0 = time.perf_counter()
-counts = dwork.count_all(method, p, n)
+try:
+    counts = dwork.count_all(method, p, n)
+except dwork.InstanceError:
+    print("refused")
+    sys.exit()
 elapsed = time.perf_counter() - t0
-print(elapsed, hashlib.sha256(repr(sorted(counts.items())).encode()).hexdigest())
+koblitz = counts if method == "koblitz" else dwork.count_all("koblitz", p, n)
+print(elapsed, hashlib.sha256(repr(sorted(counts.items())).encode()).hexdigest(),
+      all(koblitz[lam] == c for lam, c in counts.items()))
 """
 
 
 def time_once(src, method, p, n):
-    """(seconds, sha256 of the sorted counts) of one cold all-lambda count."""
+    """(seconds, sha256 of the sorted counts, whether they equal koblitz's) of
+    one cold all-lambda count, or ("refused", None, True)."""
     out = subprocess.run([sys.executable, "-c", WORKER, str(src), method, str(p), str(n)],
                          check=True, capture_output=True, text=True).stdout.split()
-    return float(out[0]), out[1]
+    if out == ["refused"]:
+        return "refused", None, True
+    return round(float(out[0]), 3), out[1], out[2] == "True"
 
 
 def main(argv=None):
@@ -63,20 +76,25 @@ def main(argv=None):
     cases, ok = [], True
     for method, p, n in CASES:
         runs = {side: [] for side in sides}
-        digests = set()
+        digests, koblitz_agrees = set(), True
         for r in range(REPEAT):
             order = list(sides) if r % 2 == 0 else list(reversed(sides))
             for side in order:
-                seconds, digest = time_once(sides[side], method, p, n)
-                runs[side].append(round(seconds, 3))
-                digests.add(digest)
-        case = {"method": method, "p": p, "n": n, "runs_s": runs,
-                "median_s": {side: statistics.median(v) for side, v in runs.items()},
-                "counts_agree": len(digests) == 1}
-        ok = ok and case["counts_agree"]
-        print(f"{method} p={p} n={n}: " + ", ".join(f"{side} {m:.2f} s" for side, m
-                                            in case["median_s"].items())
-              + ("" if case["counts_agree"] else "  COUNTS DIFFER"), file=sys.stderr)
+                seconds, digest, agrees = time_once(sides[side], method, p, n)
+                runs[side].append(seconds)
+                if digest is not None:
+                    digests.add(digest)
+                koblitz_agrees = koblitz_agrees and agrees
+        medians = {side: "refused" if "refused" in v else statistics.median(v)
+                   for side, v in runs.items()}
+        case = {"method": method, "p": p, "n": n, "runs_s": runs, "median_s": medians,
+                "counts_agree": len(digests) == 1,
+                "equals_koblitz": koblitz_agrees}
+        ok = ok and case["counts_agree"] and koblitz_agrees
+        print(f"{method} p={p} n={n}: " + ", ".join(
+            f"{side} {m}" if m == "refused" else f"{side} {m:.2f} s" for side, m in medians.items())
+              + ("" if case["counts_agree"] else "  COUNTS DIFFER")
+              + ("" if koblitz_agrees else "  NOT EQUAL TO KOBLITZ"), file=sys.stderr)
         cases.append(case)
     print(json.dumps({"python": sys.version.split()[0], "machine": platform.machine(),
                       "cpus": os.cpu_count(), "repeat": REPEAT, "cases": cases},

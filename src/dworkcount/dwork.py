@@ -11,10 +11,10 @@ denominator-(p-1) data:
         = Gamma(<-nj/(p-1)>) w(n^{-nj}) prod_{0<k<d} Gamma(k/d)
           / prod_{0<=k<d} Gamma(<k/d - j/(p-1)>),
 
-so every gamma lookup hits the seeded table and a count costs O(p) per class
-instead of a p^digits lift sweep.  The (-p)-exponents are still the exact
-floors of the literal definition, and tests pin the kernel against the literal
-evaluator on instances small enough to sweep.
+so every gamma lookup hits the seeded table instead of a p^digits lift sweep.
+The (-p)-exponents are still the exact floors of the literal definition, and
+tests pin the kernel against the literal evaluator on instances small enough
+to sweep.
 
 The denominator on the right cancels by Morita's reflection formula
 Gamma(x) Gamma(1-x) = (-1)^R(x), R(x) in [1, p], R(x) == x (mod p).  A class's
@@ -31,8 +31,7 @@ so with t = (p-1)/d and the sign of (-p)^(E_j)
 
 where L_j = (-1)^(nj) Gamma(<-nj/(p-1)>) w(n)^(-nj) is class-free with period
 t (main_l_factors) and P_j = prod_{k in S^c_w} Gamma(<k/d + j/(p-1)>)^(n_k) is
-a product of rotated power columns of the gamma table: the main build inverts
-nothing but p-1.
+a product of gamma table entries: the main build inverts nothing but p-1.
 
 Every kernel is evaluated only at a d-th power, y = lambda^n (main),
 (n*lambda)^n (Gauss-sum count, whose wbar^(nj)(n*lambda) is wbar^j(y)) or
@@ -40,28 +39,33 @@ lambda^-n (finite-field form, d = n).  There wbar^t(y) = 1 with t = (p-1)/d,
 so wbar^j and wbar^(j+t) agree, the coefficients fold mod t, and a value is a
 Horner pass (or, for every lambda, a transform) of length t, not p-1.
 
-In the main and finite-field counts a class's summand depends on its
-representative only through the counts n_k of each residue, and every
-zero-containing member of a class is a representative.  A shift w -> w + c
-rotates the counts to n'_k = n_(k-c mod d) and reindexes j by c*t, which the
-fold absorbs; so both build once per rotation orbit of count vectors, weighted
-by its multinomial(n_k) / s classes (s rotations fix n_k, and each of the
-orbit's d / s vectors has multinomial(n_k) members of W, d per class): 3
-builds instead of 5 (one per count vector) for the 16 classes at n = d = 4, 14
-instead of 42 for the 1296 at n = d = 6, and 302 instead of 1430 at n = d = 9.
+A class's folded summand depends on its representative only through the
+counts n_k of each residue, and every zero-containing member of a class is a
+representative.  A shift w -> w + c rotates the counts to n'_k = n_(k-c mod d)
+and reindexes j by c*t, which the fold absorbs.  So the main count sums its
+classes as the members of W with a fixed first entry, and with j = bt + i that
+sum is one polynomial power per residue i < t (_main_terms): the product
+P_j is then prod_k Gamma(<(w'_k t + i)/(p-1)>) over a shifted member w', a
+monomial of (sum_k Gamma(<(kt + i)/(p-1)>) Y^k)^n in Z[Y]/(Y^d + p), where
+Y^d = -p carries the (-p)-power sum(w')/d.  Only the finite-field build still
+runs once per rotation orbit of count vectors, weighted by its
+multinomial(n_k) / s classes (s rotations fix n_k, and each of the orbit's
+d / s vectors has multinomial(n_k) members of W, d per class): 14 builds
+instead of 42 for the 1296 classes at n = d = 6.
 
 All four formulas share one evaluation kernel, padic.CharSum: a lambda-free
 constant plus sum_e C_e wbar^e(y) (relprime is main's d = 1 case).  Each
 method only builds its coefficients, once per (p, n, K_target), from
-plain-integer Gross-Koblitz units: the Gauss-sum count's sum over W at each
-j is the Y^0 coefficient of one polynomial power over the d residues in
-Z[Y]/(Y^d + p), and the main and finite-field builds read their parameter
-steps and exponents from each orbit's counts n_k.
+plain-integer Gross-Koblitz units or gamma table entries: the Gauss-sum
+count's sum over W at each j and the main count's at each i are read off one
+polynomial power over the d residues in Z[Y]/(Y^d + p) (_poly_power, reduced
+mod p^digits after every product), and the finite-field build reads its
+parameter steps and exponents from each orbit's counts n_k.
 
 Validation happens once per kernel, not once per lambda.  The lambda-free
 input checks and budgets (the DworkInstance preconditions with their
 Miller-Rabin test, the table limit, the K_target and its default, the method
-name and the orbit limit) run once per (method, p, n, K_target) in the cached
+name and ff's orbit limit) run once per (method, p, n, K_target) in the cached
 _checked, and the kernel is built once per (method, p, n, K_target, alpha) in
 the cached _kernel.  A count then takes lambda mod p, the domain rule
 (_refusal), y(lambda), one Horner pass (CharSum.residue) and an integer
@@ -99,10 +103,10 @@ class InstanceError(ValueError):
     """The (p, n, lambda) triple violates a precondition of the chosen method."""
 
 
-# Largest estimated rotation orbits times p-1 of a main, relprime or ff build,
-# read at call time.  All-lambda main at (1021, 12), 9389 * 1020 = 9.6e6, took
-# 21 s on a shared 2-core machine (CPython 3.11.7), so the limit admits builds
-# of about 45 s; (1009, 14) is 1.0e8 and (41, 20) 6.9e9.
+# Largest estimated rotation orbits times p-1 of an ff build, read at call
+# time; main, relprime and koblitz build no orbits.  All-lambda ff at
+# (1021, 12), 9389 * 1020 = 9.6e6, is admitted and took 68 s on a shared
+# 2-core machine (CPython 3.11.7); (41, 20) is 6.9e9.
 ORBIT_LIMIT = 20_000_000
 
 
@@ -247,38 +251,6 @@ def main_l_factors(p: int, n: int, digits: int) -> list[int]:
     return out
 
 
-def _gamma_powers(p: int, digits: int, top: int) -> list:
-    """Entry e in 1..top: the column Gamma(<j/(p-1)>)^e over j < p-1, each one
-    column product from the one below it."""
-    mod, table = p ** digits, frac_gamma_table(p, digits)
-    powers = [None, table]
-    for _ in range(top - 1):
-        powers.append([a * b % mod for a, b in zip(powers[-1], table)])
-    return powers
-
-
-def _class_columns(n_k: tuple[int, ...], p: int, digits: int, powers: list,
-                   h_steps: list[int]) -> tuple[list[int], list[int]]:
-    """(E_j, P_j) over j < p-1 for a class with counts n_k, n_0 >= 1: the exact
-    floors E_j of the literal definition, from h_steps (A_w's class-free h/n),
-    and P_j = prod_{n_k > 0} Gamma(<k/d + j/(p-1)>)^(n_k) mod p^digits, each
-    factor a rotation of a power column."""
-    d = len(n_k)
-    t, mod = (p - 1) // d, p ** digits
-    # E_j = #{a in A_w : a < j/(p-1)} - #{b in B_w : <-b> >= 1 - j/(p-1)} steps
-    # by +1 at j = floor(a(p-1)) + 1, so at (d-k)t + 1 for a = (d-k)/d (k absent),
-    # and, for <-b> = k/d (k > 0 present, n_k - 1 times), by -1 at j = p-1-kt
-    steps, units = h_steps[:], powers[n_k[0]]
-    for k in range(1, d):
-        if n_k[k]:
-            steps[p - 1 - k * t] -= n_k[k] - 1
-            column, b = powers[n_k[k]], k * t
-            units = [u * g % mod for u, g in zip(units, column[b:] + column[:b])]
-        else:
-            steps[(d - k) * t + 1] += 1
-    return list(accumulate(steps[:-1])), units
-
-
 def _count_vectors(n: int, d: int):
     """Every residue-count vector (n_0, ..., n_{d-1}) of a member of W(n, d):
     n_k >= 0, sum n_k = n and sum k*n_k == 0 (mod d), in lex order.  With
@@ -313,53 +285,80 @@ def _rotation_orbits(n: int, d: int):
             yield n_k, _multinomial(n_k) // rotations.count(n_k)
 
 
-def _main_terms(p: int, n: int, digits: int):
-    """(j mod t, valuation, unit) of (-1)^n * prefactor * G-coefficient per class,
-    each class's terms already summed per j mod t at its smallest valuation.
+def _poly_mul(f, g, p: int, mod: int) -> list:
+    """f * g in (Z/mod)[Y]/(Y^d + p), reduced once per output coefficient.  Each
+    of the d coefficients is a list over one index set, so a product multiplies
+    a polynomial per index at once."""
+    d, out = len(f), []
+    for c in range(d):
+        low = [u * v for u, v in zip(f[0], g[c])]
+        for a in range(1, c + 1):
+            low = [x + u * v for x, u, v in zip(low, f[a], g[c - a])]
+        high = [0] * len(low)  # Y^(c+d) = -p Y^c
+        for a in range(c + 1, d):
+            high = [x + u * v for x, u, v in zip(high, f[a], g[c + d - a])]
+        out.append([(x - p * y) % mod for x, y in zip(low, high)])
+    return out
 
-    The count evaluates these at y = lambda^n, a d-th power, where wbar^t(y) = 1,
-    so j folds mod t = (p-1)/d.  A class's term depends on its representative
-    only through the counts n_k, and every zero-containing member is a
-    representative.  A shift w -> w + c rotates the counts to n'_k = n_(k-c mod d)
-    and reindexes j by c*t, which the fold mod t absorbs; so each class whose
-    count vector lies in one rotation orbit has the same folded term, and each
-    orbit is built once and weighted by its number of classes.  By the
-    reflection formula the prefactor cancels (module docstring): a term is
-    weight (-1)^(n+e) / (p-1) * (-1)^(E_j + r_j) p^(e + E_j) L_(j mod t) P_j,
-    with e = sum_k k n_k / d.
+
+def _poly_power(poly, e: int, p: int, mod: int) -> list:
+    """poly^e in (Z/mod)[Y]/(Y^d + p) for e >= 1, coefficients as in _poly_mul:
+    square-and-multiply, reduced after every product."""
+    out = poly
+    for bit in bin(e)[3:]:
+        out = _poly_mul(out, out, p, mod)
+        if bit == "1":
+            out = _poly_mul(out, poly, p, mod)
+    return out
+
+
+def _main_terms(p: int, n: int, digits: int):
+    """(i, 0, C_i) for i < t = (p-1)/d: the main count's classes, each term
+    (-1)^n * prefactor * G-coefficient, summed and folded mod t.
+
+    By the reflection formula the prefactor cancels (module docstring): a class
+    with counts n_k has the term (-1)^n / (p-1) * (-1)^(r_j) (-p)^(e + E_j)
+    L_(j mod t) P_j at j, e = sum_k k n_k / d.  Each class has exactly one member
+    w in W with w_1 = 0, a representative, so the classes sum as those members.
+    Write j = bt + i, 0 <= i < t, and g_k(i) = Gamma(<(kt + i)/(p-1)>).  The
+    shift w' = w + b of W turns P_j into prod_k g_(w'_k)(i), and for i > 0 the
+    floors into e + E_j = sum(w')/d + b(1 - n/d) + H_(bt+i), H the class-free
+    h/n steps; so, as w' runs over W with w'_1 = b and Y^d = -p,
+
+        C_i = (-1)^n L_i / (p-1) * sum_(b<d) (-p)^(H_(bt+i) + b(1-n/d))
+              * g_b(i) * [Y^0] Y^b P_i(Y)^(n-1),   P_i(Y) = sum_(k<d) g_k(i) Y^k,
+
+    one power of P_i in Z[Y]/(Y^d + p) for all i at once.  At i = 0, r_j flips
+    the terms of the w' with an entry 0, and a w' without one (b >= 1) has one
+    factor -p fewer, E_j stepping at bt + 1; R = (P_0 - 1)^(n-1) sums those.
+    The (-p)-exponents are >= 0 (>= 1 at i = 0, b >= 1): H_(bt) = b(n/d - 1).
     """
     d, mod = gcd(p - 1, n), p ** digits
-    t = (p - 1) // d
-    inv = pow(p - 1, -1, mod)
-    ls, powers = main_l_factors(p, n, digits), _gamma_powers(p, digits, n)  # n_k <= n
+    t, table = (p - 1) // d, frac_gamma_table(p, digits)
+    # coefficient k of every P_i, and last that of P_0 - g_0(0) = P_0 - 1
+    poly = [list(table[k * t:(k + 1) * t]) + [table[k * t] if k else 0] for k in range(d)]
+    q = _poly_power(poly, n - 1, p, mod)
     h_steps = [0] * p  # A_w's h/n, h not== 0 (n/d): +1 at floor(h(p-1)/n) + 1
     for h in set(range(n)) - set(range(0, n, n // d)):
         h_steps[h * (p - 1) // n + 1] += 1
-    for n_k, classes in _rotation_orbits(n, d):
-        exps, units = _class_columns(n_k, p, digits, powers, h_steps)
-        low = min(exps)
-        shift = [(-p) ** i for i in range(max(exps) - low + 1)]  # (-1)^(E-low) p^(E-low)
-        scaled = [u * shift[v - low] for u, v in zip(units, exps)]
-        for k in range(d):  # r_j: the reflection at <k/d + j/(p-1)> = 0, k present
-            if n_k[k]:
-                scaled[(-k) % d * t] *= -1
-        e = sum(k * c for k, c in enumerate(n_k)) // d
-        scale = (-1) ** (n + e + low) * classes * inv
-        for i in range(t):
-            yield i, e + low, scale * ls[i] * sum(scaled[i::t]) % mod
-
-
-def _y0_power(poly, n: int, p: int, mod: int) -> int:
-    """The Y^0 coefficient of poly(Y)^n in Z[Y]/(Y^d + p), mod `mod`, for poly's
-    d coefficients in [0, mod): one big-integer power by Kronecker substitution
-    (a coefficient of the exact power is below (d*mod)^n), then Y^(md) -> (-p)^m."""
-    d = len(poly)
-    width = n * (d * mod).bit_length()
-    packed = sum(c << (a * width) for a, c in enumerate(poly)) ** n
-    mask, out = (1 << width) - 1, 0
-    for m in range(n * (d - 1) // d, -1, -1):
-        out = (out * -p + (packed >> (m * d * width) & mask)) % mod
-    return out
+    # the (-p)-exponent at j = bt + i, H_j + b(1 - n/d) + [b > 0]: the last
+    # term is [Y^0] Y^b Q = (-p)^[b > 0] q_(-b mod d) for Q = P^(n-1)
+    exps = [h + j // t * (1 - n // d) + (j >= t)
+            for j, h in enumerate(accumulate(h_steps[:-1]))]
+    if min(exps) < 0 or any(exps[b * t] < 1 for b in range(1, d)):
+        raise AssertionError("a main term has a negative power of p")
+    powers = [(-p) ** v for v in range(max(exps) + 1)]
+    acc = [0] * t
+    for b in range(d):
+        acc = [a + powers[v] * g * c
+               for a, v, g, c in zip(acc, exps[b * t:(b + 1) * t], poly[b], q[-b % d])]
+    acc[0] = -q[0][0]  # i = 0: q - r sums the w' with an entry 0, r the rest
+    for b in range(1, d):
+        e, q0, r0 = exps[b * t], q[d - b][0], q[d - b][t]
+        acc[0] += table[b * t] * (powers[e - 1] * r0 - powers[e] * (q0 - r0))
+    scale = (-1) ** n * pow(p - 1, -1, mod)
+    for i, (c, l) in enumerate(zip(acc, main_l_factors(p, n, digits))):
+        yield i, 0, scale * l * c % mod
 
 
 def _koblitz_const(p: int, n: int, digits: int) -> int:
@@ -369,7 +368,7 @@ def _koblitz_const(p: int, n: int, digits: int) -> int:
     of (sum_(0<a<d) u(at) Y^a)^n in Z[Y]/(Y^d + p), which units mod p^digits fix
     mod p^(digits+1); p is asserted to divide it."""
     t, mod = (p - 1) // gcd(p - 1, n), p ** (digits + 1)
-    y0 = _y0_power((0,) + gk_units(p, digits)[t::t], n, p, mod)
+    y0 = _poly_power([[0]] + [[u] for u in gk_units(p, digits)[t::t]], n, p, mod)[0][0]
     if y0 % p:
         raise AssertionError("all-nonzero Gauss products must have valuation >= 1")
     return y0 // p
@@ -387,10 +386,10 @@ def _koblitz_terms(p: int, n: int, digits: int):
     t, units = (p - 1) // d, gk_units(p, digits)
     inv = pow(p - 1, -1, mod)
     inv_den = batch_inverse([units[n * j % (p - 1)] for j in range(t)], mod)  # 1/u(nj)
+    y0 = _poly_power([list(units[a * t:(a + 1) * t]) for a in range(d)], n, p, mod)[0]
     for j in range(t):
         f = n * j // (p - 1)
-        y0 = _y0_power(units[j::t], n, p, mod)
-        yield j, f, (-1) ** f * y0 * inv * inv_den[j] % mod
+        yield j, f, (-1) ** f * y0[j] * inv * inv_den[j] % mod
 
 
 def _ff_terms(p: int, n: int, digits: int, alpha: int):
@@ -484,8 +483,8 @@ def _checked(name: str, p: int, n: int, kt: int | None) -> tuple[int, int]:
     """(K_target, projective bound) of a named method at (p, n) after every
     lambda-free input check and budget: the DworkInstance preconditions, the
     table limit, the K_target (k_target(p, n) by default), the method name
-    and, for main and ff, the orbit limit.  Cached, so a family of counts at
-    one (p, n) runs them once."""
+    and, for ff, the orbit limit.  Cached, so a family of counts at one
+    (p, n) runs them once."""
     inst = DworkInstance(p, n, 0)
     check_table_size(p)
     kt = k_target(p, n) if kt is None else kt
@@ -493,12 +492,12 @@ def _checked(name: str, p: int, n: int, kt: int | None) -> tuple[int, int]:
         raise ValueError(f"K_target must be at least 1, not {kt}")
     if name not in _ARGUMENT:
         raise ValueError(f"unknown method {name!r}")
-    orbits = comb(n + inst.d - 1, n) // inst.d ** 2  # koblitz builds none, relprime one
-    if name in ("main", "ff") and orbits * (p - 1) > ORBIT_LIMIT:
+    orbits = comb(n + inst.d - 1, n) // inst.d ** 2
+    if name == "ff" and orbits * (p - 1) > ORBIT_LIMIT:
         raise InstanceError(
-            f"the {name} build at p = {p}, n = {n} has about {orbits} rotation "
+            f"the ff build at p = {p}, n = {n} has about {orbits} rotation "
             f"orbits, and orbits times p-1 = {orbits * (p - 1)} is over the "
-            f"orbit limit of {ORBIT_LIMIT}; use --method koblitz")
+            f"orbit limit of {ORBIT_LIMIT}; use --method main")
     return kt, inst.projective_total
 
 

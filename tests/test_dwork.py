@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 
 import pytest
@@ -273,6 +274,59 @@ def test_folded_main_kernel_matches_per_class_build(p, n):
                                        unfolded_main_terms(p, n, digits)), t)
     assert folded.offset == unfolded.offset
     assert folded.coeffs == unfolded.coeffs
+
+
+def orbit_main_terms(p, n, digits):
+    """The main build once per rotation orbit of count vectors, as it stood
+    before the polynomial power: per orbit, the product of rotated power
+    columns of the gamma table, the exact floors E_j from the h/n steps and the
+    absent and present residues, and the r_j flips, times the orbit's classes."""
+    d, mod = gcd(p - 1, n), p ** digits
+    t, table = (p - 1) // d, frac_gamma_table(p, digits)
+    powers = [None, list(table)]  # Gamma(<j/(p-1)>)^e over j < p-1
+    for _ in range(n - 1):
+        powers.append([a * b % mod for a, b in zip(powers[-1], table)])
+    inv, ls = pow(p - 1, -1, mod), main_l_factors(p, n, digits)
+    h_steps = [0] * p
+    for h in set(range(n)) - set(range(0, n, n // d)):
+        h_steps[h * (p - 1) // n + 1] += 1
+    for n_k, classes in dwork._rotation_orbits(n, d):
+        steps, units = h_steps[:], powers[n_k[0]]
+        for k in range(1, d):
+            if n_k[k]:
+                steps[p - 1 - k * t] -= n_k[k] - 1
+                column, b = powers[n_k[k]], k * t
+                units = [u * g % mod for u, g in zip(units, column[b:] + column[:b])]
+            else:
+                steps[(d - k) * t + 1] += 1
+        exps = list(accumulate(steps[:-1]))
+        low = min(exps)
+        scaled = [u * (-p) ** (v - low) for u, v in zip(units, exps)]
+        for k in range(d):
+            if n_k[k]:
+                scaled[(-k) % d * t] *= -1
+        e = sum(k * c for k, c in enumerate(n_k)) // d
+        scale = (-1) ** (n + e + low) * classes * inv
+        for i in range(t):
+            yield i, e + low, scale * ls[i] * sum(scaled[i::t]) % mod
+
+
+@pytest.mark.parametrize("p", [q for q in range(3, 200) if is_odd_prime(q)])
+def test_main_power_kernel_matches_the_orbit_build(p):
+    """The main kernel, one polynomial power per residue i < t, equals the
+    per-orbit build: offset, constant and coefficients, for n = 2..8."""
+    for n in (m for m in range(2, 9) if m % p):
+        kt = k_target(p, n)
+        consts = [(0, (p ** (n - 1) - 1) // (p - 1))]
+        want = CharSum(p, kt, consts, orbit_main_terms(p, n, kt), (p - 1) // gcd(p - 1, n))
+        assert kernel_state(dwork._kernel("main", p, n, kt, 1)) == kernel_state(want), n
+
+
+@pytest.mark.parametrize("p,n", [(41, 20), (61, 30)])
+def test_all_lambda_main_equals_koblitz_where_d_is_large(p, n):
+    # d = 20 and 30: sizes whose main build once ran per rotation orbit
+    koblitz = dwork.count_all("koblitz", p, n)
+    assert dwork.count_all("main", p, n) == {lam: c for lam, c in koblitz.items() if lam}
 
 
 def full_length_l_factors(p, n, digits):
@@ -827,16 +881,17 @@ def test_applicable_and_count_read_one_rule():
 
 
 def test_orbit_limit_admits_the_documented_sizes_and_is_read_at_call_time(monkeypatch):
-    # all-lambda main at (1021, 12), about 9389 orbits times 1020, stays admitted;
-    # (41, 20), where d = n = 20, is refused for main and ff
-    assert dwork._checked("main", 1021, 12, None)[0] == k_target(1021, 12)
-    for name in ("main", "ff"):
-        with pytest.raises(InstanceError, match="orbit limit of 20000000"):
-            dwork._checked(name, 41, 20, None)
-    assert dwork._checked("koblitz", 41, 20, None)[0] == k_target(41, 20)
+    # ff at (1021, 12), about 9389 orbits times 1020, stays admitted; at
+    # (41, 20), where d = n = 20, ff alone is refused: main builds no orbits
+    assert dwork._checked("ff", 1021, 12, None)[0] == k_target(1021, 12)
+    with pytest.raises(InstanceError, match="orbit limit of 20000000"):
+        dwork._checked("ff", 41, 20, None)
+    for name in ("main", "koblitz"):
+        assert dwork._checked(name, 41, 20, None)[0] == k_target(41, 20)
     monkeypatch.setattr(dwork, "ORBIT_LIMIT", 100)
     dwork._checked.cache_clear()  # the limit is read when the checks run
     with pytest.raises(InstanceError, match=r"about 2 rotation orbits, and orbits "
                                             r"times p-1 = 104 is over the orbit limit of 100"):
-        count_main(53, 4, 2)  # d = 4: C(7, 4) // 16 = 2 orbits
-    assert count_main(13, 4, 2) == oracle.brute_count(13, 4, 2)  # 2 * 12 <= 100
+        count_ff(53, 4, 2)  # d = n = 4: C(7, 4) // 16 = 2 orbits
+    assert count_ff(13, 4, 2) == oracle.brute_count(13, 4, 2)  # 2 * 12 <= 100
+    assert count_main(53, 4, 2) == count_koblitz(53, 4, 2)

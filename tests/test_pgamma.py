@@ -208,35 +208,25 @@ def test_jacobi_transform_matches_direct_sums(p, digits):
     assert frac_gamma_table(p, digits) == reference_gamma_table(p, digits)
 
 
-# -- the duplication seeding (p == 3 mod 4) -----------------------------------------
-
-PRIMES_TO_400 = [q for q in range(3, 400) if all(q % f for f in range(2, math.isqrt(q) + 1))]
-
-
-def direct_even_jacobi_sums(p, digits):
-    """J(wbar^2s, wbar^2) for s = 0..(p-3)/2 by the O(p^2) sums over x = 2..p-1."""
-    mod = p ** digits
-    xs = range(2, p)
-    bases = [teichmuller(pow(x, -2, p), p, digits).residue for x in xs]
-    running = [teichmuller(pow(1 - x, -2, p), p, digits).residue for x in xs]
-    sums = []
-    for _ in range((p - 1) // 2):
-        sums.append(sum(running) % mod)
-        running = [r * b % mod for r, b in zip(running, bases)]
-    return sums
-
-
 @pytest.mark.parametrize("digits", [1, 7])
 @pytest.mark.parametrize("p", PRIMES_TO_97)
-def test_even_jacobi_transform_matches_direct_sums(p, digits):
-    assert pgamma.even_jacobi_sums(p, digits) == direct_even_jacobi_sums(p, digits)
+def test_jacobi_sums_reflect(p, digits):
+    """J_(p-2-j) = -J_j on the direct sums: the identity that gives
+    jacobi_sums its odd entries from one length-(p-1)/2 transform."""
+    jac, mod = direct_jacobi_sums(p, digits), p ** digits
+    assert all((jac[p - 2 - j] + jac[j]) % mod == 0 for j in range(p - 1))
+
+
+# -- p == 3 (mod 4) and the duplication formula, which the seeding does not use -----
+
+PRIMES_TO_400 = [q for q in range(3, 400) if all(q % f for f in range(2, math.isqrt(q) + 1))]
 
 
 @pytest.mark.parametrize("digits", [1, 3])
 @pytest.mark.parametrize("p", [q for q in PRIMES_TO_400 if q % 4 == 3 and q < 300])
 def test_duplication_seeded_table_matches_reference(p, digits):
-    """p == 3 (mod 4) seeds half the table from the order-(p-1)/2 Jacobi sums and
-    fills the odd entries by duplication; p = 3 takes the general seeding."""
+    """At p == 3 (mod 4), where h = (p-1)/2 is odd, the seeded table equals the
+    reference seeded from the direct sums."""
     assert frac_gamma_table(p, digits) == reference_gamma_table(p, digits)
 
 
