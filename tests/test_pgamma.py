@@ -208,6 +208,28 @@ def test_jacobi_transform_matches_direct_sums(p, digits):
     assert frac_gamma_table(p, digits) == reference_gamma_table(p, digits)
 
 
+def direct_even_jacobi_sums(p, digits):
+    """J(wbar^2s, wbar) for s = 0..(p-3)/2 by the O(p^2) sums over x = 2..p-1,
+    stepping the first character by wbar^2."""
+    mod = p ** digits
+    xs = range(2, p)
+    bases = [teichmuller(pow(x, -2, p), p, digits).residue for x in xs]
+    running = [teichmuller(pow(1 - x, -1, p), p, digits).residue for x in xs]
+    sums = []
+    for _ in range((p - 1) // 2):
+        sums.append(sum(running) % mod)
+        running = [r * b % mod for r, b in zip(running, bases)]
+    return sums
+
+
+@pytest.mark.parametrize("digits", [1, 7])
+@pytest.mark.parametrize("p", PRIMES_TO_97)
+def test_even_jacobi_transform_matches_direct_sums(p, digits):
+    """The even entries of jacobi_sums, which come from the one length-(p-1)/2
+    transform, against direct sums that never touch an odd power of wbar."""
+    assert pgamma.jacobi_sums(p, digits)[::2] == direct_even_jacobi_sums(p, digits)
+
+
 @pytest.mark.parametrize("digits", [1, 7])
 @pytest.mark.parametrize("p", PRIMES_TO_97)
 def test_jacobi_sums_reflect(p, digits):
