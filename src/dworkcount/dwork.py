@@ -43,11 +43,12 @@ A class's folded summand depends on its representative only through the
 counts n_k of each residue, and every zero-containing member of a class is a
 representative.  A shift w -> w + c rotates the counts to n'_k = n_(k-c mod d)
 and reindexes j by c*t, which the fold absorbs.  So the main count sums its
-classes as the members of W with a fixed first entry, and with j = bt + i that
-sum is one polynomial power per residue i < t (_main_terms): the product
-P_j is then prod_k Gamma(<(w'_k t + i)/(p-1)>) over a shifted member w', a
-monomial of (sum_k Gamma(<(kt + i)/(p-1)>) Y^k)^n in Z[Y]/(Y^d + p), where
-Y^d = -p carries the (-p)-power sum(w')/d.  Only the finite-field build still
+classes as the members w' of W with a fixed first entry b.  At j = bt + i,
+P_j is a monomial of P_i(Y)^n, P_i(Y) = sum_k Gamma(<(kt + i)/(p-1)>) Y^k in
+Z[Y]/(Y^d + p), with Y^d = -p carrying (-p)^(sum(w')/d); the h/n steps obey
+H_(bt+i) = b(n/d - 1) + H_i, so the b-sum is (-p)^(H_i) [Y^0] P_i^n at i > 0
+and -A - (1 - p) B/p at i = 0, A and B the Y^0 coefficients of P_0^n and
+(P_0 - 1)^n (_main_terms derives both).  Only the finite-field build still
 runs once per rotation orbit of count vectors, weighted by its
 multinomial(n_k) / s classes (s rotations fix n_k, and each of the orbit's
 d / s vectors has multinomial(n_k) members of W, d per class): 14 builds
@@ -57,10 +58,10 @@ All four formulas share one evaluation kernel, padic.CharSum: a lambda-free
 constant plus sum_e C_e wbar^e(y) (relprime is main's d = 1 case).  Each
 method only builds its coefficients, once per (p, n, K_target), from
 plain-integer Gross-Koblitz units or gamma table entries: the Gauss-sum
-count's sum over W at each j and the main count's at each i are read off one
-polynomial power over the d residues in Z[Y]/(Y^d + p) (_poly_power, reduced
-mod p^digits after every product), and the finite-field build reads its
-parameter steps and exponents from each orbit's counts n_k.
+count's sum over W at each j and the main count's at each i are each the Y^0
+coefficient of an n-th power over the d residues in Z[Y]/(Y^d + p)
+(_y0_power), and the finite-field build reads its parameter steps and
+exponents from each orbit's counts n_k.
 
 Validation happens once per kernel, not once per lambda.  The lambda-free
 input checks and budgets (the DworkInstance preconditions with their
@@ -85,11 +86,12 @@ PrecisionError carrying the precision ledger, never a wrong count.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, product
-from math import comb, factorial, gcd
+from itertools import product
+from math import comb, factorial, gcd, prod
 
 from .gauss import gk_units, pi_valuation
 from .hyperfun import FParams, f_coefficients
@@ -104,10 +106,10 @@ class InstanceError(ValueError):
 
 
 # Largest estimated rotation orbits times p-1 of an ff build, read at call
-# time; main, relprime and koblitz build no orbits.  All-lambda ff at
-# (1021, 12), 9389 * 1020 = 9.6e6, is admitted and took 68 s on a shared
-# 2-core machine (CPython 3.11.7); (41, 20) is 6.9e9.
-ORBIT_LIMIT = 20_000_000
+# time; main, relprime and koblitz build no orbits.  A unit costs about 7 us
+# (all-lambda ff at (1021, 12), 9.6e6, took 68 s on a shared 2-core machine,
+# CPython 3.11.7), so no admitted build runs much past 20 s: (1009, 8) is 1e5.
+ORBIT_LIMIT = 3_000_000
 
 
 @dataclass(frozen=True)
@@ -267,14 +269,6 @@ def _count_vectors(n: int, d: int):
     return rest(0, n, 0)
 
 
-def _multinomial(parts) -> int:
-    """(sum of parts)! / prod part!: the arrangements of a multiset."""
-    out = factorial(sum(parts))
-    for c in parts:
-        out //= factorial(c)
-    return out
-
-
 def _rotation_orbits(n: int, d: int):
     """(n_k, classes) once per rotation orbit n'_k = n_(k-c mod d) of the count
     vectors of W(n, d): n_k is the orbit's lex-largest rotation (so n_0 >= 1),
@@ -282,34 +276,52 @@ def _rotation_orbits(n: int, d: int):
     for n_k in _count_vectors(n, d):
         rotations = [n_k[c:] + n_k[:c] for c in range(d)]
         if n_k == max(rotations):
-            yield n_k, _multinomial(n_k) // rotations.count(n_k)
+            yield n_k, factorial(n) // prod(map(factorial, n_k)) // rotations.count(n_k)
 
 
-def _poly_mul(f, g, p: int, mod: int) -> list:
-    """f * g in (Z/mod)[Y]/(Y^d + p), reduced once per output coefficient.  Each
-    of the d coefficients is a list over one index set, so a product multiplies
-    a polynomial per index at once."""
-    d, out = len(f), []
-    for c in range(d):
-        low = [u * v for u, v in zip(f[0], g[c])]
-        for a in range(1, c + 1):
-            low = [x + u * v for x, u, v in zip(low, f[a], g[c - a])]
-        high = [0] * len(low)  # Y^(c+d) = -p Y^c
-        for a in range(c + 1, d):
-            high = [x + u * v for x, u, v in zip(high, f[a], g[c + d - a])]
-        out.append([(x - p * y) % mod for x, y in zip(low, high)])
-    return out
+def _dot(pairs, width: int) -> list:
+    """Entrywise sum of u * v over the (u, v) pairs of lists of length width."""
+    if not pairs:
+        return [0] * width
+    (u, v), *rest = pairs
+    acc = [x * y for x, y in zip(u, v)]
+    for u, v in rest:
+        acc = [a + x * y for a, x, y in zip(acc, u, v)]
+    return acc
 
 
-def _poly_power(poly, e: int, p: int, mod: int) -> list:
-    """poly^e in (Z/mod)[Y]/(Y^d + p) for e >= 1, coefficients as in _poly_mul:
-    square-and-multiply, reduced after every product."""
-    out = poly
-    for bit in bin(e)[3:]:
-        out = _poly_mul(out, out, p, mod)
+def _poly_mul(f, g, p: int, mod: int, top: int = 0) -> list:
+    """Coefficients c < top (default d) of f * g in (Z/mod)[Y]/(Y^d + p), each
+    a list over one index set: one product per index at once, d * top in all."""
+    d, width = len(f), len(f[0])
+    return [[(x - p * y) % mod for x, y in zip(  # Y^(c+d) = -p Y^c
+        _dot([(f[a], g[c - a]) for a in range(c + 1)], width),
+        _dot([(f[a], g[c + d - a]) for a in range(c + 1, d)], width))]
+        for c in range(top or d)]
+
+
+def _poly_square(f, p: int, mod: int, top: int = 0) -> list:
+    """_poly_mul(f, f, p, mod, top) with each cross product f_a f_b, a < b,
+    taken once and doubled: d(d+1)/2 products instead of d^2."""
+    d, width = len(f), len(f[0])
+    def sums(s):  # over a + b = s, a <= b < d: the terms a < b, then a = b
+        return (_dot([(f[a], f[s - a]) for a in range(max(0, s - d + 1), (s + 1) // 2)], width),
+                _dot([(f[s // 2], f[s // 2])] if s % 2 == 0 else [], width))
+    return [[(2 * (x - p * y) + u - p * v) % mod for x, u, y, v in zip(*sums(c), *sums(c + d))]
+            for c in range(top or d)]
+
+
+def _y0_power(poly, e: int, p: int, mod: int) -> list:
+    """[Y^0] poly^e in (Z/mod)[Y]/(Y^d + p), e >= 2, per index: square-and-
+    multiply reduced after every product, the last taken at Y^0 only."""
+    out, (*bits, last) = poly, bin(e)[3:]
+    for bit in bits:
+        out = _poly_square(out, p, mod)
         if bit == "1":
             out = _poly_mul(out, poly, p, mod)
-    return out
+    if last == "1":
+        return _poly_mul(_poly_square(out, p, mod), poly, p, mod, 1)[0]
+    return _poly_square(out, p, mod, 1)[0]
 
 
 def _main_terms(p: int, n: int, digits: int):
@@ -318,47 +330,34 @@ def _main_terms(p: int, n: int, digits: int):
 
     By the reflection formula the prefactor cancels (module docstring): a class
     with counts n_k has the term (-1)^n / (p-1) * (-1)^(r_j) (-p)^(e + E_j)
-    L_(j mod t) P_j at j, e = sum_k k n_k / d.  Each class has exactly one member
-    w in W with w_1 = 0, a representative, so the classes sum as those members.
-    Write j = bt + i, 0 <= i < t, and g_k(i) = Gamma(<(kt + i)/(p-1)>).  The
-    shift w' = w + b of W turns P_j into prod_k g_(w'_k)(i), and for i > 0 the
-    floors into e + E_j = sum(w')/d + b(1 - n/d) + H_(bt+i), H the class-free
-    h/n steps; so, as w' runs over W with w'_1 = b and Y^d = -p,
+    L_(j mod t) P_j at j, e = sum_k k n_k / d, and the classes sum as their
+    members w in W with w_1 = 0.  Write j = bt + i, 0 <= i < t, and
+    g_k(i) = Gamma(<(kt + i)/(p-1)>).  The shift w' = w + b of W turns P_j
+    into prod_k g_(w'_k)(i), a monomial of P_i(Y)^n, P_i(Y) = sum_(k<d)
+    g_k(i) Y^k, with (-p)^(sum(w')/d) carried by Y^d = -p.  For i > 0 the
+    floors give e + E_j = sum(w')/d + b(1 - n/d) + H_(bt+i), H_j the steps of
+    A_w's h/n (h not== 0 (n/d)) up to j, one at floor(h(p-1)/n) + 1.  As
+    h = b(n/d) + h' adds bt to that floor and h = b(n/d) is no step,
+    H_(bt+i) = b(n/d - 1) + H_i, the b-terms cancel, and
 
-        C_i = (-1)^n L_i / (p-1) * sum_(b<d) (-p)^(H_(bt+i) + b(1-n/d))
-              * g_b(i) * [Y^0] Y^b P_i(Y)^(n-1),   P_i(Y) = sum_(k<d) g_k(i) Y^k,
+        C_i = (-1)^n L_i / (p-1) * (-p)^(H_i) * [Y^0] P_i(Y)^n,   H_i >= 0.
 
-    one power of P_i in Z[Y]/(Y^d + p) for all i at once.  At i = 0, r_j flips
-    the terms of the w' with an entry 0, and a w' without one (b >= 1) has one
-    factor -p fewer, E_j stepping at bt + 1; R = (P_0 - 1)^(n-1) sums those.
-    The (-p)-exponents are >= 0 (>= 1 at i = 0, b >= 1): H_(bt) = b(n/d - 1).
-    """
+    At i = 0, r_j flips the w' with an entry 0; the rest (b >= 1), the
+    monomials of B = [Y^0] (P_0 - 1)^n, have one factor -p fewer (E_j steps
+    at bt + 1), so with A = [Y^0] P_0^n the sum is -(A - B) + B/(-p) =
+    -A - (1 - p) B/p, mod p^(digits+1); p | B (sum(w') >= d) is asserted."""
     d, mod = gcd(p - 1, n), p ** digits
     t, table = (p - 1) // d, frac_gamma_table(p, digits)
     # coefficient k of every P_i, and last that of P_0 - g_0(0) = P_0 - 1
     poly = [list(table[k * t:(k + 1) * t]) + [table[k * t] if k else 0] for k in range(d)]
-    q = _poly_power(poly, n - 1, p, mod)
-    h_steps = [0] * p  # A_w's h/n, h not== 0 (n/d): +1 at floor(h(p-1)/n) + 1
-    for h in set(range(n)) - set(range(0, n, n // d)):
-        h_steps[h * (p - 1) // n + 1] += 1
-    # the (-p)-exponent at j = bt + i, H_j + b(1 - n/d) + [b > 0]: the last
-    # term is [Y^0] Y^b Q = (-p)^[b > 0] q_(-b mod d) for Q = P^(n-1)
-    exps = [h + j // t * (1 - n // d) + (j >= t)
-            for j, h in enumerate(accumulate(h_steps[:-1]))]
-    if min(exps) < 0 or any(exps[b * t] < 1 for b in range(1, d)):
+    y0 = _y0_power(poly, n, p, mod * p)
+    if y0[t] % p:
         raise AssertionError("a main term has a negative power of p")
-    powers = [(-p) ** v for v in range(max(exps) + 1)]
-    acc = [0] * t
-    for b in range(d):
-        acc = [a + powers[v] * g * c
-               for a, v, g, c in zip(acc, exps[b * t:(b + 1) * t], poly[b], q[-b % d])]
-    acc[0] = -q[0][0]  # i = 0: q - r sums the w' with an entry 0, r the rest
-    for b in range(1, d):
-        e, q0, r0 = exps[b * t], q[d - b][0], q[d - b][t]
-        acc[0] += table[b * t] * (powers[e - 1] * r0 - powers[e] * (q0 - r0))
+    y0[0] = -y0[0] - (1 - p) * (y0[t] // p)
+    steps = [h * (p - 1) // n + 1 for h in range(1, n // d)]  # H_i's, ascending
     scale = (-1) ** n * pow(p - 1, -1, mod)
-    for i, (c, l) in enumerate(zip(acc, main_l_factors(p, n, digits))):
-        yield i, 0, scale * l * c % mod
+    for i, (c, l) in enumerate(zip(y0, main_l_factors(p, n, digits))):
+        yield i, 0, scale * l * (-p) ** bisect_right(steps, i) * c % mod
 
 
 def _koblitz_const(p: int, n: int, digits: int) -> int:
@@ -368,7 +367,7 @@ def _koblitz_const(p: int, n: int, digits: int) -> int:
     of (sum_(0<a<d) u(at) Y^a)^n in Z[Y]/(Y^d + p), which units mod p^digits fix
     mod p^(digits+1); p is asserted to divide it."""
     t, mod = (p - 1) // gcd(p - 1, n), p ** (digits + 1)
-    y0 = _poly_power([[0]] + [[u] for u in gk_units(p, digits)[t::t]], n, p, mod)[0][0]
+    y0 = _y0_power([[0]] + [[u] for u in gk_units(p, digits)[t::t]], n, p, mod)[0]
     if y0 % p:
         raise AssertionError("all-nonzero Gauss products must have valuation >= 1")
     return y0 // p
@@ -386,7 +385,7 @@ def _koblitz_terms(p: int, n: int, digits: int):
     t, units = (p - 1) // d, gk_units(p, digits)
     inv = pow(p - 1, -1, mod)
     inv_den = batch_inverse([units[n * j % (p - 1)] for j in range(t)], mod)  # 1/u(nj)
-    y0 = _poly_power([list(units[a * t:(a + 1) * t]) for a in range(d)], n, p, mod)[0]
+    y0 = _y0_power([list(units[a * t:(a + 1) * t]) for a in range(d)], n, p, mod)
     for j in range(t):
         f = n * j // (p - 1)
         yield j, f, (-1) ** f * y0[j] * inv * inv_den[j] % mod

@@ -242,8 +242,9 @@ def chirp_dft(a, powers, mod: int) -> list[int]:
     rho^-C(k,2) c_k.  For odd m, C(i+m, 2) == C(i, 2) (mod m), so the chirp is
     periodic, v_(i+m) = v_i, and c_k = P[m-1+k] + P[k-1] for the product P of
     two length-m polynomials, computed as one big-integer product by Kronecker
-    substitution: slots of `width` bytes hold every coefficient, a sum of m
-    products below mod^2, without carries.
+    substitution and folded as (P >> (m-1) slots) + (P mod (m-1) slots, moved
+    up one slot): slots of `width` bytes hold every c_k, a sum of m products
+    below mod^2, without carries, so only m slots are unpacked.
     """
     size = len(powers)
     if size % 2 == 0:
@@ -263,10 +264,10 @@ def chirp_dft(a, powers, mod: int) -> list[int]:
                               "little")
     packed_v = int.from_bytes(b"".join(powers[e].to_bytes(width, "little") for e in tri),
                               "little")
-    raw = (packed_u * packed_v).to_bytes(2 * size * width, "little")
-    slots = [int.from_bytes(raw[i:i + width], "little")
-             for i in range(0, (2 * size - 1) * width, width)]
-    return [powers[-tri[k]] * (slots[size - 1 + k] + (slots[k - 1] if k else 0)) % mod
+    prod, shift = packed_u * packed_v, 8 * width * (size - 1)
+    folded = (prod >> shift) + ((prod & ((1 << shift) - 1)) << 8 * width)
+    raw = folded.to_bytes(size * width, "little")
+    return [powers[-tri[k]] * int.from_bytes(raw[k * width:(k + 1) * width], "little") % mod
             for k in range(size)]
 
 

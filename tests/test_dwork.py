@@ -329,6 +329,43 @@ def test_all_lambda_main_equals_koblitz_where_d_is_large(p, n):
     assert dwork.count_all("main", p, n) == {lam: c for lam, c in koblitz.items() if lam}
 
 
+def naive_y0_power(poly, e, p, mod):
+    """[Y^0] poly^e per index: full schoolbook products in Z[Y], with
+    Y^(qd + r) = (-p)^q Y^r and the modulus applied only at the end."""
+    d, out = len(poly), []
+    for column in zip(*poly):
+        power = [1]
+        for _ in range(e):
+            prod = [0] * (len(power) + d - 1)
+            for a, x in enumerate(power):
+                for b, y in enumerate(column):
+                    prod[a + b] += x * y
+            power = prod
+        out.append(sum(c * (-p) ** (k // d) for k, c in enumerate(power) if k % d == 0) % mod)
+    return out
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_y0_power_matches_a_naive_power(d):
+    # e = 2..12 ends on a square (even e) and on a multiply (odd e)
+    rng = random.Random(17 + d)
+    for e in range(2, 13):
+        p = rng.choice([3, 5, 7, 101, 1009])
+        mod = p ** rng.randint(1, 5)
+        poly = [[rng.randrange(mod) for _ in range(3)] for _ in range(d)]
+        assert dwork._y0_power(poly, e, p, mod) == naive_y0_power(poly, e, p, mod), (e, p)
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_poly_square_matches_poly_mul(d):
+    rng = random.Random(d)
+    for p, digits in ((3, 4), (101, 3), (1009, 5)):
+        mod = p ** digits
+        f = [[rng.randrange(mod) for _ in range(4)] for _ in range(d)]
+        assert dwork._poly_square(f, p, mod) == dwork._poly_mul(f, f, p, mod)
+        assert dwork._poly_square(f, p, mod, 1) == dwork._poly_mul(f, f, p, mod, 1)
+
+
 def full_length_l_factors(p, n, digits):
     """main_l_factors built for every j < p-1 instead of one period, each
     power taken on its own."""
@@ -881,13 +918,15 @@ def test_applicable_and_count_read_one_rule():
 
 
 def test_orbit_limit_admits_the_documented_sizes_and_is_read_at_call_time(monkeypatch):
-    # ff at (1021, 12), about 9389 orbits times 1020, stays admitted; at
-    # (41, 20), where d = n = 20, ff alone is refused: main builds no orbits
-    assert dwork._checked("ff", 1021, 12, None)[0] == k_target(1021, 12)
-    with pytest.raises(InstanceError, match="orbit limit of 20000000"):
-        dwork._checked("ff", 41, 20, None)
-    for name in ("main", "koblitz"):
-        assert dwork._checked(name, 41, 20, None)[0] == k_target(41, 20)
+    # ff at (1009, 8), about 100 orbits times 1008, stays admitted; at
+    # (1021, 12) and (1009, 12), about 9389 orbits times p-1, and at (41, 20),
+    # where d = n = 20, ff alone is refused: main builds no orbits
+    assert dwork._checked("ff", 1009, 8, None)[0] == k_target(1009, 8)
+    for p, n in ((1021, 12), (1009, 12), (41, 20)):
+        with pytest.raises(InstanceError, match="orbit limit of 3000000; use --method main"):
+            dwork._checked("ff", p, n, None)
+        for name in ("main", "koblitz"):
+            assert dwork._checked(name, p, n, None)[0] == k_target(p, n)
     monkeypatch.setattr(dwork, "ORBIT_LIMIT", 100)
     dwork._checked.cache_clear()  # the limit is read when the checks run
     with pytest.raises(InstanceError, match=r"about 2 rotation orbits, and orbits "
