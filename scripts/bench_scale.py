@@ -31,7 +31,8 @@ import sys
 CASES = [("main", 1009, 7), ("main", 1009, 9), ("main", 1021, 10), ("main", 1021, 12),
          ("main", 1009, 14), ("main", 101, 50), ("main", 10009, 4), ("main", 10007, 4),
          ("main", 30011, 4), ("koblitz", 1021, 10), ("koblitz", 10009, 4),
-         ("koblitz", 101, 50), ("ff", 1009, 8)]
+         ("koblitz", 101, 50), ("ff", 1009, 8), ("ff", 1021, 12), ("ff", 1009, 14),
+         ("ff", 101, 50)]
 REPEAT = 3
 
 WORKER = """

@@ -48,27 +48,34 @@ P_j is a monomial of P_i(Y)^n, P_i(Y) = sum_k Gamma(<(kt + i)/(p-1)>) Y^k in
 Z[Y]/(Y^d + p), with Y^d = -p carrying (-p)^(sum(w')/d); the h/n steps obey
 H_(bt+i) = b(n/d - 1) + H_i, so the b-sum is (-p)^(H_i) [Y^0] P_i^n at i > 0
 and -A - (1 - p) B/p at i = 0, A and B the Y^0 coefficients of P_0^n and
-(P_0 - 1)^n (_main_terms derives both).  Only the finite-field build still
-runs once per rotation orbit of count vectors, weighted by its
-multinomial(n_k) / s classes (s rotations fix n_k, and each of the orbit's
-d / s vectors has multinomial(n_k) members of W, d per class): 14 builds
-instead of 42 for the 1296 classes at n = d = 6.
+(P_0 - 1)^n (_main_terms derives both).
+
+The finite-field build sums its classes the same way, as the members w of W
+with w_1 = 0.  (A class term is not rotation-invariant when the rotation
+empties residue 0: at (5, 2) the counts (2, 0) fold to [12, 13] but (0, 2) to
+[10, 15] mod 25.)  With u_r = alpha r t mod (p-1), g(chi) g(chibar) =
+chi(-1) p turns each absent residue's Gauss-sum ratio into the present-residue
+form, which cancels chi(-1)^(km), so every term at character k is
+prod_r g(u_r) g(u_r - k)^(n_r - 1).  At k = bt + i, v = alpha w - b runs over
+all of W, so C_i is a class-free unit ratio times [Y^0] R_i^n, R_i =
+sum_r U(u_r - i) Y^((u_r/t - 1) mod n), for i > 0, and at i = 0, where an
+absent u_r = bt drops one factor p, -(A - B + B/p)/(p-1) from R_0 =
+sum_r U(u_r) Y^(u_r/t) and R_0 - U(0) (_ff_terms derives both).
 
 All four formulas share one evaluation kernel, padic.CharSum: a lambda-free
 constant plus sum_e C_e wbar^e(y) (relprime is main's d = 1 case).  Each
 method only builds its coefficients, once per (p, n, K_target), from
 plain-integer Gross-Koblitz units or gamma table entries: the Gauss-sum
-count's sum over W at each j and the main count's at each i are each the Y^0
-coefficient of an n-th power over the d residues in Z[Y]/(Y^d + p)
-(_y0_power), and the finite-field build reads its parameter steps and
-exponents from each orbit's counts n_k.
+count's sum over W at each j, and the main and finite-field counts' at each
+i, are each the Y^0 coefficient of an n-th power over the d residues in
+Z[Y]/(Y^d + p) (_y0_power).
 
 Validation happens once per kernel, not once per lambda.  The lambda-free
 input checks and budgets (the DworkInstance preconditions with their
-Miller-Rabin test, the table limit, the K_target and its default, the method
-name and ff's orbit limit) run once per (method, p, n, K_target) in the cached
-_checked, and the kernel is built once per (method, p, n, K_target, alpha) in
-the cached _kernel.  A count then takes lambda mod p, the domain rule
+Miller-Rabin test, the table limit, the K_target and its default and the
+method name) run once per (method, p, n, K_target) in the cached _checked, and
+the kernel is built once per (method, p, n, K_target, alpha) in the cached
+_kernel.  A count then takes lambda mod p, the domain rule
 (_refusal), y(lambda), one Horner pass (CharSum.residue) and an integer
 reconstruction (padic.reconstruct_residue), all on plain integers; only
 method_value wraps a kernel value as a ValuedPadic.
@@ -91,10 +98,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial, gcd, prod
+from math import gcd
 
-from .gauss import gk_units, pi_valuation
-from .hyperfun import FParams, f_coefficients
+from .gauss import gk_units
 from .padic import (CharSum, PrecisionError, ValuedPadic, batch_inverse,
                     check_table_size, is_odd_prime, reconstruct_residue,
                     teichmuller_table)
@@ -103,13 +109,6 @@ from .pgamma import frac_gamma_table
 
 class InstanceError(ValueError):
     """The (p, n, lambda) triple violates a precondition of the chosen method."""
-
-
-# Largest estimated rotation orbits times p-1 of an ff build, read at call
-# time; main, relprime and koblitz build no orbits.  A unit costs about 7 us
-# (all-lambda ff at (1021, 12), 9.6e6, took 68 s on a shared 2-core machine,
-# CPython 3.11.7), so no admitted build runs much past 20 s: (1009, 8) is 1e5.
-ORBIT_LIMIT = 3_000_000
 
 
 @dataclass(frozen=True)
@@ -253,32 +252,6 @@ def main_l_factors(p: int, n: int, digits: int) -> list[int]:
     return out
 
 
-def _count_vectors(n: int, d: int):
-    """Every residue-count vector (n_0, ..., n_{d-1}) of a member of W(n, d):
-    n_k >= 0, sum n_k = n and sum k*n_k == 0 (mod d), in lex order.  With
-    n_(d-1) = left - n_(d-2), the congruence fixes n_(d-2) == total + (d-1)*left
-    (mod d), so no composition is built only to be discarded."""
-    def rest(k, left, total):
-        if k == d - 1:
-            yield (left,)
-            return
-        start, step = ((total + (d - 1) * left) % d, d) if k == d - 2 else (0, 1)
-        for c in range(start, left + 1, step):
-            for tail in rest(k + 1, left - c, total + k * c):
-                yield (c,) + tail
-    return rest(0, n, 0)
-
-
-def _rotation_orbits(n: int, d: int):
-    """(n_k, classes) once per rotation orbit n'_k = n_(k-c mod d) of the count
-    vectors of W(n, d): n_k is the orbit's lex-largest rotation (so n_0 >= 1),
-    and classes = multinomial(n_k) / #{rotations fixing n_k} (module docstring)."""
-    for n_k in _count_vectors(n, d):
-        rotations = [n_k[c:] + n_k[:c] for c in range(d)]
-        if n_k == max(rotations):
-            yield n_k, factorial(n) // prod(map(factorial, n_k)) // rotations.count(n_k)
-
-
 def _dot(pairs, width: int) -> list:
     """Entrywise sum of u * v over the (u, v) pairs of lists of length width."""
     if not pairs:
@@ -392,36 +365,57 @@ def _koblitz_terms(p: int, n: int, digits: int):
 
 
 def _ff_terms(p: int, n: int, digits: int, alpha: int):
-    """(k mod t, valuation, unit) of prefactor * mFm-coefficient per class (p == 1
-    mod n), with the character generator T = wbar^alpha, gcd(alpha, p-1) = 1.
-    As in the main count, the folded class term depends only on the counts n_k
-    and is rotation-invariant, so each orbit is one term times its classes.
+    """(i, 0, C_i) for i < t = (p-1)/n (p == 1 mod n): prefactor times
+    mFm-coefficient per class, with the character generator T = wbar^alpha,
+    gcd(alpha, p-1) = 1, summed and folded mod t.
 
-    Every valuation is >= 0.  Write q = p-1 and u_r = alpha r t mod q for each
-    residue r, so the prefactor has pi-exponent P = sum_i u_(w_i) and carries
-    g(wbar^(u_r))^(n_r), one more than the n_r - 1 denominators g(B^-1) at r in
-    S_wc.  The term at character k then has valuation
-    P/q + N - c - [u_r = k for some r in S_w], where c = ceil(k/t) counts the
-    residues with u_r < k and N is their sum of n_r.  The other residues have
-    u_r >= ct, so P >= ct(n - N) and the valuation is at least N(n - c)/n - 1:
-    > -1 for k > 0 (N >= n_0 >= 1 and c < n), and P/q >= 0 at k = 0."""
+    Write q = p-1, u_r = alpha r t mod q for each residue r, and
+    g(x) = pi^(x mod q) U(x), U(x) = gk_units[x mod q].  The classes sum as
+    their members w in W with w_1 = 0, so n_0 >= 1 and u_0 = 0 is present.  A
+    class's term at character k is -1/q times g(u_r)^(n_r) at each residue,
+    g(u_r - k)^(n_r - 1) / g(u_r)^(n_r - 1) at each present one,
+    g(k - u_r) / g(-u_r) at each absent one, and chi(-1)^(km) for its m absent
+    residues.  By g(chi) g(chibar) = chi(-1) p, an absent factor is
+    (-1)^k g(u_r) / g(u_r - k), which cancels chi(-1)^(km), so the term is
+    prod_r g(u_r) g(u_r - k)^(n_r - 1) = prod_r g(u_r) / g(u_r - k) *
+    prod_i g(u_(w_i) - k); only an absent u_r = k leaves one factor p fewer.
+
+    Write k = bt + i, 0 <= i < t.  The first product does not depend on b,
+    and v = alpha w - b is a bijection from the (w, b) onto W with
+    u_(w_i) - bt = t v_i, so the b-sum of the second runs over all of W.  For
+    i > 0, g(t v - i) = pi^(t((v - 1) mod n) + t - i) U(t v - i), and the
+    pi-exponents cancel against the first product's, so
+
+        C_i = -1/q * prod_r U(u_r) / prod_r U(u_r - i) * [Y^0] R_i(Y)^n,
+
+    R_i = sum_r U(u_r - i) Y^((u_r/t - 1) mod n) in Z[Y]/(Y^n + p), where
+    Y^n = -p carries (-p)^(sum/n).  At i = 0 an absent u_r = bt, b >= 1,
+    drops one factor p: those terms are the v with no entry 0, so with A and
+    B the Y^0 coefficients of R_0^n and (R_0 - U(0))^n, R_0 = sum_r U(u_r)
+    Y^(u_r/t), read mod p^(digits+1), C_0 = -1/q (A - B + B/p); p | B
+    (sum(v) >= n) is asserted.  Every valuation is 0, and alpha only permutes
+    the residues."""
     if gcd(alpha, p - 1) != 1:
         raise InstanceError("generator exponent must be coprime to p-1")
-    t, mod = (p - 1) // n, p ** digits
-    scale, units = -pow(p - 1, -1, mod), gk_units(p, digits)
-    exps = [alpha * r * t % (p - 1) for r in range(n)]  # u_r
-    for n_k, classes in _rotation_orbits(n, n):
-        unit = classes * scale
-        for r, c in zip(exps, n_k):  # the prefactor g(wbar^(u_r))^(n_r)
-            unit = unit * pow(units[r], c, mod) % mod
-        val = pi_valuation(sum(r * c for r, c in zip(exps, n_k)), p)
-        if val % 2:  # (-p)^val carries a sign
-            unit = -unit
-        # A = wbar^(-u_r) at n_r = 0, B = n_r - 1 copies of it at n_r > 0
-        a_exps = tuple(-r % (p - 1) for r, c in zip(exps, n_k) if not c)
-        b_exps = tuple(-r % (p - 1) for r, c in zip(exps, n_k) for _ in range(c - 1))
-        for k, (v, u) in enumerate(f_coefficients(FParams(a_exps, b_exps), p, digits)):
-            yield k % t, val + v, unit * u % mod
+    q, t, mod = p - 1, (p - 1) // n, p ** digits
+    units = gk_units(p, digits)
+    # slot i of R_i, slot 0 of R_0 and slot t of R_0 - U(0)
+    poly = [[0] * (t + 1) for _ in range(n)]
+    for u in (alpha * r * t % q for r in range(n)):  # u_r
+        poly[u // t][0] = poly[u // t][t] = units[u]
+        for i in range(1, t):
+            poly[(u // t - 1) % n][i] = units[(u - i) % q]
+    poly[0][t] = 0
+    dens = [1] * t  # prod_r U(u_r - i)
+    for row in poly:
+        dens = [a * b % mod for a, b in zip(dens, row)]
+    y0 = _y0_power(poly, n, p, mod * p)
+    if y0[t] % p:
+        raise AssertionError("an ff term has a negative power of p")
+    y0[0] += y0[t] // p - y0[t]
+    scale = -pow(q, -1, mod) * dens[0]
+    for i, (c, inv) in enumerate(zip(y0, batch_inverse(dens, mod))):
+        yield i, 0, scale * inv * c % mod
 
 
 @lru_cache(maxsize=None)
@@ -481,9 +475,8 @@ def applicable(p: int, n: int, lam: int) -> list[str]:
 def _checked(name: str, p: int, n: int, kt: int | None) -> tuple[int, int]:
     """(K_target, projective bound) of a named method at (p, n) after every
     lambda-free input check and budget: the DworkInstance preconditions, the
-    table limit, the K_target (k_target(p, n) by default), the method name
-    and, for ff, the orbit limit.  Cached, so a family of counts at one
-    (p, n) runs them once."""
+    table limit, the K_target (k_target(p, n) by default) and the method
+    name.  Cached, so a family of counts at one (p, n) runs them once."""
     inst = DworkInstance(p, n, 0)
     check_table_size(p)
     kt = k_target(p, n) if kt is None else kt
@@ -491,12 +484,6 @@ def _checked(name: str, p: int, n: int, kt: int | None) -> tuple[int, int]:
         raise ValueError(f"K_target must be at least 1, not {kt}")
     if name not in _ARGUMENT:
         raise ValueError(f"unknown method {name!r}")
-    orbits = comb(n + inst.d - 1, n) // inst.d ** 2
-    if name == "ff" and orbits * (p - 1) > ORBIT_LIMIT:
-        raise InstanceError(
-            f"the ff build at p = {p}, n = {n} has about {orbits} rotation "
-            f"orbits, and orbits times p-1 = {orbits * (p - 1)} is over the "
-            f"orbit limit of {ORBIT_LIMIT}; use --method main")
     return kt, inst.projective_total
 
 

@@ -2,7 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd
+from math import factorial, gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +15,7 @@ from dworkcount.dwork import (CharSum, DworkInstance, InstanceError, canonical_c
                               count_ff, count_koblitz, count_main, count_relprime,
                               derive_params, enumerate_W, k_target, k_working,
                               main_l_factors, method_value, orbit)
-from dworkcount.gauss import gauss_gk, gk_product
+from dworkcount.gauss import gauss_gk, gk_product, gk_units, pi_valuation
 from dworkcount.hyperfun import FParams, GParams, eval_G, f_coefficients
 from dworkcount.padic import PrecisionError, is_odd_prime, teichmuller
 from dworkcount.pgamma import frac_gamma_table
@@ -276,6 +276,23 @@ def test_folded_main_kernel_matches_per_class_build(p, n):
     assert folded.coeffs == unfolded.coeffs
 
 
+def compositions(n, parts):
+    """Every tuple of `parts` non-negative integers summing to n, in lex order."""
+    if parts == 1:
+        return [(n,)]
+    return [(c,) + tail for c in range(n + 1) for tail in compositions(n - c, parts - 1)]
+
+
+def rotation_orbits(n, d):
+    """(n_k, classes) once per rotation orbit n'_k = n_(k-c mod d) of the
+    residue-count vectors of W(n, d): n_k is the orbit's lex-largest rotation
+    (so n_0 >= 1), and classes = multinomial(n_k) / #{rotations fixing n_k}."""
+    for n_k in compositions(n, d):
+        rotations = [n_k[c:] + n_k[:c] for c in range(d)]
+        if sum(k * c for k, c in enumerate(n_k)) % d == 0 and n_k == max(rotations):
+            yield n_k, factorial(n) // prod(map(factorial, n_k)) // rotations.count(n_k)
+
+
 def orbit_main_terms(p, n, digits):
     """The main build once per rotation orbit of count vectors, as it stood
     before the polynomial power: per orbit, the product of rotated power
@@ -290,7 +307,7 @@ def orbit_main_terms(p, n, digits):
     h_steps = [0] * p
     for h in set(range(n)) - set(range(0, n, n // d)):
         h_steps[h * (p - 1) // n + 1] += 1
-    for n_k, classes in dwork._rotation_orbits(n, d):
+    for n_k, classes in rotation_orbits(n, d):
         steps, units = h_steps[:], powers[n_k[0]]
         for k in range(1, d):
             if n_k[k]:
@@ -322,11 +339,50 @@ def test_main_power_kernel_matches_the_orbit_build(p):
         assert kernel_state(dwork._kernel("main", p, n, kt, 1)) == kernel_state(want), n
 
 
+def orbit_ff_terms(p, n, digits, alpha):
+    """The ff build once per rotation orbit of count vectors, as it stood
+    before the polynomial power: per orbit, the prefactor g(wbar^(u_r))^(n_r)
+    times the mFm coefficients of the absent (A) and repeated present (B)
+    residues, times the orbit's classes, folded by k mod t."""
+    t, mod = (p - 1) // n, p ** digits
+    scale, units = -pow(p - 1, -1, mod), gk_units(p, digits)
+    exps = [alpha * r * t % (p - 1) for r in range(n)]  # u_r
+    for n_k, classes in rotation_orbits(n, n):
+        unit = classes * scale
+        for r, c in zip(exps, n_k):
+            unit = unit * pow(units[r], c, mod) % mod
+        val = pi_valuation(sum(r * c for r, c in zip(exps, n_k)), p)
+        if val % 2:
+            unit = -unit
+        a_exps = tuple(-r % (p - 1) for r, c in zip(exps, n_k) if not c)
+        b_exps = tuple(-r % (p - 1) for r, c in zip(exps, n_k) for _ in range(c - 1))
+        for k, (v, u) in enumerate(f_coefficients(FParams(a_exps, b_exps), p, digits)):
+            yield k % t, val + v, unit * u % mod
+
+
+@pytest.mark.parametrize("p", [q for q in range(3, 200) if is_odd_prime(q)])
+def test_ff_power_kernel_matches_the_orbit_build(p):
+    """The ff kernel, one polynomial power per (p, n), equals the per-orbit
+    build: offset, constant and coefficients, for n = 2..8 with p == 1 (mod n),
+    at alpha = 1 and the next generator exponent."""
+    q = p - 1
+    other = min((a for a in range(2, q) if gcd(a, q) == 1), default=1)
+    for n in (m for m in range(2, 9) if q % m == 0):
+        kt = k_target(p, n)
+        consts = [(0, (p ** (n - 1) - 1) // q)]
+        for alpha in sorted({1, other}):
+            want = CharSum(p, kt, consts, orbit_ff_terms(p, n, kt, alpha), q // n)
+            assert kernel_state(dwork._kernel("ff", p, n, kt, alpha)) \
+                == kernel_state(want), (n, alpha)
+
+
 @pytest.mark.parametrize("p,n", [(41, 20), (61, 30)])
 def test_all_lambda_main_equals_koblitz_where_d_is_large(p, n):
-    # d = 20 and 30: sizes whose main build once ran per rotation orbit
+    # d = n = 20 and 30: sizes whose main and ff builds once ran per rotation orbit
     koblitz = dwork.count_all("koblitz", p, n)
-    assert dwork.count_all("main", p, n) == {lam: c for lam, c in koblitz.items() if lam}
+    want = {lam: c for lam, c in koblitz.items() if lam}
+    assert dwork.count_all("main", p, n) == want
+    assert dwork.count_all("ff", p, n) == want
 
 
 def naive_y0_power(poly, e, p, mod):
@@ -410,7 +466,7 @@ def test_orbit_scalar_sign_rule(p):
         cd_prod = 1
         for k in range(1, d):
             cd_prod = cd_prod * table[k * t] % mod
-        for n_k, _ in dwork._rotation_orbits(n, d):
+        for n_k, _ in rotation_orbits(n, d):
             w = tuple(k for k, c in enumerate(n_k) for _ in range(c))
             pd = derive_params(w, n, d)
             denom = 1
@@ -423,21 +479,6 @@ def test_orbit_scalar_sign_rule(p):
                 == sign * denom % mod, (n, w)
 
 
-def compositions(n, parts):
-    """Every tuple of `parts` non-negative integers summing to n, in lex order."""
-    if parts == 1:
-        return [(n,)]
-    return [(c,) + tail for c in range(n + 1) for tail in compositions(n - c, parts - 1)]
-
-
-def test_count_vectors_match_filtered_compositions():
-    for n in range(1, 9):
-        for d in (dd for dd in range(1, n + 1) if n % dd == 0):
-            want = [v for v in compositions(n, d)
-                    if sum(k * c for k, c in enumerate(v)) % d == 0]
-            assert list(dwork._count_vectors(n, d)) == want, (n, d)
-
-
 def rotations(n_k):
     """The rotations n'_k = n_(k-c mod d) of a count vector, as a set."""
     return frozenset(n_k[c:] + n_k[:c] for c in range(len(n_k)))
@@ -448,7 +489,7 @@ def test_rotation_orbit_totals_match_enumeration():
         for d in (dd for dd in range(1, n + 1) if n % dd == 0):
             want = Counter(rotations(tuple(rep.wstar.count(k) for k in range(d)))
                            for rep in canonical_classes(n, d))
-            orbits = list(dwork._rotation_orbits(n, d))
+            orbits = list(rotation_orbits(n, d))
             assert all(n_k[0] >= 1 for n_k, _ in orbits), (n, d)
             assert len(orbits) == len(want), (n, d)
             assert Counter({rotations(n_k): total for n_k, total in orbits}) == want, (n, d)
@@ -458,8 +499,8 @@ def test_rotation_orbit_totals_match_enumeration():
 
 # -- the integer Gauss-sum builds against gk_product --------------------------------
 # Per-term, per-vector builds through GaussSumGK/gk_product objects: the
-# reference for the plain-integer koblitz build (a polynomial power over the
-# residues) and ff build (one term per rotation orbit), each of period t.
+# reference for the plain-integer koblitz and ff builds (each a polynomial
+# power over the residues), each of period t.
 
 def reference_f_coefficients(params, p, digits):
     mod = p ** digits
@@ -685,8 +726,8 @@ def test_three_way_agreement_small_grid():
 
 @pytest.mark.parametrize("p,n", [(29, 7), (17, 8), (19, 9), (11, 10)])
 def test_all_lambda_counts_match_the_oracle_at_large_n(p, n):
-    # d = n at each: koblitz's polynomial power at d residues, main's orbits
-    # and ff's folded count vectors, all past n = 6
+    # d = n at each: the koblitz, main and ff polynomial powers at d
+    # residues, all past n = 6
     want = oracle.brute_count_all(p, n)
     assert dwork.count_all("koblitz", p, n) == want
     del want[0]
@@ -915,22 +956,3 @@ def test_applicable_and_count_read_one_rule():
                     else:
                         with pytest.raises(InstanceError):
                             dwork.count(name, p, n, lam)
-
-
-def test_orbit_limit_admits_the_documented_sizes_and_is_read_at_call_time(monkeypatch):
-    # ff at (1009, 8), about 100 orbits times 1008, stays admitted; at
-    # (1021, 12) and (1009, 12), about 9389 orbits times p-1, and at (41, 20),
-    # where d = n = 20, ff alone is refused: main builds no orbits
-    assert dwork._checked("ff", 1009, 8, None)[0] == k_target(1009, 8)
-    for p, n in ((1021, 12), (1009, 12), (41, 20)):
-        with pytest.raises(InstanceError, match="orbit limit of 3000000; use --method main"):
-            dwork._checked("ff", p, n, None)
-        for name in ("main", "koblitz"):
-            assert dwork._checked(name, p, n, None)[0] == k_target(p, n)
-    monkeypatch.setattr(dwork, "ORBIT_LIMIT", 100)
-    dwork._checked.cache_clear()  # the limit is read when the checks run
-    with pytest.raises(InstanceError, match=r"about 2 rotation orbits, and orbits "
-                                            r"times p-1 = 104 is over the orbit limit of 100"):
-        count_ff(53, 4, 2)  # d = n = 4: C(7, 4) // 16 = 2 orbits
-    assert count_ff(13, 4, 2) == oracle.brute_count(13, 4, 2)  # 2 * 12 <= 100
-    assert count_main(53, 4, 2) == count_koblitz(53, 4, 2)
