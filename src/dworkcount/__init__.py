@@ -5,13 +5,14 @@ lifts (padic), Morita's p-adic gamma (pgamma), Gauss sums in Gross-Koblitz
 form (gauss), the mGm / mFm evaluators (hyperfun), the Dwork-hypersurface
 combinatorics and count formulas (dwork), an exhaustive-enumeration oracle and
 sweep harness (oracle), and a CLI (cli).
+
+The count names load with the package; the oracle and evaluator names
+(hyperfun, oracle) load on first use, so a count never imports them.
 """
 
 from .dwork import (DworkInstance, InstanceError, canonical_classes, count_ff,
                     count_koblitz, count_main, count_relprime, derive_params,
                     enumerate_W, k_target, k_working)
-from .hyperfun import FParams, GParams, eval_F, eval_G
-from .oracle import CountReport, brute_count, brute_count_all, sweep_verify
 from .padic import (PadicError, PadicUnit, PrecisionError, ValuedPadic,
                     char_value, reconstruct_integer, teichmuller)
 
@@ -26,3 +27,14 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """Resolve an oracle or evaluator name on first use (PEP 562)."""
+    if name in ("FParams", "GParams", "eval_F", "eval_G"):
+        from . import hyperfun as module
+    elif name in ("CountReport", "brute_count", "brute_count_all", "sweep_verify"):
+        from . import oracle as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)

@@ -1,6 +1,10 @@
 """Command-line interface: point counts, direct mGm/mFm evaluation and the
 verification sweep.
 
+Importing this module loads only what a count runs (dwork and the modules
+under it, argparse, json); the oracle, the mGm/mFm evaluators and fractions
+load inside the commands and argparse types that use them.
+
 `count --method all` runs the oracle and every method in dwork.applicable.
 oracle.brute_count and dwork.count refuse an input outside their domain or
 over a budget with an InstanceError: an error with a single --method, and a
@@ -16,12 +20,10 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 from functools import lru_cache
 from math import inf
 
-from . import dwork, oracle
-from .hyperfun import FParams, GParams, eval_F, eval_G
+from . import dwork
 from .padic import PadicError, ValuedPadic, is_odd_prime
 
 
@@ -54,8 +56,9 @@ def _int_list(text: str) -> list[int]:
             f"expected a comma list of integers, got {text!r}") from None
 
 
-def _fraction_list(text: str) -> list[Fraction]:
-    """argparse type: a comma list of fractions (none for blank text)."""
+def _fraction_list(text: str) -> list:
+    """argparse type: a comma list of Fractions (none for blank text)."""
+    from fractions import Fraction
     try:
         return [Fraction(v) for v in text.split(",")] if text.strip() else []
     except (ValueError, ZeroDivisionError):
@@ -65,6 +68,7 @@ def _fraction_list(text: str) -> list[Fraction]:
 
 def _lambda_policy(text: str) -> str:
     """argparse type: "all" or "sample:k" with k >= 1."""
+    from . import oracle
     try:
         oracle.sample_size(text)
     except ValueError as exc:
@@ -141,6 +145,7 @@ def _cmd_count(args) -> int:
         t0 = time.perf_counter()
         try:
             if name == "oracle":
+                from . import oracle
                 result = oracle.brute_count(args.p, args.n, inst.lam)
                 if congruence:
                     result %= modulus
@@ -175,6 +180,7 @@ def _cmd_count(args) -> int:
 
 
 def _parse_g_inputs(args):
+    from .hyperfun import GParams
     if not is_odd_prime(args.p):
         raise ValueError(f"p={args.p} is not an odd prime")
     params = GParams(tuple(args.a), tuple(args.b))
@@ -183,6 +189,7 @@ def _parse_g_inputs(args):
 
 
 def _cmd_gfun(args) -> int:
+    from .hyperfun import eval_G
     try:
         params = _parse_g_inputs(args)
         value = eval_G(params, args.x % args.p, args.p, args.kw)
@@ -194,6 +201,7 @@ def _cmd_gfun(args) -> int:
 
 
 def _cmd_ffun(args) -> int:
+    from .hyperfun import FParams, eval_F
     try:
         params = _parse_g_inputs(args)
         fparams = FParams.from_fractions(params, args.p)
@@ -205,7 +213,7 @@ def _cmd_ffun(args) -> int:
     return 0
 
 
-def _report_json_line(r: oracle.CountReport) -> str:
+def _report_json_line(r) -> str:
     # timings are wall-clock and deliberately excluded: verify output must be
     # byte-identical across --jobs settings
     return json.dumps({"p": r.p, "n": r.n, "lambda": r.lam, "d": r.d,
@@ -214,6 +222,7 @@ def _report_json_line(r: oracle.CountReport) -> str:
 
 
 def _cmd_verify(args) -> int:
+    from . import oracle
     try:
         n_set = sorted(set(args.n_set))
         if any(n < 2 for n in n_set):

@@ -94,8 +94,7 @@ PrecisionError carrying the precision ledger, never a wrong count.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 from math import gcd
@@ -111,23 +110,20 @@ class InstanceError(ValueError):
     """The (p, n, lambda) triple violates a precondition of the chosen method."""
 
 
-@dataclass(frozen=True)
-class DworkInstance:
+class DworkInstance(namedtuple("DworkInstance", "p n lam")):
     """A Dwork hypersurface instance: x_1^n + ... + x_n^n - n*lam*x_1...x_n over F_p."""
 
-    p: int
-    n: int
-    lam: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_odd_prime(self.p):
-            raise InstanceError(f"p={self.p} is not an odd prime")
-        if self.n < 2:
+    def __new__(cls, p: int, n: int, lam: int):
+        if not is_odd_prime(p):
+            raise InstanceError(f"p={p} is not an odd prime")
+        if n < 2:
             raise InstanceError("n must be at least 2")
-        if self.n % self.p == 0:
-            raise InstanceError(f"p={self.p} divides n={self.n}: "
+        if n % p == 0:
+            raise InstanceError(f"p={p} divides n={n}: "
                                 "the problem reduces to the lambda=0 diagonal case")
-        object.__setattr__(self, "lam", self.lam % self.p)
+        return super().__new__(cls, p, n, lam % p)
 
     @property
     def d(self) -> int:
@@ -142,11 +138,10 @@ class DworkInstance:
         return (self.p ** self.n - 1) // (self.p - 1)
 
 
-@dataclass(frozen=True)
-class ClassRep:
+class ClassRep(namedtuple("ClassRep", "wstar")):
     """A diagonal-shift equivalence class, named by its canonical representative."""
 
-    wstar: tuple[int, ...]
+    __slots__ = ()
 
 
 def enumerate_W(n: int, d: int) -> list[tuple[int, ...]]:
@@ -176,19 +171,10 @@ def canonical_classes(n: int, d: int) -> list[ClassRep]:
     return sorted(reps, key=lambda c: c.wstar)
 
 
-@dataclass(frozen=True)
-class ParamData:
+class ParamData(namedtuple("ParamData", "w d n_k S_w S_wc A_w B_w s prefactor_exponent")):
     """Derived combinatorics of a zero-containing class representative."""
 
-    w: tuple[int, ...]
-    d: int
-    n_k: tuple[int, ...]
-    S_w: frozenset[int]
-    S_wc: frozenset[int]
-    A_w: tuple[Fraction, ...]
-    B_w: tuple[Fraction, ...]
-    s: int
-    prefactor_exponent: int
+    __slots__ = ()
 
 
 def derive_params(w: tuple[int, ...], n: int, d: int) -> ParamData:
@@ -198,6 +184,7 @@ def derive_params(w: tuple[int, ...], n: int, d: int) -> ParamData:
         raise ValueError("the main count needs a representative with a zero entry")
     if len(w) != n or any(not 0 <= wi < d for wi in w) or sum(w) % d:
         raise ValueError("w is not a member of W(n, d)")
+    from fractions import Fraction  # the count path never builds a Fraction
     n_k = tuple(sum(1 for wi in w if wi == k) for k in range(d))
     S_w = frozenset(k for k in range(d) if n_k[k] == 0)
     S_wc = frozenset(range(d)) - S_w

@@ -13,7 +13,7 @@ as objects and are the object-level reference the tests pin them against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .padic import PadicError, PadicUnit, ValuedPadic, teichmuller_table
@@ -27,12 +27,10 @@ class PiBalanceError(PadicError):
     """
 
 
-@dataclass(frozen=True)
-class GaussSumGK:
+class GaussSumGK(namedtuple("GaussSumGK", "pi_exp unit")):
     """g(wbar^j) = pi^pi_exp * unit, where unit = -Gamma_p(<j/(p-1)>)."""
 
-    pi_exp: int
-    unit: PadicUnit
+    __slots__ = ()
 
     @property
     def p(self) -> int:

@@ -13,7 +13,7 @@ B_i = wbar^(b_i (p-1)), mFm(A; B | t) = mGm[a; b | 1/t].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import floor
 
@@ -22,16 +22,15 @@ from .padic import CharSum, ValuedPadic, check_table_size
 from .pgamma import gamma_residues
 
 
-@dataclass(frozen=True)
-class GParams:
+class GParams(namedtuple("GParams", "a b")):
     """Upper and lower parameter lists of an mGm, as reduced fractions."""
 
-    a: tuple[Fraction, ...]
-    b: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.a) != len(self.b):
+    def __new__(cls, a: tuple, b: tuple):
+        if len(a) != len(b):
             raise ValueError("parameter lists must have equal length")
+        return super().__new__(cls, a, b)
 
     @property
     def m(self) -> int:
@@ -43,16 +42,15 @@ class GParams:
                 raise ValueError(f"parameter {q} has denominator divisible by p={p}")
 
 
-@dataclass(frozen=True)
-class FParams:
+class FParams(namedtuple("FParams", "a_exps b_exps")):
     """Character-exponent lists of an mFm: the lists A_i = wbar^a, B_i = wbar^b."""
 
-    a_exps: tuple[int, ...]
-    b_exps: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.a_exps) != len(self.b_exps):
+    def __new__(cls, a_exps: tuple, b_exps: tuple):
+        if len(a_exps) != len(b_exps):
             raise ValueError("character lists must have equal length")
+        return super().__new__(cls, a_exps, b_exps)
 
     @property
     def m(self) -> int:

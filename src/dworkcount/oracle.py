@@ -20,8 +20,7 @@ relprime is the main kernel at d = 1, so its column reuses main's counts.
 from __future__ import annotations
 
 import time
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from itertools import product
 from math import gcd
 
@@ -120,21 +119,20 @@ def brute_count_all(p: int, n: int) -> dict[int, int]:
     return {lam: c + every_lam for lam, c in enumerate(counts)}
 
 
-@dataclass
-class CountReport:
+class CountReport(namedtuple("CountReport", "p n lam d methods agreement timings_ms")):
     """Per-instance comparison of the oracle and every applicable formula.
 
-    timings_ms holds, per method, the wall time of its run over the whole
-    (p, n) group divided by the number of the group's lambdas it serves.
+    methods maps each method to its count.  timings_ms holds, per method, the
+    wall time of its run over the whole (p, n) group divided by the number of
+    the group's lambdas it serves (a fresh empty dict when not given).
     """
 
-    p: int
-    n: int
-    lam: int
-    d: int
-    methods: dict[str, int]
-    agreement: bool
-    timings_ms: dict[str, float] = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, p: int, n: int, lam: int, d: int, methods: dict,
+                agreement: bool, timings_ms: dict | None = None):
+        return super().__new__(cls, p, n, lam, d, methods, agreement,
+                               {} if timings_ms is None else timings_ms)
 
 
 def verify_group(p: int, n: int, lams: list[int]) -> list[CountReport]:

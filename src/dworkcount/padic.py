@@ -23,7 +23,7 @@ function, so everything here is safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 
@@ -89,21 +89,19 @@ def is_odd_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PadicUnit:
+class PadicUnit(namedtuple("PadicUnit", "residue p precision")):
     """A unit of Z_p known modulo p^precision."""
 
-    residue: int
-    p: int
-    precision: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.precision < 1:
+    def __new__(cls, residue: int, p: int, precision: int):
+        if precision < 1:
             raise PrecisionError("unit with < 1 known digit")
-        if not 0 <= self.residue < self.p ** self.precision:
+        if not 0 <= residue < p ** precision:
             raise ValueError("residue out of range for p^precision")
-        if self.residue % self.p == 0:
+        if residue % p == 0:
             raise ValueError("residue divisible by p: not a unit")
+        return super().__new__(cls, residue, p, precision)
 
 
 class ValuedPadic:

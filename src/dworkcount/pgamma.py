@@ -30,7 +30,6 @@ per (p, digits); nothing is persisted.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .padic import (PadicError, check_table_size, chirp_dft, primitive_root,
@@ -152,7 +151,7 @@ def frac_gamma_table(p: int, digits: int) -> tuple[int, ...]:
     return tuple(table)
 
 
-def gamma_residues(args, p: int, digits: int) -> dict[Fraction, int]:
+def gamma_residues(args, p: int, digits: int) -> dict:
     """{q: residue of Gamma_p(q) mod p^digits} for exact rationals 0 <= q <= 1.
 
     The one routing rule: q = 1 and arguments whose denominator divides p-1

@@ -1,8 +1,13 @@
+import importlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import dworkcount
 from dworkcount import cli, dwork, oracle
 
 
@@ -354,3 +359,42 @@ def test_count_all_skips_every_method_over_a_budget(capsys):
     notices = err.splitlines()
     assert len(notices) == 1 and notices[0].startswith("notice: skipping the oracle")
     assert "over its limit" in err
+
+
+FOOTPRINT = """
+import json, sys
+from dworkcount import cli
+after_import = sorted(sys.modules)
+code = cli.main(["count", "--p", "601", "--n", "4", "--lambda", "3", "--method", "main"])
+print(json.dumps([code, after_import, sorted(sys.modules)]))
+"""
+
+
+def test_a_count_loads_only_the_count_path():
+    """A fresh interpreter's `import dworkcount.cli`, and a count after it,
+    load neither the oracle, the evaluators, fractions nor dataclasses; the
+    import already loads every module the count runs."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", FOOTPRINT], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    code, after_import, after_count = json.loads(out.splitlines()[-1])
+    assert code == 0 and out.splitlines()[0].split() == ["main:", "373784"]
+    for loaded in (after_import, after_count):
+        assert not {"dataclasses", "inspect", "fractions", "decimal",
+                    "dworkcount.oracle", "dworkcount.hyperfun"} & set(loaded)
+    assert {"dworkcount.dwork", "dworkcount.padic", "dworkcount.pgamma",
+            "dworkcount.gauss"} <= set(after_import)
+
+
+def test_every_public_name_resolves_to_its_module_object():
+    """The oracle and evaluator names load on first use, as the same objects
+    their modules hold; `import *` binds every name; others are AttributeErrors."""
+    for name in dworkcount.__all__:
+        value = getattr(dworkcount, name)
+        assert value.__module__.startswith("dworkcount.")
+        assert getattr(importlib.import_module(value.__module__), name) is value
+    namespace = {}
+    exec("from dworkcount import *", namespace)
+    assert all(namespace[name] is getattr(dworkcount, name) for name in dworkcount.__all__)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        dworkcount.no_such_name

@@ -1,3 +1,4 @@
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -11,13 +12,14 @@ from hypothesis import strategies as st
 from conftest import PRIMES_TO_97, truncated
 
 from dworkcount import dwork, oracle, padic
-from dworkcount.dwork import (CharSum, DworkInstance, InstanceError, canonical_classes,
-                              count_ff, count_koblitz, count_main, count_relprime,
-                              derive_params, enumerate_W, k_target, k_working,
-                              main_l_factors, method_value, orbit)
+from dworkcount.dwork import (CharSum, ClassRep, DworkInstance, InstanceError,
+                              canonical_classes, count_ff, count_koblitz, count_main,
+                              count_relprime, derive_params, enumerate_W, k_target,
+                              k_working, main_l_factors, method_value, orbit)
 from dworkcount.gauss import gauss_gk, gk_product, gk_units, pi_valuation
 from dworkcount.hyperfun import FParams, GParams, eval_G, f_coefficients
-from dworkcount.padic import PrecisionError, is_odd_prime, teichmuller
+from dworkcount.oracle import CountReport
+from dworkcount.padic import PadicUnit, PrecisionError, is_odd_prime, teichmuller
 from dworkcount.pgamma import frac_gamma_table
 
 
@@ -745,10 +747,13 @@ def test_counts_are_deterministic():
 # -- preconditions and precision ------------------------------------------------------
 
 def test_instance_preconditions():
-    with pytest.raises(InstanceError):
+    with pytest.raises(InstanceError, match="^p=7 divides n=7: the problem reduces to "
+                                            "the lambda=0 diagonal case$"):
         DworkInstance(7, 7, 1)        # p | n
-    with pytest.raises(InstanceError):
+    with pytest.raises(InstanceError, match="^p=9 is not an odd prime$"):
         DworkInstance(9, 2, 1)        # not prime
+    with pytest.raises(InstanceError, match="^n must be at least 2$"):
+        DworkInstance(7, 1, 1)
     with pytest.raises(InstanceError):
         count_main(7, 3, 0)           # lambda = 0 needs koblitz
     with pytest.raises(InstanceError):
@@ -759,8 +764,46 @@ def test_instance_preconditions():
         count_ff(13, 4, 1, generator_exponent=2)  # not coprime to p-1
 
 
+RECORDS = [PadicUnit(3, 7, 2), gauss_gk(2, 7, 3), DworkInstance(7, 3, 1), ClassRep((0, 1, 2)),
+           derive_params((0, 0, 1, 3), 4, 4), GParams((Fraction(1, 2),), (Fraction(1),)),
+           FParams((3,), (0,)), CountReport(7, 3, 1, 3, {"main": 21}, True, {"main": 0.5})]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_records_are_immutable_and_pickle(record):
+    """Every record refuses assignment, and pickles (verify --jobs sends
+    CountReports between processes) to an equal record of the same type."""
+    field, value = record._fields[0], record[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, value)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is type(record) and copy == record
+
+
+def test_count_report_timings_default_to_a_fresh_dict():
+    a, b = (CountReport(7, 3, 1, 3, {"main": 21}, True) for _ in range(2))
+    assert a.timings_ms == {} and a.timings_ms is not b.timings_ms
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: PadicUnit(3, 7, 0), PrecisionError, "unit with < 1 known digit"),
+    (lambda: PadicUnit(49, 7, 2), ValueError, "residue out of range for p^precision"),
+    (lambda: PadicUnit(14, 7, 2), ValueError, "residue divisible by p: not a unit"),
+    (lambda: GParams((Fraction(1, 2),), ()), ValueError,
+     "parameter lists must have equal length"),
+    (lambda: FParams((1,), ()), ValueError, "character lists must have equal length"),
+])
+def test_records_refuse_bad_input(make, error, message):
+    with pytest.raises(error) as caught:
+        make()
+    assert type(caught.value) is error and str(caught.value) == message
+
+
 def test_lambda_reduces_mod_p():
     assert DworkInstance(7, 3, -1).lam == 6
+    assert DworkInstance(7, 3, 9).lam == 2
     assert count_main(7, 3, -1) == count_main(7, 3, 6)
 
 
