@@ -68,7 +68,8 @@ method only builds its coefficients, once per (p, n, K_target), from
 plain-integer Gross-Koblitz units or gamma table entries: the Gauss-sum
 count's sum over W at each j, and the main and finite-field counts' at each
 i, are each the Y^0 coefficient of an n-th power over the d residues in
-Z[Y]/(Y^d + p) (_y0_power).
+Z[Y]/(Y^d + p); B/p, B the Y^0 coefficient of (P_0 - P_0(0))^n, gives main's
+and ff's i = 0 term and koblitz's constant: _y0_read reads both at once.
 
 Validation happens once per kernel, not once per lambda.  The lambda-free
 input checks and budgets (the DworkInstance preconditions with their
@@ -84,11 +85,12 @@ Precision: a count is an integer in [0, (p^n - 1)/(p - 1)], so it is pinned by
 its residue mod p^K_target, the smallest power of p over twice that bound
 (k_target).  Every kernel carries exactly K_target digits (k_working): each
 term is p^v * u with u known mod p^digits, so a value is exact mod
-p^(offset + digits), where the offset is the smallest term valuation, and
-every term valuation is >= 0 (the floors argued at _main_terms,
-_koblitz_terms and _ff_terms).  _kernel asserts that floor, and
-reconstruction refuses p^(absolute precision) <= bound, so a wrong floor is a
-PrecisionError carrying the precision ledger, never a wrong count.
+p^(offset + digits), where the offset is the smallest term valuation.  Every
+builder's terms have v = 0: (-p)-exponents are floors >= 0 folded into u,
+and the one division by p (B/p, _y0_read) is asserted exact.  _kernel
+asserts that floor, and reconstruction refuses p^(absolute precision) <=
+bound, so a wrong floor is a PrecisionError carrying the precision ledger,
+never a wrong count.
 """
 
 from __future__ import annotations
@@ -284,6 +286,19 @@ def _y0_power(poly, e: int, p: int, mod: int) -> list:
     return _poly_square(out, p, mod, 1)[0]
 
 
+def _y0_read(rows, n: int, p: int, digits: int) -> tuple[list, int]:
+    """([Y^0] P_i^n mod p^(digits+1) per column i, B/p mod p^digits) with
+    P_i = sum_k rows[k][i] Y^k in Z[Y]/(Y^d + p) and B = [Y^0] (P_0 -
+    rows[0][0])^n, one more column of the same power; p | B (each monomial
+    carries some Y^d = -p) is asserted."""
+    poly = [list(row) + [row[0] if k else 0] for k, row in enumerate(rows)]
+    y0 = _y0_power(poly, n, p, p ** (digits + 1))
+    b, rem = divmod(y0.pop(), p)
+    if rem:
+        raise AssertionError("a Y^0 term has a negative power of p")
+    return y0, b
+
+
 def _main_terms(p: int, n: int, digits: int):
     """(i, 0, C_i) for i < t = (p-1)/d: the main count's classes, each term
     (-1)^n * prefactor * G-coefficient, summed and folded mod t.
@@ -305,50 +320,34 @@ def _main_terms(p: int, n: int, digits: int):
     At i = 0, r_j flips the w' with an entry 0; the rest (b >= 1), the
     monomials of B = [Y^0] (P_0 - 1)^n, have one factor -p fewer (E_j steps
     at bt + 1), so with A = [Y^0] P_0^n the sum is -(A - B) + B/(-p) =
-    -A - (1 - p) B/p, mod p^(digits+1); p | B (sum(w') >= d) is asserted."""
+    -A - (1 - p) B/p, with B/p from _y0_read (sum(w') >= d)."""
     d, mod = gcd(p - 1, n), p ** digits
     t, table = (p - 1) // d, frac_gamma_table(p, digits)
-    # coefficient k of every P_i, and last that of P_0 - g_0(0) = P_0 - 1
-    poly = [list(table[k * t:(k + 1) * t]) + [table[k * t] if k else 0] for k in range(d)]
-    y0 = _y0_power(poly, n, p, mod * p)
-    if y0[t] % p:
-        raise AssertionError("a main term has a negative power of p")
-    y0[0] = -y0[0] - (1 - p) * (y0[t] // p)
+    y0, b = _y0_read([table[k * t:(k + 1) * t] for k in range(d)], n, p, digits)
+    y0[0] = -y0[0] - (1 - p) * b
     steps = [h * (p - 1) // n + 1 for h in range(1, n // d)]  # H_i's, ascending
     scale = (-1) ** n * pow(p - 1, -1, mod)
     for i, (c, l) in enumerate(zip(y0, main_l_factors(p, n, digits))):
         yield i, 0, scale * l * (-p) ** bisect_right(steps, i) * c % mod
 
 
-def _koblitz_const(p: int, n: int, digits: int) -> int:
-    """The sum of g(w)/p over the all-nonzero w, mod p^digits (the all-zero w is
-    the base term; N_p(0, w) = 0 when some but not all entries vanish).  With
-    m = sum(w)/d >= 1, g(w) = (-p)^m prod_i u(w_i t) sums to the Y^0 coefficient
-    of (sum_(0<a<d) u(at) Y^a)^n in Z[Y]/(Y^d + p), which units mod p^digits fix
-    mod p^(digits+1); p is asserted to divide it."""
-    t, mod = (p - 1) // gcd(p - 1, n), p ** (digits + 1)
-    y0 = _y0_power([[0]] + [[u] for u in gk_units(p, digits)[t::t]], n, p, mod)[0]
-    if y0 % p:
-        raise AssertionError("all-nonzero Gauss products must have valuation >= 1")
-    return y0 // p
-
-
 def _koblitz_terms(p: int, n: int, digits: int):
-    """(j, valuation, unit) for j < t of the Gauss-sum ratios
-    prod_i g(wbar^(w_i t + j)) / g(wbar^(nj)) / (p-1), summed over W.
+    """(const, terms) of the Gauss-sum count less its base term (the all-zero
+    w; N_p(0, w) = 0 when some but not all entries vanish): the sum of g(w)/p
+    over the all-nonzero w, and (j, 0, C_j) for j < t, C_j the sum over W of
+    prod_i g(wbar^(w_i t + j)) / g(wbar^(nj)) / (p-1).
 
-    A ratio's pi-exponent is (p-1)(m + f_j), m = sum(w)/d, so the term carries
-    valuation f_j = floor(nj/(p-1)) >= 0; as w_i t + j < p-1, the sum over W of
-    (-p)^m prod_i u(w_i t + j) is the Y^0 coefficient of P_j^n in Z[Y]/(Y^d + p),
-    P_j = sum_(a<d) u(at + j) Y^a."""
+    A ratio's pi-exponent is (p-1)(m + f_j), m = sum(w)/d, and C_j carries
+    (-p)^(f_j), f_j = floor(nj/(p-1)) >= 0; as w_i t + j < p-1, the sum over W
+    of (-p)^m prod_i u(w_i t + j) is [Y^0] P_j^n in Z[Y]/(Y^d + p), P_j =
+    sum_(a<d) u(at + j) Y^a, and the all-nonzero g(w) sum to _y0_read's B."""
     d, mod = gcd(p - 1, n), p ** digits
     t, units = (p - 1) // d, gk_units(p, digits)
     inv = pow(p - 1, -1, mod)
     inv_den = batch_inverse([units[n * j % (p - 1)] for j in range(t)], mod)  # 1/u(nj)
-    y0 = _y0_power([list(units[a * t:(a + 1) * t]) for a in range(d)], n, p, mod)
-    for j in range(t):
-        f = n * j // (p - 1)
-        yield j, f, (-1) ** f * y0[j] * inv * inv_den[j] % mod
+    y0, b = _y0_read([units[a * t:(a + 1) * t] for a in range(d)], n, p, digits)
+    return b, [(j, 0, (-p) ** (n * j // (p - 1)) * y0[j] * inv * inv_den[j] % mod)
+               for j in range(t)]
 
 
 def _ff_terms(p: int, n: int, digits: int, alpha: int):
@@ -379,27 +378,22 @@ def _ff_terms(p: int, n: int, digits: int, alpha: int):
     Y^n = -p carries (-p)^(sum/n).  At i = 0 an absent u_r = bt, b >= 1,
     drops one factor p: those terms are the v with no entry 0, so with A and
     B the Y^0 coefficients of R_0^n and (R_0 - U(0))^n, R_0 = sum_r U(u_r)
-    Y^(u_r/t), read mod p^(digits+1), C_0 = -1/q (A - B + B/p); p | B
-    (sum(v) >= n) is asserted.  Every valuation is 0, and alpha only permutes
-    the residues."""
+    Y^(u_r/t), C_0 = -1/q (A - B + B/p), with B/p from _y0_read.  alpha only
+    permutes the residues."""
     if gcd(alpha, p - 1) != 1:
         raise InstanceError("generator exponent must be coprime to p-1")
     q, t, mod = p - 1, (p - 1) // n, p ** digits
     units = gk_units(p, digits)
-    # slot i of R_i, slot 0 of R_0 and slot t of R_0 - U(0)
-    poly = [[0] * (t + 1) for _ in range(n)]
+    rows = [[0] * t for _ in range(n)]  # column i of R_i, column 0 of R_0
     for u in (alpha * r * t % q for r in range(n)):  # u_r
-        poly[u // t][0] = poly[u // t][t] = units[u]
+        rows[u // t][0] = units[u]
         for i in range(1, t):
-            poly[(u // t - 1) % n][i] = units[(u - i) % q]
-    poly[0][t] = 0
+            rows[(u // t - 1) % n][i] = units[(u - i) % q]
     dens = [1] * t  # prod_r U(u_r - i)
-    for row in poly:
+    for row in rows:
         dens = [a * b % mod for a, b in zip(dens, row)]
-    y0 = _y0_power(poly, n, p, mod * p)
-    if y0[t] % p:
-        raise AssertionError("an ff term has a negative power of p")
-    y0[0] += y0[t] // p - y0[t]
+    y0, b = _y0_read(rows, n, p, digits)
+    y0[0] += b - p * b
     scale = -pow(q, -1, mod) * dens[0]
     for i, (c, inv) in enumerate(zip(y0, batch_inverse(dens, mod))):
         yield i, 0, scale * inv * c % mod
@@ -416,8 +410,8 @@ def _kernel(method: str, p: int, n: int, kt: int, alpha: int) -> CharSum:
     if method == "main":
         chars = _main_terms(p, n, digits)
     elif method == "koblitz":
-        consts.append((0, _koblitz_const(p, n, digits)))
-        chars = _koblitz_terms(p, n, digits)
+        const, chars = _koblitz_terms(p, n, digits)
+        consts.append((0, const))
     else:
         chars = _ff_terms(p, n, digits, alpha)
     kernel = CharSum(p, digits, consts, chars, (p - 1) // gcd(p - 1, n))

@@ -139,8 +139,9 @@ def verify_group(p: int, n: int, lams: list[int]) -> list[CountReport]:
     """CountReports for one (p, n) over the given lambdas.
 
     The oracle and each formula method run once for every lambda of the group
-    (brute_count_all, dwork.count_all), and each report picks out its lambda;
-    a method's timing is its group time over the number of lambdas it serves.
+    (brute_count_all, dwork.count_all), and each report holds the methods
+    whose counts cover its lambda (count_all's coverage is dwork's domain
+    rule); a method's timing is its group time over the lambdas it serves.
     """
     lams = [lam % p for lam in lams]
     group, group_ms = {}, {}
@@ -157,9 +158,8 @@ def verify_group(p: int, n: int, lams: list[int]) -> list[CountReport]:
     d = gcd(p - 1, n)
     reports = []
     for lam in lams:
-        names = ["oracle", *dwork.applicable(p, n, lam)]
-        methods = {name: group[name][lam] for name in names}
-        timings = {name: round(group_ms[name] / served[name], 3) for name in names}
+        methods = {name: counts[lam] for name, counts in group.items() if lam in counts}
+        timings = {name: round(group_ms[name] / served[name], 3) for name in methods}
         agreement = len(set(methods.values())) == 1
         reports.append(CountReport(p, n, lam, d, methods, agreement, timings))
     return reports

@@ -405,13 +405,20 @@ def naive_y0_power(poly, e, p, mod):
 
 @pytest.mark.parametrize("d", range(1, 8))
 def test_y0_power_matches_a_naive_power(d):
-    # e = 2..12 ends on a square (even e) and on a multiply (odd e)
+    # e = 2..12 ends on a square (even e) and on a multiply (odd e); _y0_read
+    # reads the same power mod p^(digits+1), plus B/p from column 0 less row 0
     rng = random.Random(17 + d)
     for e in range(2, 13):
         p = rng.choice([3, 5, 7, 101, 1009])
-        mod = p ** rng.randint(1, 5)
+        digits = rng.randint(1, 5)
+        mod = p ** digits
         poly = [[rng.randrange(mod) for _ in range(3)] for _ in range(d)]
         assert dwork._y0_power(poly, e, p, mod) == naive_y0_power(poly, e, p, mod), (e, p)
+        y0, b = dwork._y0_read(poly, e, p, digits)
+        assert y0 == naive_y0_power(poly, e, p, mod * p), (e, p)
+        (big_b,) = naive_y0_power([[0]] + [row[:1] for row in poly[1:]], e, p, mod * p)
+        assert big_b % p == 0 and b == big_b // p, (e, p)
+        assert d > 1 or b == 0
 
 
 @pytest.mark.parametrize("d", range(1, 8))
