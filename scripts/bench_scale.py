@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time all-lambda counts at the scale of the north-star targets, and the
-CLI's cold start.
+"""Time all-lambda counts at the scale of the north-star targets, cold
+single counts at scale, and the CLI's cold start.
 
 Usage:
     python3 scripts/bench_scale.py [--src DIR] [--parent DIR] > BENCH_<PR>.json
@@ -22,7 +22,9 @@ each in a fresh interpreter: `import dworkcount.cli` alone (timed inside the
 interpreter), and the whole `python -m dworkcount.cli` COUNT_ARGV command
 (wall time seen by this script, start-up included), with a bare
 `python -c pass` timed the same way beside it; both sides must print the
-same count.
+same count.  The cold single counts at scale (SINGLE_ARGVS, where the tables
+and the kernel build dominate) are timed the same way, SINGLE_REPEAT times
+per side, and both sides must print the same count.
 The result is one JSON document on stdout (progress goes to stderr): per case,
 every run, the median per side and the checks.
 """
@@ -45,6 +47,9 @@ CASES = [("main", 1009, 7), ("main", 1009, 9), ("main", 1021, 10), ("main", 1021
 REPEAT = 3
 COLD_REPEAT = 15
 COUNT_ARGV = ["count", "--p", "601", "--n", "4", "--lambda", "3", "--method", "main"]
+SINGLE_ARGVS = [["count", "--p", "100003", "--n", "4", "--lambda", "3", "--method", "main"],
+                ["count", "--p", "10007", "--n", "6", "--lambda", "3", "--method", "main"]]
+SINGLE_REPEAT = 5
 
 IMPORT_WORKER = """
 import sys, time
@@ -92,6 +97,15 @@ def wall_once(args, src=None):
     return round((time.perf_counter() - t0) * 1000, 1), out
 
 
+def with_medians(case):
+    """case with the median of each side's runs added, reported on stderr."""
+    case["median_ms"] = {side: round(statistics.median(v), 1)
+                         for side, v in case["runs_ms"].items()}
+    print(f"{case['case']}: " + ", ".join(f"{side} {m:.1f} ms" for side, m
+                                          in case["median_ms"].items()), file=sys.stderr)
+    return case
+
+
 def cold_start(sides):
     """The two cold-start cases, as JSON-ready dicts, and whether both sides
     printed the same count."""
@@ -105,17 +119,32 @@ def cold_start(sides):
             ms, out = wall_once(["-m", "dworkcount.cli", *COUNT_ARGV], sides[side])
             counts[side].append(ms)
             outputs.add(out)
-    cases = [{"case": "import dworkcount.cli", "runs_ms": imports},
-             {"case": "python -m dworkcount.cli " + " ".join(COUNT_ARGV), "runs_ms": counts,
-              "bare_interpreter_ms": {"runs": bare, "median": statistics.median(bare)},
-              "counts_agree": len(outputs) == 1}]
-    for case in cases:
-        case["median_ms"] = {side: round(statistics.median(v), 1)
-                             for side, v in case["runs_ms"].items()}
-        print(f"{case['case']}: " + ", ".join(f"{side} {m:.1f} ms" for side, m
-                                              in case["median_ms"].items()), file=sys.stderr)
+    cases = [with_medians({"case": "import dworkcount.cli", "runs_ms": imports}),
+             with_medians({"case": "python -m dworkcount.cli " + " ".join(COUNT_ARGV),
+                           "runs_ms": counts,
+                           "bare_interpreter_ms": {"runs": bare,
+                                                   "median": statistics.median(bare)},
+                           "counts_agree": len(outputs) == 1})]
     print(f"bare interpreter: {statistics.median(bare):.1f} ms", file=sys.stderr)
     return cases, len(outputs) == 1
+
+
+def single_counts(sides):
+    """The cold single-count cases, as JSON-ready dicts, and whether both
+    sides printed the same count in each."""
+    cases, ok = [], True
+    for argv in SINGLE_ARGVS:
+        runs, outputs = {side: [] for side in sides}, set()
+        for r in range(SINGLE_REPEAT):
+            for side in list(sides) if r % 2 == 0 else list(reversed(sides)):
+                ms, out = wall_once(["-m", "dworkcount.cli", *argv], sides[side])
+                runs[side].append(ms)
+                outputs.add(out)
+        cases.append(with_medians({"case": "python -m dworkcount.cli " + " ".join(argv),
+                                   "runs_ms": runs, "output": sorted(outputs),
+                                   "counts_agree": len(outputs) == 1}))
+        ok = ok and len(outputs) == 1
+    return cases, ok
 
 
 def main(argv=None):
@@ -130,6 +159,8 @@ def main(argv=None):
     if args.parent is not None:
         sides["parent"] = args.parent
     cold, ok = cold_start(sides)
+    single, single_ok = single_counts(sides)
+    ok = ok and single_ok
     cases = []
     for method, p, n in CASES:
         runs = {side: [] for side in sides}
@@ -156,6 +187,7 @@ def main(argv=None):
     print(json.dumps({"python": sys.version.split()[0], "machine": platform.machine(),
                       "cpus": os.cpu_count(), "bytecode_writes": not sys.flags.dont_write_bytecode,
                       "repeat": REPEAT, "cold_repeat": COLD_REPEAT, "cold_start": cold,
+                      "single_repeat": SINGLE_REPEAT, "single_counts": single,
                       "cases": cases}, indent=2))
     return 0 if ok else 3
 

@@ -280,7 +280,13 @@ def build_parser() -> argparse.ArgumentParser:
         fn.add_argument("--json", action="store_true")
         fn.set_defaults(func=_cmd_gfun if name == "gfun" else _cmd_ffun)
 
-    verify = sub.add_parser("verify", help="sweep the grid and compare all methods")
+    verify = sub.add_parser(
+        "verify", help="sweep the grid and compare all methods",
+        description="Sweep every odd prime up to --pmax and every n in --n-set, "
+                    "and compare the oracle with each applicable method.  relprime "
+                    "is the main kernel evaluated at the same y = lambda^n, so it "
+                    "agrees with main by construction: its column is no independent "
+                    "evidence.")
     verify.add_argument("--pmax", type=int, required=True)
     verify.add_argument("--n-set", type=_int_list, required=True,
                         help='comma list, e.g. "2,3,4"')

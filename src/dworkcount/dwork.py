@@ -91,6 +91,15 @@ and the one division by p (B/p, _y0_read) is asserted exact.  _kernel
 asserts that floor, and reconstruction refuses p^(absolute precision) <=
 bound, so a wrong floor is a PrecisionError carrying the precision ledger,
 never a wrong count.
+
+A smooth fibre (lambda != 0, lambda^n != 1) needs fewer digits: the
+Weil-Deligne bound puts its count in a window [base - h, base + h]
+(weil_window), which K_w digits pin, p^K_w > 2h.  A single count there at the
+default K_target reads a K_w-digit kernel wherever 2 K_w <= K_target
+(_checked), and returns the window's one integer congruent to the residue;
+a residue with none is a RangeError, so the bound is checked at run time by
+code that shares nothing with the formulas.  Singular fibres, lambda = 0, any
+other K_target, count_all and method_value stay at K_target.
 """
 
 from __future__ import annotations
@@ -99,10 +108,10 @@ from bisect import bisect_right
 from collections import namedtuple
 from functools import lru_cache
 from itertools import product
-from math import gcd
+from math import gcd, isqrt
 
 from .gauss import gk_units
-from .padic import (CharSum, PrecisionError, ValuedPadic, batch_inverse,
+from .padic import (CharSum, PrecisionError, RangeError, ValuedPadic, batch_inverse,
                     check_table_size, is_odd_prime, reconstruct_residue,
                     teichmuller_table)
 from .pgamma import frac_gamma_table
@@ -203,21 +212,41 @@ def derive_params(w: tuple[int, ...], n: int, d: int) -> ParamData:
 
 # -- precision policy --------------------------------------------------------
 
-def k_target(p: int, n: int) -> int:
-    """Smallest K with p^K > 2*(p^n - 1)/(p - 1): enough to pin the point count."""
-    bound = 2 * ((p ** n - 1) // (p - 1))
+def _digits_over(p: int, x: int) -> int:
+    """Smallest K >= 1 with p^K > x."""
     k, pk = 1, p
-    while pk <= bound:
+    while pk <= x:
         pk *= p
         k += 1
     return k
 
 
+def k_target(p: int, n: int) -> int:
+    """Smallest K with p^K > 2*(p^n - 1)/(p - 1): enough to pin the point count."""
+    return _digits_over(p, 2 * ((p ** n - 1) // (p - 1)))
+
+
+def weil_window(p: int, n: int) -> tuple[int, int, int]:
+    """(K_w, base, h): on a smooth fibre (lambda != 0, lambda^n != 1) the count
+    lies in [base - h, base + h], and K_w is the smallest K with p^K > 2h.
+
+    base = (p^(n-1) - 1)/(p - 1) counts the points of P^(n-2), and Deligne's
+    Weil conjecture bounds the rest by b p^((n-2)/2), with b = ((n-1)^n +
+    (-1)^n (n-1))/n the primitive middle Betti number of a smooth degree-n
+    hypersurface in P^(n-1); as the count is an integer, h = floor(b
+    p^((n-2)/2)) = isqrt(b^2 p^(n-2))."""
+    b = ((n - 1) ** n + (-1) ** n * (n - 1)) // n
+    h = isqrt(b * b * p ** (n - 2))
+    return _digits_over(p, 2 * h), (p ** (n - 1) - 1) // (p - 1), h
+
+
 def k_working(p: int, n: int, kt: int | None = None) -> int:
-    """Digits every kernel carries: the target itself (k_target by default),
-    with no headroom and no guard digits.  Every term valuation is >= 0 (the
-    floor _kernel asserts), so a value is exact mod p^K_target, and
-    p^K_target exceeds twice the largest count."""
+    """Digits a kernel carries for K_target kt (k_target by default): the
+    target itself, with no headroom and no guard digits.  Every term
+    valuation is >= 0 (the floor _kernel asserts), so a value is exact mod
+    p^K_target, and p^K_target exceeds twice the largest count.  A single
+    count on a smooth fibre at the default K_target reads a kernel of K_w
+    digits instead (weil_window), where 2 K_w <= K_target (_checked)."""
     return kt if kt is not None else k_target(p, n)
 
 
@@ -403,8 +432,9 @@ def _ff_terms(p: int, n: int, digits: int, alpha: int):
 def _kernel(method: str, p: int, n: int, kt: int, alpha: int) -> CharSum:
     """The lambda-free kernel of main, koblitz or ff for fixed (p, n, K_target),
     of period (p-1)/d: each method's argument is a d-th power.  It
-    carries k_working = K_target digits, which pin a count only if no term
-    valuation is negative; a build that breaks that floor raises PrecisionError."""
+    carries k_working = K_target digits (kt is K_w for a single count on a
+    smooth fibre), which pin a count only if no term valuation is negative; a
+    build that breaks that floor raises PrecisionError."""
     digits = k_working(p, n, kt)
     consts = [(0, (p ** (n - 1) - 1) // (p - 1))]  # the base count, a p-adic unit
     if method == "main":
@@ -453,26 +483,41 @@ def applicable(p: int, n: int, lam: int) -> list[str]:
 
 
 @lru_cache(maxsize=None)
-def _checked(name: str, p: int, n: int, kt: int | None) -> tuple[int, int]:
-    """(K_target, projective bound) of a named method at (p, n) after every
-    lambda-free input check and budget: the DworkInstance preconditions, the
-    table limit, the K_target (k_target(p, n) by default) and the method
-    name.  Cached, so a family of counts at one (p, n) runs them once."""
+def _checked(name: str, p: int, n: int,
+             kt: int | None) -> tuple[int, int, tuple[int, int, int] | None]:
+    """(K_target, projective bound, Weil digits) of a named method at (p, n)
+    after every lambda-free input check and budget: the DworkInstance
+    preconditions, the table limit, the K_target (k_target(p, n) by default)
+    and the method name.  Cached, so a family of counts at one (p, n) runs
+    them once.
+
+    The Weil digits are (K_w, low, high), the digits and the window
+    [base - h, base + h] of weil_window, which a single count on a smooth
+    fibre reads instead of K_target; None off the default K_target, or
+    where 2 K_w > K_target.  A family of counts at one (p, n) always meets
+    the singular fibre lambda = 1, which then needs a second kernel at
+    K_target, and where K_w is close to K_target that build costs more than
+    K_w saves: at (31, 6), K_w 5 against K_target 6, one kernel build took
+    0.13-0.22 ms and the 29 warm counts at lambda = 2..30 together 0.11 ms
+    (7 runs each, CPython 3.11, shared 2-core machine)."""
     inst = DworkInstance(p, n, 0)
     check_table_size(p)
-    kt = k_target(p, n) if kt is None else kt
+    default = k_target(p, n)
+    kt = default if kt is None else kt
     if kt < 1:
         raise ValueError(f"K_target must be at least 1, not {kt}")
     if name not in _ARGUMENT:
         raise ValueError(f"unknown method {name!r}")
-    return kt, inst.projective_total
+    kw, base, h = weil_window(p, n)
+    weil = (kw, base - h, base + h) if kt == default and 2 * kw <= kt else None
+    return kt, inst.projective_total, weil
 
 
 def _method_kernel(name: str, p: int, n: int, lam: int, kt: int | None,
                    alpha: int) -> tuple[int, int, CharSum, int]:
     """(K_target, bound, kernel, y(lambda)) of a named method, after its checks:
     _checked's, then the domain rule (_refusal)."""
-    kt, bound = _checked(name, p, n, kt)
+    kt, bound, _ = _checked(name, p, n, kt)
     lam %= p
     if refusal := _refusal(name, p, n, lam):
         raise InstanceError(refusal)
@@ -497,8 +542,29 @@ def count(name: str, p: int, n: int, lam: int, kt: int | None = None,
           alpha: int = 1) -> int:
     """N_p(lambda) by a named formula method (ff with generator exponent
     alpha); InstanceError where applicable(p, n, lambda) leaves it out or a
-    budget refuses it."""
-    kt, bound, kernel, y = _method_kernel(name, p, n, lam, kt, alpha)
+    budget refuses it.
+
+    The checks are _method_kernel's, inlined for the per-lambda cost.  On a
+    smooth fibre (lambda != 0, lambda^n != 1) where _checked gives Weil
+    digits, the kernel carries K_w digits and the count is the one integer of
+    the Weil-Deligne window [low, high] congruent to its residue: the residue
+    less low, reconstructed in [0, high - low].  A residue with no such
+    integer is a RangeError, so the bound is checked on every such count."""
+    kt, bound, weil = _checked(name, p, n, kt)
+    lam %= p
+    if refusal := _refusal(name, p, n, lam):
+        raise InstanceError(refusal)
+    method, y = "main" if name == "relprime" else name, _ARGUMENT[name](p, n, lam)
+    if weil and lam and pow(lam, n, p) != 1:
+        kw, low, high = weil
+        prec, r = _kernel(method, p, n, kw, alpha).residue(y)
+        try:
+            return low + reconstruct_residue(p, prec, (r - low) % p ** prec, high - low)
+        except RangeError:
+            raise RangeError(
+                f"no integer in the Weil-Deligne window [{low}, {high}] is congruent "
+                f"to the count's residue {r} mod {p}^{prec}: a formula is wrong") from None
+    kernel = _kernel(method, p, n, kt, alpha)
     return _reconstruct(kernel.residue(y), bound, kt, kernel)
 
 

@@ -897,6 +897,96 @@ def test_weil_deligne_bound_past_the_oracle(p):
         assert abs(count_main(p, n, lam) - base) <= b * p ** ((n - 2) // 2), lam
 
 
+# -- Weil digits on smooth fibres -----------------------------------------------------
+
+def kernel_digits(monkeypatch):
+    """The digits of every kernel a count reads from now on, in order."""
+    seen, real = [], dwork._kernel
+    def recording(method, p, n, kt, alpha):
+        seen.append(kt)
+        return real(method, p, n, kt, alpha)
+    monkeypatch.setattr(dwork, "_kernel", recording)
+    return seen
+
+
+def weil_admitted(p, n):
+    return dwork._checked("main", p, n, None)[2] is not None
+
+
+def test_weil_window_and_the_digit_rule():
+    # the rule's cases on each side: K_target -> K_w where 2 K_w <= K_target
+    for p in (43, 47, 1009, 100003):
+        assert dwork.weil_window(p, 4)[0] == 2 and weil_admitted(p, 4)
+    assert dwork.weil_window(41, 4)[0] == 3 and not weil_admitted(41, 4)
+    assert dwork.weil_window(10007, 6)[0] == 3 and weil_admitted(10007, 6)
+    assert dwork.weil_window(31, 6)[0] == 5 and not weil_admitted(31, 6)
+    assert dwork.weil_window(1009, 6)[0] == 4 and not weil_admitted(1009, 6)
+    assert all(weil_admitted(p, 2) for p in (3, 5, 7, 199))
+    assert weil_admitted(17, 3) and not weil_admitted(13, 3)
+    for p, n in [(43, 4), (10007, 6), (17, 3), (7, 2), (31, 6), (13, 5)]:
+        kw, base, h = dwork.weil_window(p, n)
+        b = ((n - 1) ** n + (-1) ** n * (n - 1)) // n
+        assert h ** 2 <= b ** 2 * p ** (n - 2) < (h + 1) ** 2
+        assert p ** kw > 2 * h >= p ** (kw - 1)
+        assert base == (p ** (n - 1) - 1) // (p - 1)
+    # only the default K_target reads Weil digits
+    assert dwork._checked("main", 1009, 4, 4)[2] is not None
+    assert dwork._checked("main", 1009, 4, 6)[2] is None
+
+
+WEIL_ORACLE_PAIRS = [(p, n) for n in (2, 3, 4) for p in range(3, 200)
+                     if is_odd_prime(p) and n % p and weil_admitted(p, n)]
+
+
+@pytest.mark.parametrize("p, n", WEIL_ORACLE_PAIRS)
+def test_weil_digit_counts_match_the_oracle(p, n, monkeypatch):
+    # every smooth instance the oracle reaches where the rule admits K_w: the
+    # default single count of every applicable method reads K_w digits and
+    # equals brute_count; the singular fibres read K_target digits
+    assert (n == 4 and p >= 43) or n in (2, 3)
+    want = oracle.brute_count_all(p, n)
+    kw = dwork._checked("main", p, n, None)[2][0]
+    seen = kernel_digits(monkeypatch)
+    for lam in range(1, p):
+        smooth = pow(lam, n, p) != 1
+        for name in dwork.applicable(p, n, lam):
+            seen.clear()
+            assert dwork.count(name, p, n, lam) == want[lam], (name, p, n, lam)
+            assert seen == [kw if smooth else k_target(p, n)], (name, p, n, lam)
+    seen.clear()
+    assert count_koblitz(p, n, 0) == want[0] and seen == [k_target(p, n)]
+
+
+def test_a_residue_outside_the_weil_window_raises(monkeypatch):
+    # at (43, 4) the window holds 1807 integers and p^K_w = 1849 residues, so
+    # high + 1 mod p^K_w has no representative in it: the miss is certain
+    p, n, lam = 43, 4, 2
+    kw, low, high = dwork._checked("main", p, n, None)[2]
+    assert (kw, p ** kw, high - low + 1) == (2, 1849, 1807)
+    assert pow(lam, n, p) != 1
+    assert count_main(p, n, lam) == oracle.brute_count(p, n, lam)
+    outside = (high + 1) % p ** kw
+    monkeypatch.setattr(padic.CharSum, "residue", lambda self, y: (self.digits, outside))
+    with pytest.raises(padic.RangeError, match=f"\\[{low}, {high}\\]"):
+        count_main(p, n, lam)
+    with pytest.raises(padic.RangeError):
+        count_koblitz(p, n, lam)
+
+
+@pytest.mark.parametrize("p, n, lams", [(1009, 4, range(1, 1009)),
+                                        (10007, 6, range(2, 10007, 97))])
+def test_target_counts_obey_weil_and_equal_the_weil_digit_counts(p, n, lams):
+    # past the oracle: count_all's K_target counts owe nothing to the window,
+    # so they check it: they obey the bound, and the K_w single counts equal them
+    kw, base, h = dwork.weil_window(p, n)
+    assert weil_admitted(p, n) and 2 * kw <= k_target(p, n)
+    grid = dwork.count_all("main", p, n)
+    for lam in lams:
+        if pow(lam, n, p) != 1:
+            assert abs(grid[lam] - base) <= h, lam
+        assert count_main(p, n, lam) == grid[lam], lam
+
+
 @pytest.mark.parametrize("p", [1009, 1013, 1201])
 def test_main_koblitz_ff_agree_past_the_oracle(p):
     # three formula families: the main kernel shares no Gauss-sum code with the others
