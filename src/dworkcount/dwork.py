@@ -494,12 +494,28 @@ def _checked(name: str, p: int, n: int,
     The Weil digits are (K_w, low, high), the digits and the window
     [base - h, base + h] of weil_window, which a single count on a smooth
     fibre reads instead of K_target; None off the default K_target, or
-    where 2 K_w > K_target.  A family of counts at one (p, n) always meets
+    where 2 K_w > K_target.  A family of single counts at one (p, n) meets
     the singular fibre lambda = 1, which then needs a second kernel at
-    K_target, and where K_w is close to K_target that build costs more than
-    K_w saves: at (31, 6), K_w 5 against K_target 6, one kernel build took
-    0.13-0.22 ms and the 29 warm counts at lambda = 2..30 together 0.11 ms
-    (7 runs each, CPython 3.11, shared 2-core machine)."""
+    K_target; the factor 2 is a judgment between the points below, not a
+    measured threshold.  scripts/weil_rule.py times main at K_w against
+    K_target in fresh processes, tables and kernels built inside the span,
+    for one count at lambda = 2 and for the family of single counts at
+    lambda = 1..p-1 (median ms of 7 alternating runs, CPython 3.11, shared
+    2-core machine; medians move 10-20 % between invocations):
+
+      (p, n)     K_w/K_target  rule   one count    family
+      (13, 3)    2/3           admit  0.31 / 0.25  0.64 / 0.45
+      (43, 4)    2/4           admit  0.44 / 0.46  1.03 / 0.82
+      (601, 4)   2/4           admit  2.02 / 3.24  18.0 / 28.8
+      (1009, 4)  2/4           admit  3.77 / 5.43  43.5 / 72.3
+      (41, 4)    3/4           leave  0.51 / 0.52  1.10 / 0.78
+      (31, 6)    5/6           leave  0.55 / 0.52  1.03 / 0.68
+      (1009, 6)  4/6           leave  6.80 / 7.37  62.0 / 44.8
+
+    So at small p, admitted or not, K_w gains nothing on one count, and a
+    family of single counts pays 0.2-0.3 ms for the second build (count_all
+    builds one kernel).  At (1009, 6) the rule gives up 8 % on one count to
+    keep the family 28 % faster.  No other pair is measured."""
     inst = DworkInstance(p, n, 0)
     check_table_size(p)
     default = k_target(p, n)
@@ -513,16 +529,16 @@ def _checked(name: str, p: int, n: int,
     return kt, inst.projective_total, weil
 
 
-def _method_kernel(name: str, p: int, n: int, lam: int, kt: int | None,
-                   alpha: int) -> tuple[int, int, CharSum, int]:
-    """(K_target, bound, kernel, y(lambda)) of a named method, after its checks:
-    _checked's, then the domain rule (_refusal)."""
-    kt, bound, _ = _checked(name, p, n, kt)
+def _method_inputs(name: str, p: int, n: int, lam: int, kt: int | None
+                   ) -> tuple[int, int, tuple[int, int, int] | None, str, int]:
+    """(K_target, bound, Weil digits, kernel method, y(lambda)) of a named
+    method, after its checks: _checked's, then the domain rule (_refusal).
+    relprime reads main's kernel at the same y."""
+    kt, bound, weil = _checked(name, p, n, kt)
     lam %= p
     if refusal := _refusal(name, p, n, lam):
         raise InstanceError(refusal)
-    kernel = _kernel("main" if name == "relprime" else name, p, n, kt, alpha)
-    return kt, bound, kernel, _ARGUMENT[name](p, n, lam)
+    return kt, bound, weil, "main" if name == "relprime" else name, _ARGUMENT[name](p, n, lam)
 
 
 def _reconstruct(result: tuple, bound: int, kt: int, kernel: CharSum) -> int:
@@ -544,18 +560,13 @@ def count(name: str, p: int, n: int, lam: int, kt: int | None = None,
     alpha); InstanceError where applicable(p, n, lambda) leaves it out or a
     budget refuses it.
 
-    The checks are _method_kernel's, inlined for the per-lambda cost.  On a
-    smooth fibre (lambda != 0, lambda^n != 1) where _checked gives Weil
+    On a smooth fibre (lambda != 0, lambda^n != 1) where _checked gives Weil
     digits, the kernel carries K_w digits and the count is the one integer of
     the Weil-Deligne window [low, high] congruent to its residue: the residue
     less low, reconstructed in [0, high - low].  A residue with no such
     integer is a RangeError, so the bound is checked on every such count."""
-    kt, bound, weil = _checked(name, p, n, kt)
-    lam %= p
-    if refusal := _refusal(name, p, n, lam):
-        raise InstanceError(refusal)
-    method, y = "main" if name == "relprime" else name, _ARGUMENT[name](p, n, lam)
-    if weil and lam and pow(lam, n, p) != 1:
+    kt, bound, weil, method, y = _method_inputs(name, p, n, lam, kt)
+    if weil and pow(lam, n, p) not in (0, 1):
         kw, low, high = weil
         prec, r = _kernel(method, p, n, kw, alpha).residue(y)
         try:
@@ -577,7 +588,8 @@ def count_all(name: str, p: int, n: int, kt: int | None = None,
     argument by one transform (CharSum.residues); each count equals the
     method's single count at that lambda.
     """
-    kt, bound, kernel, _ = _method_kernel(name, p, n, 1, kt, alpha)
+    kt, bound, _, method, _ = _method_inputs(name, p, n, 1, kt)
+    kernel = _kernel(method, p, n, kt, alpha)
     arg = _ARGUMENT[name]
     lams = range(1, p) if _refusal(name, p, n, 0) else range(p)
     ys = {lam: arg(p, n, lam) for lam in lams}
@@ -610,5 +622,5 @@ def count_koblitz(p: int, n: int, lam: int, kt: int | None = None) -> int:
 def method_value(name: str, p: int, n: int, lam: int,
                  kt: int | None = None) -> ValuedPadic:
     """Pre-reconstruction p-adic value of a named formula method."""
-    _, _, kernel, y = _method_kernel(name, p, n, lam, kt, 1)
-    return kernel.value(y)
+    kt, _, _, method, y = _method_inputs(name, p, n, lam, kt)
+    return _kernel(method, p, n, kt, 1).value(y)
