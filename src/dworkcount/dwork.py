@@ -1,5 +1,5 @@
-"""Dwork-hypersurface combinatorics (the residue-vector set W, its diagonal-shift
-classes, the derived parameter lists) and the four point-count formulas:
+"""Dwork-hypersurface combinatorics (the residue-vector set W and its
+diagonal-shift classes) and the four point-count formulas:
 the main p-adic hypergeometric count, its d = 1 and p == 1 (mod n) specializations,
 and the Gauss-sum count (which also covers lambda = 0).
 
@@ -64,12 +64,13 @@ sum_r U(u_r) Y^(u_r/t) and R_0 - U(0) (_ff_terms derives both).
 
 All four formulas share one evaluation kernel, padic.CharSum: a lambda-free
 constant plus sum_e C_e wbar^e(y) (relprime is main's d = 1 case).  Each
-method only builds its coefficients, once per (p, n, K_target), from
-plain-integer Gross-Koblitz units or gamma table entries: the Gauss-sum
-count's sum over W at each j, and the main and finite-field counts' at each
-i, are each the Y^0 coefficient of an n-th power over the d residues in
-Z[Y]/(Y^d + p); B/p, B the Y^0 coefficient of (P_0 - P_0(0))^n, gives main's
-and ff's i = 0 term and koblitz's constant: _y0_read reads both at once.
+method only builds its coefficients, once per (p, n, K_target), from the
+one gamma table; the Gauss-sum counts read its entries as the Gross-Koblitz
+units u = -Gamma and fold the signs into a scale.  The Gauss-sum count's sum
+over W at each j, and the main and finite-field counts' at each i, are each
+the Y^0 coefficient of an n-th power over the d residues in Z[Y]/(Y^d + p);
+B/p, B the Y^0 coefficient of (P_0 - P_0(0))^n, gives main's and ff's i = 0
+term and koblitz's constant: _y0_read reads both at once.
 
 Validation happens once per kernel, not once per lambda.  The lambda-free
 input checks and budgets (the DworkInstance preconditions with their
@@ -110,7 +111,6 @@ from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt
 
-from .gauss import gk_units
 from .padic import (CharSum, PrecisionError, RangeError, ValuedPadic, batch_inverse,
                     check_table_size, is_odd_prime, reconstruct_residue,
                     teichmuller_table)
@@ -139,10 +139,6 @@ class DworkInstance(namedtuple("DworkInstance", "p n lam")):
     @property
     def d(self) -> int:
         return gcd(self.p - 1, self.n)
-
-    @property
-    def t(self) -> int:
-        return (self.p - 1) // self.d
 
     @property
     def projective_total(self) -> int:
@@ -180,34 +176,6 @@ def canonical_classes(n: int, d: int) -> list[ClassRep]:
         rep = min(v for v in orb if 0 in v)
         reps.append(ClassRep(rep))
     return sorted(reps, key=lambda c: c.wstar)
-
-
-class ParamData(namedtuple("ParamData", "w d n_k S_w S_wc A_w B_w s prefactor_exponent")):
-    """Derived combinatorics of a zero-containing class representative."""
-
-    __slots__ = ()
-
-
-def derive_params(w: tuple[int, ...], n: int, d: int) -> ParamData:
-    """A_w, B_w, s and friends for a zero-containing w (any such member works;
-    the class summand is representative-independent and tests assert it)."""
-    if 0 not in w:
-        raise ValueError("the main count needs a representative with a zero entry")
-    if len(w) != n or any(not 0 <= wi < d for wi in w) or sum(w) % d:
-        raise ValueError("w is not a member of W(n, d)")
-    from fractions import Fraction  # the count path never builds a Fraction
-    n_k = tuple(sum(1 for wi in w if wi == k) for k in range(d))
-    S_w = frozenset(k for k in range(d) if n_k[k] == 0)
-    S_wc = frozenset(range(d)) - S_w
-    A_w = sorted(Fraction(d - k, d) for k in S_w)
-    A_w += sorted(Fraction(h, n) for h in range(n) if h % (n // d))
-    B_w = []
-    for k in sorted(S_wc):
-        B_w.extend([Fraction(d - k, d)] * (n_k[k] - 1))
-    s = n - len(S_wc)
-    assert len(A_w) == len(B_w) == s
-    return ParamData(w, d, n_k, S_w, S_wc, tuple(sorted(A_w)), tuple(sorted(B_w)),
-                     s, sum(w) // d)
 
 
 # -- precision policy --------------------------------------------------------
@@ -369,14 +337,16 @@ def _koblitz_terms(p: int, n: int, digits: int):
     A ratio's pi-exponent is (p-1)(m + f_j), m = sum(w)/d, and C_j carries
     (-p)^(f_j), f_j = floor(nj/(p-1)) >= 0; as w_i t + j < p-1, the sum over W
     of (-p)^m prod_i u(w_i t + j) is [Y^0] P_j^n in Z[Y]/(Y^d + p), P_j =
-    sum_(a<d) u(at + j) Y^a, and the all-nonzero g(w) sum to _y0_read's B."""
+    sum_(a<d) u(at + j) Y^a, and the all-nonzero g(w) sum to _y0_read's B.
+    The rows are gamma table entries Gamma = -u: [Y^0] P_j^n and B, sums of
+    products of n units, each carry (-1)^n, and 1/u(nj) one more -1."""
     d, mod = gcd(p - 1, n), p ** digits
-    t, units = (p - 1) // d, gk_units(p, digits)
-    inv = pow(p - 1, -1, mod)
-    inv_den = batch_inverse([units[n * j % (p - 1)] for j in range(t)], mod)  # 1/u(nj)
-    y0, b = _y0_read([units[a * t:(a + 1) * t] for a in range(d)], n, p, digits)
-    return b, [(j, 0, (-p) ** (n * j // (p - 1)) * y0[j] * inv * inv_den[j] % mod)
-               for j in range(t)]
+    t, table = (p - 1) // d, frac_gamma_table(p, digits)
+    inv = (-1) ** (n + 1) * pow(p - 1, -1, mod)
+    inv_den = batch_inverse([table[n * j % (p - 1)] for j in range(t)], mod)  # -1/u(nj)
+    y0, b = _y0_read([table[a * t:(a + 1) * t] for a in range(d)], n, p, digits)
+    return (-1) ** n * b, [(j, 0, (-p) ** (n * j // (p - 1)) * y0[j] * inv * inv_den[j] % mod)
+                           for j in range(t)]
 
 
 def _ff_terms(p: int, n: int, digits: int, alpha: int):
@@ -385,7 +355,7 @@ def _ff_terms(p: int, n: int, digits: int, alpha: int):
     gcd(alpha, p-1) = 1, summed and folded mod t.
 
     Write q = p-1, u_r = alpha r t mod q for each residue r, and
-    g(x) = pi^(x mod q) U(x), U(x) = gk_units[x mod q].  The classes sum as
+    g(x) = pi^(x mod q) U(x), U(x) = -Gamma((x mod q)/q).  The classes sum as
     their members w in W with w_1 = 0, so n_0 >= 1 and u_0 = 0 is present.  A
     class's term at character k is -1/q times g(u_r)^(n_r) at each residue,
     g(u_r - k)^(n_r - 1) / g(u_r)^(n_r - 1) at each present one,
@@ -408,22 +378,24 @@ def _ff_terms(p: int, n: int, digits: int, alpha: int):
     drops one factor p: those terms are the v with no entry 0, so with A and
     B the Y^0 coefficients of R_0^n and (R_0 - U(0))^n, R_0 = sum_r U(u_r)
     Y^(u_r/t), C_0 = -1/q (A - B + B/p), with B/p from _y0_read.  alpha only
-    permutes the residues."""
+    permutes the residues.  The rows are gamma table entries Gamma = -U, so
+    [Y^0] R_i^n and B each carry (-1)^n and the ratio of the two products
+    none: the scale is (-1)^(n+1)/q."""
     if gcd(alpha, p - 1) != 1:
         raise InstanceError("generator exponent must be coprime to p-1")
     q, t, mod = p - 1, (p - 1) // n, p ** digits
-    units = gk_units(p, digits)
+    table = frac_gamma_table(p, digits)
     rows = [[0] * t for _ in range(n)]  # column i of R_i, column 0 of R_0
     for u in (alpha * r * t % q for r in range(n)):  # u_r
-        rows[u // t][0] = units[u]
+        rows[u // t][0] = table[u]
         for i in range(1, t):
-            rows[(u // t - 1) % n][i] = units[(u - i) % q]
-    dens = [1] * t  # prod_r U(u_r - i)
+            rows[(u // t - 1) % n][i] = table[(u - i) % q]
+    dens = [1] * t  # prod_r Gamma(u_r - i)
     for row in rows:
         dens = [a * b % mod for a, b in zip(dens, row)]
     y0, b = _y0_read(rows, n, p, digits)
     y0[0] += b - p * b
-    scale = -pow(q, -1, mod) * dens[0]
+    scale = (-1) ** (n + 1) * pow(q, -1, mod) * dens[0]
     for i, (c, inv) in enumerate(zip(y0, batch_inverse(dens, mod))):
         yield i, 0, scale * inv * c % mod
 
@@ -541,17 +513,25 @@ def _method_inputs(name: str, p: int, n: int, lam: int, kt: int | None
     return kt, bound, weil, "main" if name == "relprime" else name, _ARGUMENT[name](p, n, lam)
 
 
-def _reconstruct(result: tuple, bound: int, kt: int, kernel: CharSum) -> int:
-    """The count of a kernel's (prec, residue) result (its offset is >= 0, so
-    the residue is one), with the kernel's precision ledger appended to any
-    PrecisionError."""
+def _reconstruct(kernel: CharSum, result: tuple, low: int, high: int, kt: int) -> int:
+    """The one integer in [low, high] congruent to a kernel's (prec, residue)
+    result (its offset is >= 0, so the residue is one): the residue less low,
+    reconstructed in [0, high - low].  A residue with no such integer is a
+    RangeError, and a PrecisionError carries the kernel's precision ledger."""
+    p, (prec, r) = kernel.p, result
     try:
-        return reconstruct_residue(kernel.p, *result, bound)
+        # 0 <= r < p^prec: r - low needs reducing only when it is negative
+        return low + reconstruct_residue(
+            p, prec, r - low if r >= low else (r - low) % p ** prec, high - low)
     except PrecisionError as exc:
         raise PrecisionError(
             f"{exc}; K_target {kt}, working digits {kernel.digits}, offset "
             f"{kernel.offset}, const_offset {kernel.const_offset}: a count needs "
-            f"a K_target with p^K_target > {bound}") from None
+            f"a K_target with p^K_target > {high - low}") from None
+    except RangeError:
+        raise RangeError(
+            f"no integer in [{low}, {high}] is congruent to the count's residue "
+            f"{r} mod {p}^{prec}: a formula is wrong") from None
 
 
 def count(name: str, p: int, n: int, lam: int, kt: int | None = None,
@@ -561,22 +541,15 @@ def count(name: str, p: int, n: int, lam: int, kt: int | None = None,
     budget refuses it.
 
     On a smooth fibre (lambda != 0, lambda^n != 1) where _checked gives Weil
-    digits, the kernel carries K_w digits and the count is the one integer of
-    the Weil-Deligne window [low, high] congruent to its residue: the residue
-    less low, reconstructed in [0, high - low].  A residue with no such
-    integer is a RangeError, so the bound is checked on every such count."""
+    digits, the kernel carries K_w digits and the count is read in the
+    Weil-Deligne window [low, high]; elsewhere the kernel carries K_target
+    digits and the count is read in [0, bound].  A residue with no integer in
+    its window is a RangeError, so the Weil-Deligne bound is checked on every
+    count that relies on it."""
     kt, bound, weil, method, y = _method_inputs(name, p, n, lam, kt)
-    if weil and pow(lam, n, p) not in (0, 1):
-        kw, low, high = weil
-        prec, r = _kernel(method, p, n, kw, alpha).residue(y)
-        try:
-            return low + reconstruct_residue(p, prec, (r - low) % p ** prec, high - low)
-        except RangeError:
-            raise RangeError(
-                f"no integer in the Weil-Deligne window [{low}, {high}] is congruent "
-                f"to the count's residue {r} mod {p}^{prec}: a formula is wrong") from None
-    kernel = _kernel(method, p, n, kt, alpha)
-    return _reconstruct(kernel.residue(y), bound, kt, kernel)
+    digits, low, high = weil if weil and pow(lam, n, p) not in (0, 1) else (kt, 0, bound)
+    kernel = _kernel(method, p, n, digits, alpha)
+    return _reconstruct(kernel, kernel.residue(y), low, high, kt)
 
 
 def count_all(name: str, p: int, n: int, kt: int | None = None,
@@ -593,7 +566,7 @@ def count_all(name: str, p: int, n: int, kt: int | None = None,
     arg = _ARGUMENT[name]
     lams = range(1, p) if _refusal(name, p, n, 0) else range(p)
     ys = {lam: arg(p, n, lam) for lam in lams}
-    counts = {y: _reconstruct(result, bound, kt, kernel)
+    counts = {y: _reconstruct(kernel, result, 0, bound, kt)
               for y, result in kernel.residues(set(ys.values())).items()}
     return {lam: counts[y] for lam, y in ys.items()}
 

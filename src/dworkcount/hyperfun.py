@@ -6,7 +6,7 @@ coefficients c_j are built in plain integers and summed by padic.CharSum, the
 one summation path the count formulas use too.  mGm's coefficients come
 literally from its definition (g_coefficients): gamma-quotient products with
 (-p)-power corrections whose exponents are exact rational floors.  mFm's are
-Gauss-sum ratios read from the Gross-Koblitz units (f_coefficients).  The two
+Gauss-sum ratios read from the gamma table (f_coefficients).  The two
 are linked by an exact bridge: with A_i = wbar^(a_i (p-1)) and
 B_i = wbar^(b_i (p-1)), mFm(A; B | t) = mGm[a; b | 1/t].
 """
@@ -17,9 +17,8 @@ from collections import namedtuple
 from fractions import Fraction
 from math import floor
 
-from .gauss import gk_units, pi_valuation
 from .padic import CharSum, ValuedPadic, check_table_size
-from .pgamma import gamma_residues
+from .pgamma import frac_gamma_table, gamma_residues
 
 
 class GParams(namedtuple("GParams", "a b")):
@@ -132,16 +131,18 @@ def f_coefficients(params: FParams, p: int, digits: int) -> list[tuple[int, int]
     the k-th summand at x is this coefficient times wbar^k(x).
 
     Each is the Gauss-sum ratio prod g(A_i wbar^k) g(B_i^-1 wbar^-k) / g(A_i) g(B_i^-1)
-    times chi(-1)^(km), read from the Gross-Koblitz units with the pi-exponents
-    summed inline; the k-free denominator is inverted once.
+    times chi(-1)^(km), with g(wbar^r) = pi^r u_r, u_r = -Gamma(r/(p-1))
+    (Gross-Koblitz), and the pi-exponents summed inline; the k-free
+    denominator is inverted once.  Each ratio has 2m units over 2m, so the
+    gamma table entries serve as units without a sign.
     """
     check_table_size(p)
     q, mod = p - 1, p ** digits
-    units = gk_units(p, digits)
+    table = frac_gamma_table(p, digits)
     den_exps = [a % q for a in params.a_exps] + [-b % q for b in params.b_exps]
     den = 1
     for r in den_exps:
-        den = den * units[r] % mod
+        den = den * table[r] % mod
     inv_den, den_pi, m = pow(den, -1, mod), sum(den_exps), params.m
     coeffs = []
     for k in range(q):
@@ -149,12 +150,14 @@ def f_coefficients(params: FParams, p: int, digits: int) -> list[tuple[int, int]
         for a in params.a_exps:
             r = (a + k) % q
             total += r
-            unit = unit * units[r] % mod
+            unit = unit * table[r] % mod
         for b in params.b_exps:
             r = (-b - k) % q
             total += r
-            unit = unit * units[r] % mod
-        val = pi_valuation(total, p)
+            unit = unit * table[r] % mod
+        val, rem = divmod(total, q)
+        if rem:
+            raise AssertionError(f"pi-exponent {total} not divisible by {q}")
         if (val + k * m) % 2:  # the sign of (-p)^val and chi(-1)^m = (-1)^{km}
             unit = (mod - unit) % mod
         coeffs.append((val, unit))

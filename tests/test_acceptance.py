@@ -12,12 +12,12 @@ import pytest
 
 from conftest import PRIMES_TO_31, PRIMES_TO_97
 from dworkcount import cli, oracle
-from dworkcount.dwork import (canonical_classes, count_ff, count_main,
-                              derive_params, k_target, method_value, orbit)
-from dworkcount.gauss import gauss_gk, gk_product, jacobi_sum
+from dworkcount.dwork import (canonical_classes, count_ff, count_main, k_target,
+                              method_value, orbit)
 from dworkcount.hyperfun import FParams, GParams, eval_F, eval_G
 from dworkcount.padic import char_value, teichmuller_table
 from dworkcount.pgamma import batch_pgamma_residues, gamma_residues, lift_rational
+from reference import derive_params, gauss_gk, gk_product, jacobi_sum
 
 
 def _ok(num, text):

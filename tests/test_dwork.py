@@ -14,13 +14,13 @@ from conftest import PRIMES_TO_97, truncated
 from dworkcount import dwork, oracle, padic
 from dworkcount.dwork import (CharSum, ClassRep, DworkInstance, InstanceError,
                               canonical_classes, count_ff, count_koblitz, count_main,
-                              count_relprime, derive_params, enumerate_W, k_target,
-                              k_working, main_l_factors, method_value, orbit)
-from dworkcount.gauss import gauss_gk, gk_product, gk_units, pi_valuation
+                              count_relprime, enumerate_W, k_target, k_working,
+                              main_l_factors, method_value, orbit)
 from dworkcount.hyperfun import FParams, GParams, eval_G, f_coefficients
 from dworkcount.oracle import CountReport
 from dworkcount.padic import PadicUnit, PrecisionError, is_odd_prime, teichmuller
 from dworkcount.pgamma import frac_gamma_table
+from reference import derive_params, gauss_gk, gk_product, pi_valuation
 
 
 # -- W and its classes -----------------------------------------------------------
@@ -347,7 +347,8 @@ def orbit_ff_terms(p, n, digits, alpha):
     times the mFm coefficients of the absent (A) and repeated present (B)
     residues, times the orbit's classes, folded by k mod t."""
     t, mod = (p - 1) // n, p ** digits
-    scale, units = -pow(p - 1, -1, mod), gk_units(p, digits)
+    scale = -pow(p - 1, -1, mod)
+    units = [gauss_gk(r, p, digits).unit.residue for r in range(p - 1)]
     exps = [alpha * r * t % (p - 1) for r in range(n)]  # u_r
     for n_k, classes in rotation_orbits(n, n):
         unit = classes * scale
@@ -971,6 +972,18 @@ def test_a_residue_outside_the_weil_window_raises(monkeypatch):
         count_main(p, n, lam)
     with pytest.raises(padic.RangeError):
         count_koblitz(p, n, lam)
+
+
+def test_a_residue_outside_zero_to_bound_raises(monkeypatch):
+    # the singular fibre lambda = 1 reads K_target digits and the window
+    # [0, bound]; bound + 1 < p^K_target is a residue with no count
+    p, n, lam = 43, 4, 1
+    kt, bound, weil = dwork._checked("main", p, n, None)
+    assert weil is not None and pow(lam, n, p) == 1 and bound + 1 < p ** kt
+    assert count_main(p, n, lam) == oracle.brute_count(p, n, lam)
+    monkeypatch.setattr(padic.CharSum, "residue", lambda self, y: (self.digits, bound + 1))
+    with pytest.raises(padic.RangeError, match=f"\\[0, {bound}\\]"):
+        count_main(p, n, lam)
 
 
 @pytest.mark.parametrize("p, n, lams", [(1009, 4, range(1, 1009)),
