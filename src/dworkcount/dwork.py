@@ -50,33 +50,27 @@ H_(bt+i) = b(n/d - 1) + H_i, so the b-sum is (-p)^(H_i) [Y^0] P_i^n at i > 0
 and -A - (1 - p) B/p at i = 0, A and B the Y^0 coefficients of P_0^n and
 (P_0 - 1)^n (_main_terms derives both).
 
-The finite-field build sums its classes the same way, as the members w of W
-with w_1 = 0.  (A class term is not rotation-invariant when the rotation
-empties residue 0: at (5, 2) the counts (2, 0) fold to [12, 13] but (0, 2) to
-[10, 15] mod 25.)  With u_r = alpha r t mod (p-1), g(chi) g(chibar) =
-chi(-1) p turns each absent residue's Gauss-sum ratio into the present-residue
-form, which cancels chi(-1)^(km), so every term at character k is
-prod_r g(u_r) g(u_r - k)^(n_r - 1).  At k = bt + i, v = alpha w - b runs over
-all of W, so C_i is a class-free unit ratio times [Y^0] R_i^n, R_i =
-sum_r U(u_r - i) Y^((u_r/t - 1) mod n), for i > 0, and at i = 0, where an
-absent u_r = bt drops one factor p, -(A - B + B/p)/(p-1) from R_0 =
-sum_r U(u_r) Y^(u_r/t) and R_0 - U(0) (_ff_terms derives both).
+The finite-field build sums its classes as the members w of W with w_1 = 0
+(a class term is not rotation-invariant when the rotation empties residue 0:
+at (5, 2) the counts (2, 0) fold to [12, 13] but (0, 2) to [10, 15] mod 25).
+Its C_i is a class-free Gauss-sum ratio times main's [Y^0] P_c^n at
+c = (-i) mod t, and its i = 0 term reads B/p as main's does (_ff_terms).
 
 All four formulas share one evaluation kernel, padic.CharSum: a lambda-free
 constant plus sum_e C_e wbar^e(y) (relprime is main's d = 1 case).  Each
 method only builds its coefficients, once per (p, n, K_target), from the
 one gamma table; the Gauss-sum counts read its entries as the Gross-Koblitz
-units u = -Gamma and fold the signs into a scale.  The Gauss-sum count's sum
-over W at each j, and the main and finite-field counts' at each i, are each
-the Y^0 coefficient of an n-th power over the d residues in Z[Y]/(Y^d + p);
-B/p, B the Y^0 coefficient of (P_0 - P_0(0))^n, gives main's and ff's i = 0
-term and koblitz's constant: _y0_read reads both at once.
+units u = -Gamma and fold the signs into a scale.  Each count's sum over W
+at a column is the Y^0 coefficient of one n-th power of the table's d rows
+in Z[Y]/(Y^d + p) (_gamma_rows), and B/p, B that of (P_0 - P_0(0))^n, gives
+main's and ff's i = 0 term and koblitz's constant: _y0_read reads both.
+The builders' own factors are what the identities between kernels check.
 
 Validation happens once per kernel, not once per lambda.  The lambda-free
 input checks and budgets (the DworkInstance preconditions with their
 Miller-Rabin test, the table limit, the K_target and its default and the
 method name) run once per (method, p, n, K_target) in the cached _checked, and
-the kernel is built once per (method, p, n, K_target, alpha) in the cached
+the kernel is built once per (method, p, n, K_target) in the cached
 _kernel.  A count then takes lambda mod p, the domain rule
 (_refusal), y(lambda), one Horner pass (CharSum.residue) and an integer
 reconstruction (padic.reconstruct_residue), all on plain integers; only
@@ -296,6 +290,13 @@ def _y0_read(rows, n: int, p: int, digits: int) -> tuple[list, int]:
     return y0, b
 
 
+def _gamma_rows(p: int, n: int, digits: int) -> list:
+    """The rows of the one Y^0 power main, koblitz and ff read: row k < d of
+    the gamma table mod p^digits is Gamma(<(kt + i)/(p-1)>) over i < t."""
+    t, table = (p - 1) // gcd(p - 1, n), frac_gamma_table(p, digits)
+    return [table[k:k + t] for k in range(0, p - 1, t)]
+
+
 def _main_terms(p: int, n: int, digits: int):
     """(i, 0, C_i) for i < t = (p-1)/d: the main count's classes, each term
     (-1)^n * prefactor * G-coefficient, summed and folded mod t.
@@ -319,8 +320,7 @@ def _main_terms(p: int, n: int, digits: int):
     at bt + 1), so with A = [Y^0] P_0^n the sum is -(A - B) + B/(-p) =
     -A - (1 - p) B/p, with B/p from _y0_read (sum(w') >= d)."""
     d, mod = gcd(p - 1, n), p ** digits
-    t, table = (p - 1) // d, frac_gamma_table(p, digits)
-    y0, b = _y0_read([table[k * t:(k + 1) * t] for k in range(d)], n, p, digits)
+    y0, b = _y0_read(_gamma_rows(p, n, digits), n, p, digits)
     y0[0] = -y0[0] - (1 - p) * b
     steps = [h * (p - 1) // n + 1 for h in range(1, n // d)]  # H_i's, ascending
     scale = (-1) ** n * pow(p - 1, -1, mod)
@@ -339,25 +339,31 @@ def _koblitz_terms(p: int, n: int, digits: int):
     of (-p)^m prod_i u(w_i t + j) is [Y^0] P_j^n in Z[Y]/(Y^d + p), P_j =
     sum_(a<d) u(at + j) Y^a, and the all-nonzero g(w) sum to _y0_read's B.
     The rows are gamma table entries Gamma = -u: [Y^0] P_j^n and B, sums of
-    products of n units, each carry (-1)^n, and 1/u(nj) one more -1."""
+    products of n units, each carry (-1)^n, and 1/u(nj) one more -1.
+
+    The power is main's, so the twist lies in the factors: koblitz reads
+    (n lambda)^n, wbar^j((n lambda)^n) = wbar^j(n^n) wbar^j(lambda^n), both
+    count every lambda != 0, and there the t characters are independent (a
+    length-t DFT, t a unit): wbar^j(n^n) C_j is main's C_j at j >= 1, and C_0
+    plus the constant is main's (main's L_j holds w(n)^(-nj))."""
     d, mod = gcd(p - 1, n), p ** digits
     t, table = (p - 1) // d, frac_gamma_table(p, digits)
     inv = (-1) ** (n + 1) * pow(p - 1, -1, mod)
     inv_den = batch_inverse([table[n * j % (p - 1)] for j in range(t)], mod)  # -1/u(nj)
-    y0, b = _y0_read([table[a * t:(a + 1) * t] for a in range(d)], n, p, digits)
+    y0, b = _y0_read(_gamma_rows(p, n, digits), n, p, digits)
     return (-1) ** n * b, [(j, 0, (-p) ** (n * j // (p - 1)) * y0[j] * inv * inv_den[j] % mod)
                            for j in range(t)]
 
 
-def _ff_terms(p: int, n: int, digits: int, alpha: int):
+def _ff_terms(p: int, n: int, digits: int):
     """(i, 0, C_i) for i < t = (p-1)/n (p == 1 mod n): prefactor times
-    mFm-coefficient per class, with the character generator T = wbar^alpha,
-    gcd(alpha, p-1) = 1, summed and folded mod t.
+    mFm-coefficient per class, with the character generator T = wbar, summed
+    and folded mod t.
 
-    Write q = p-1, u_r = alpha r t mod q for each residue r, and
-    g(x) = pi^(x mod q) U(x), U(x) = -Gamma((x mod q)/q).  The classes sum as
-    their members w in W with w_1 = 0, so n_0 >= 1 and u_0 = 0 is present.  A
-    class's term at character k is -1/q times g(u_r)^(n_r) at each residue,
+    Write q = p-1, u_r = rt for each residue r, and g(x) = pi^(x mod q) U(x),
+    U(x) = -Gamma((x mod q)/q).  The classes sum as their members w in W with
+    w_1 = 0, so n_0 >= 1 and u_0 = 0 is present.  A class's term at
+    character k is -1/q times g(u_r)^(n_r) at each residue,
     g(u_r - k)^(n_r - 1) / g(u_r)^(n_r - 1) at each present one,
     g(k - u_r) / g(-u_r) at each absent one, and chi(-1)^(km) for its m absent
     residues.  By g(chi) g(chibar) = chi(-1) p, an absent factor is
@@ -366,42 +372,38 @@ def _ff_terms(p: int, n: int, digits: int, alpha: int):
     prod_i g(u_(w_i) - k); only an absent u_r = k leaves one factor p fewer.
 
     Write k = bt + i, 0 <= i < t.  The first product does not depend on b,
-    and v = alpha w - b is a bijection from the (w, b) onto W with
+    and v = w - b is a bijection from the (w, b) onto W with
     u_(w_i) - bt = t v_i, so the b-sum of the second runs over all of W.  For
     i > 0, g(t v - i) = pi^(t((v - 1) mod n) + t - i) U(t v - i), and the
     pi-exponents cancel against the first product's, so
 
-        C_i = -1/q * prod_r U(u_r) / prod_r U(u_r - i) * [Y^0] R_i(Y)^n,
+        C_i = -1/q * prod_r U(rt) / prod_r U(rt - i) * [Y^0] R_i(Y)^n,
 
-    R_i = sum_r U(u_r - i) Y^((u_r/t - 1) mod n) in Z[Y]/(Y^n + p), where
-    Y^n = -p carries (-p)^(sum/n).  At i = 0 an absent u_r = bt, b >= 1,
-    drops one factor p: those terms are the v with no entry 0, so with A and
-    B the Y^0 coefficients of R_0^n and (R_0 - U(0))^n, R_0 = sum_r U(u_r)
-    Y^(u_r/t), C_0 = -1/q (A - B + B/p), with B/p from _y0_read.  alpha only
-    permutes the residues.  The rows are gamma table entries Gamma = -U, so
-    [Y^0] R_i^n and B each carry (-1)^n and the ratio of the two products
-    none: the scale is (-1)^(n+1)/q."""
-    if gcd(alpha, p - 1) != 1:
-        raise InstanceError("generator exponent must be coprime to p-1")
-    q, t, mod = p - 1, (p - 1) // n, p ** digits
-    table = frac_gamma_table(p, digits)
-    rows = [[0] * t for _ in range(n)]  # column i of R_i, column 0 of R_0
-    for u in (alpha * r * t % q for r in range(n)):  # u_r
-        rows[u // t][0] = table[u]
-        for i in range(1, t):
-            rows[(u // t - 1) % n][i] = table[(u - i) % q]
-    dens = [1] * t  # prod_r Gamma(u_r - i)
+    R_i = sum_r U(rt - i) Y^((r - 1) mod n) in Z[Y]/(Y^n + p), where
+    Y^n = -p carries (-p)^(sum/n), is main's -P_c at c = (-i) mod t
+    (rt - i = (r - 1)t + c at r >= 1, -i == (n - 1)t + c mod q).  At i = 0
+    an absent u_r = bt, b >= 1, drops one factor p: those terms are the v
+    with no entry 0, so with A and B the Y^0 coefficients of R_0^n = (-P_0)^n
+    and (R_0 - U(0))^n, C_0 = -1/q (A - B + B/p).  So ff reads main's power
+    at column c with a sign (-1)^n, and its product ratio is the rows'
+    column 0 product over column c's: the scale is (-1)^(n+1)/q.  As ff reads
+    lambda^-n, wbar^i(lambda^-n) = wbar^c(lambda^n), so C_i is main's C_c,
+    constants alike (the argument of _koblitz_terms).  A generator
+    wbar^alpha has u_r = t (alpha r mod n), the same residues reordered, so
+    the same kernel."""
+    t, mod, rows = (p - 1) // n, p ** digits, _gamma_rows(p, n, digits)
+    dens = [1] * t  # prod_k Gamma(<(kt + c)/(p-1)>) per column c
     for row in rows:
         dens = [a * b % mod for a, b in zip(dens, row)]
     y0, b = _y0_read(rows, n, p, digits)
     y0[0] += b - p * b
-    scale = (-1) ** (n + 1) * pow(q, -1, mod) * dens[0]
-    for i, (c, inv) in enumerate(zip(y0, batch_inverse(dens, mod))):
-        yield i, 0, scale * inv * c % mod
+    scale = (-1) ** (n + 1) * pow(p - 1, -1, mod) * dens[0]
+    for c, (y, inv) in enumerate(zip(y0, batch_inverse(dens, mod))):  # at i = -c
+        yield -c % t, 0, scale * inv * y % mod
 
 
 @lru_cache(maxsize=None)
-def _kernel(method: str, p: int, n: int, kt: int, alpha: int) -> CharSum:
+def _kernel(method: str, p: int, n: int, kt: int) -> CharSum:
     """The lambda-free kernel of main, koblitz or ff for fixed (p, n, K_target),
     of period (p-1)/d: each method's argument is a d-th power.  It
     carries k_working = K_target digits (kt is K_w for a single count on a
@@ -415,7 +417,7 @@ def _kernel(method: str, p: int, n: int, kt: int, alpha: int) -> CharSum:
         const, chars = _koblitz_terms(p, n, digits)
         consts.append((0, const))
     else:
-        chars = _ff_terms(p, n, digits, alpha)
+        chars = _ff_terms(p, n, digits)
     kernel = CharSum(p, digits, consts, chars, (p - 1) // gcd(p - 1, n))
     for name, offset in (("offset", kernel.offset), ("const_offset", kernel.const_offset)):
         if offset < 0:
@@ -534,11 +536,9 @@ def _reconstruct(kernel: CharSum, result: tuple, low: int, high: int, kt: int) -
             f"{r} mod {p}^{prec}: a formula is wrong") from None
 
 
-def count(name: str, p: int, n: int, lam: int, kt: int | None = None,
-          alpha: int = 1) -> int:
-    """N_p(lambda) by a named formula method (ff with generator exponent
-    alpha); InstanceError where applicable(p, n, lambda) leaves it out or a
-    budget refuses it.
+def count(name: str, p: int, n: int, lam: int, kt: int | None = None) -> int:
+    """N_p(lambda) by a named formula method; InstanceError where
+    applicable(p, n, lambda) leaves it out or a budget refuses it.
 
     On a smooth fibre (lambda != 0, lambda^n != 1) where _checked gives Weil
     digits, the kernel carries K_w digits and the count is read in the
@@ -548,21 +548,20 @@ def count(name: str, p: int, n: int, lam: int, kt: int | None = None,
     count that relies on it."""
     kt, bound, weil, method, y = _method_inputs(name, p, n, lam, kt)
     digits, low, high = weil if weil and pow(lam, n, p) not in (0, 1) else (kt, 0, bound)
-    kernel = _kernel(method, p, n, digits, alpha)
+    kernel = _kernel(method, p, n, digits)
     return _reconstruct(kernel, kernel.residue(y), low, high, kt)
 
 
-def count_all(name: str, p: int, n: int, kt: int | None = None,
-              alpha: int = 1) -> dict[int, int]:
+def count_all(name: str, p: int, n: int, kt: int | None = None) -> dict[int, int]:
     """{lambda: N_p(lambda)} by one method for every lambda it covers: all of
-    F_p for koblitz, F_p^* for main, relprime and ff (generator exponent alpha).
+    F_p for koblitz, F_p^* for main, relprime and ff.
 
     The checks run once, and the kernel is evaluated at every character
     argument by one transform (CharSum.residues); each count equals the
     method's single count at that lambda.
     """
     kt, bound, _, method, _ = _method_inputs(name, p, n, 1, kt)
-    kernel = _kernel(method, p, n, kt, alpha)
+    kernel = _kernel(method, p, n, kt)
     arg = _ARGUMENT[name]
     lams = range(1, p) if _refusal(name, p, n, 0) else range(p)
     ys = {lam: arg(p, n, lam) for lam in lams}
@@ -581,10 +580,9 @@ def count_relprime(p: int, n: int, lam: int, kt: int | None = None) -> int:
     return count("relprime", p, n, lam, kt)
 
 
-def count_ff(p: int, n: int, lam: int, kt: int | None = None,
-             generator_exponent: int = 1) -> int:
+def count_ff(p: int, n: int, lam: int, kt: int | None = None) -> int:
     """N_p(lambda) by the finite-field-hypergeometric form (p == 1 mod n)."""
-    return count("ff", p, n, lam, kt, generator_exponent)
+    return count("ff", p, n, lam, kt)
 
 
 def count_koblitz(p: int, n: int, lam: int, kt: int | None = None) -> int:
@@ -596,4 +594,4 @@ def method_value(name: str, p: int, n: int, lam: int,
                  kt: int | None = None) -> ValuedPadic:
     """Pre-reconstruction p-adic value of a named formula method."""
     kt, _, _, method, y = _method_inputs(name, p, n, lam, kt)
-    return _kernel(method, p, n, kt, 1).value(y)
+    return _kernel(method, p, n, kt).value(y)

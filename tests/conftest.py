@@ -15,3 +15,8 @@ def truncated(value, prec):
     if value.is_zero or value.valuation >= prec:
         return None
     return value.valuation, value.unit.residue % value.p ** (prec - value.valuation)
+
+
+def kernel_state(kernel):
+    """(const_offset, const, offset, coeffs): what a CharSum kernel evaluates."""
+    return kernel.const_offset, kernel.const, kernel.offset, kernel.coeffs

@@ -10,6 +10,10 @@ gk_product is checked against.
 
 derive_params spells out a class's mGm parameter lists A_w, B_w from its
 definition; the count kernels never build them.
+
+reference_ff_kernel builds the finite-field count's kernel class by class from
+these Gauss sums, with any character generator wbar^alpha: the count's own
+build fixes alpha = 1, and every alpha gives the same kernel.
 """
 
 from __future__ import annotations
@@ -17,7 +21,9 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from dworkcount.padic import PadicError, PadicUnit, ValuedPadic, teichmuller_table
+from dworkcount.dwork import canonical_classes
+from dworkcount.hyperfun import FParams
+from dworkcount.padic import CharSum, PadicError, PadicUnit, ValuedPadic, teichmuller_table
 from dworkcount.pgamma import frac_gamma_table
 
 
@@ -109,3 +115,46 @@ def derive_params(w: tuple[int, ...], n: int, d: int) -> ParamData:
     assert len(A_w) == len(B_w) == s
     return ParamData(w, d, n_k, S_w, S_wc, tuple(sorted(A_w)), tuple(sorted(B_w)),
                      s, sum(w) // d)
+
+
+def reference_f_coefficients(params, p, digits):
+    """(valuation, unit) of each mFm coefficient k < p-1, a Gauss-sum product."""
+    mod = p ** digits
+    m = params.m
+    denominators = ([(gauss_gk(a, p, digits), -1) for a in params.a_exps]
+                    + [(gauss_gk(-b, p, digits), -1) for b in params.b_exps])
+    coeffs = []
+    for k in range(p - 1):
+        factors = [(gauss_gk(a + k, p, digits), 1) for a in params.a_exps]
+        factors += [(gauss_gk(-b - k, p, digits), 1) for b in params.b_exps]
+        factors += denominators
+        v = gk_product(factors, p, digits)
+        unit = v.unit.residue
+        if k * m % 2:
+            unit = (mod - unit) % mod
+        coeffs.append((v.valuation, unit))
+    return coeffs
+
+
+def reference_ff_terms(p, n, digits, alpha):
+    """Folded by k mod t: the kernel is evaluated at lambda^-n, an n-th power."""
+    t, mod = (p - 1) // n, p ** digits
+    scale = -pow(p - 1, -1, mod)
+    for rep in canonical_classes(n, n):
+        pd = derive_params(rep.wstar, n, n)
+        pref = gk_product([(gauss_gk(alpha * wi * t, p, digits), 1)
+                           for wi in rep.wstar], p, digits)
+        a_exps = tuple((alpha * (n - k) * t) % (p - 1) for k in sorted(pd.S_w))
+        b_exps = []
+        for k in sorted(pd.S_wc):
+            b_exps.extend([(alpha * (n - k) * t) % (p - 1)] * (pd.n_k[k] - 1))
+        unit = pref.unit.residue * scale
+        for k, (v, u) in enumerate(reference_f_coefficients(FParams(a_exps, tuple(b_exps)),
+                                                            p, digits)):
+            yield k % t, pref.valuation + v, unit * u % mod
+
+
+def reference_ff_kernel(p, n, digits, alpha):
+    """The ff kernel (p == 1 mod n) with the generator wbar^alpha, gcd(alpha, p-1) = 1."""
+    return CharSum(p, digits, [(0, (p ** (n - 1) - 1) // (p - 1))],
+                   reference_ff_terms(p, n, digits, alpha), (p - 1) // n)

@@ -10,14 +10,13 @@ from math import gcd
 
 import pytest
 
-from conftest import PRIMES_TO_31, PRIMES_TO_97
-from dworkcount import cli, oracle
-from dworkcount.dwork import (canonical_classes, count_ff, count_main, k_target,
-                              method_value, orbit)
+from conftest import PRIMES_TO_31, PRIMES_TO_97, kernel_state
+from dworkcount import cli, dwork, oracle
+from dworkcount.dwork import canonical_classes, count_main, k_target, method_value, orbit
 from dworkcount.hyperfun import FParams, GParams, eval_F, eval_G
 from dworkcount.padic import char_value, teichmuller_table
 from dworkcount.pgamma import batch_pgamma_residues, gamma_residues, lift_rational
-from reference import derive_params, gauss_gk, gk_product, jacobi_sum
+from reference import derive_params, gauss_gk, gk_product, jacobi_sum, reference_ff_kernel
 
 
 def _ok(num, text):
@@ -81,13 +80,15 @@ def test_criterion_4_specializations(grid_reports, slice_reports):
             assert r.methods["ff"] == r.methods["main"]
             ff += 1
     assert rel and ff
-    gen_cases = [(13, 4, 3), (13, 3, 2), (11, 5, 4)]
-    for p, n, lam in gen_cases:
-        base = count_ff(p, n, lam)
-        for alpha in (a for a in range(2, p - 1) if gcd(a, p - 1) == 1):
-            assert count_ff(p, n, lam, generator_exponent=alpha) == base
+    gen_cases = [(13, 4), (13, 3), (11, 5)]
+    for p, n in gen_cases:
+        kt = k_target(p, n)
+        kernel = kernel_state(dwork._kernel("ff", p, n, kt))
+        for alpha in (a for a in range(1, p - 1) if gcd(a, p - 1) == 1):
+            assert kernel_state(reference_ff_kernel(p, n, kt, alpha)) == kernel, (p, n, alpha)
     _ok(4, f"relprime == main on {rel} d=1 instances, ff == main on {ff} "
-           f"p==1(n) instances, generator independence on {len(gen_cases)} instances")
+           f"p==1(n) instances, the ff kernel equals the per-class reference at every "
+           f"generator on {len(gen_cases)} (p, n)")
 
 
 def test_criterion_5_worked_example_structure():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PRIMES_TO_97, truncated
+from conftest import PRIMES_TO_97, kernel_state, truncated
 
 from dworkcount import dwork, oracle, padic
 from dworkcount.dwork import (CharSum, ClassRep, DworkInstance, InstanceError,
@@ -18,9 +18,11 @@ from dworkcount.dwork import (CharSum, ClassRep, DworkInstance, InstanceError,
                               main_l_factors, method_value, orbit)
 from dworkcount.hyperfun import FParams, GParams, eval_G, f_coefficients
 from dworkcount.oracle import CountReport
-from dworkcount.padic import PadicUnit, PrecisionError, is_odd_prime, teichmuller
+from dworkcount.padic import (PadicUnit, PrecisionError, is_odd_prime, teichmuller,
+                              teichmuller_table)
 from dworkcount.pgamma import frac_gamma_table
-from reference import derive_params, gauss_gk, gk_product, pi_valuation
+from reference import (derive_params, gauss_gk, gk_product, pi_valuation,
+                       reference_f_coefficients, reference_ff_kernel)
 
 
 # -- W and its classes -----------------------------------------------------------
@@ -338,7 +340,7 @@ def test_main_power_kernel_matches_the_orbit_build(p):
         kt = k_target(p, n)
         consts = [(0, (p ** (n - 1) - 1) // (p - 1))]
         want = CharSum(p, kt, consts, orbit_main_terms(p, n, kt), (p - 1) // gcd(p - 1, n))
-        assert kernel_state(dwork._kernel("main", p, n, kt, 1)) == kernel_state(want), n
+        assert kernel_state(dwork._kernel("main", p, n, kt)) == kernel_state(want), n
 
 
 def orbit_ff_terms(p, n, digits, alpha):
@@ -367,16 +369,16 @@ def orbit_ff_terms(p, n, digits, alpha):
 def test_ff_power_kernel_matches_the_orbit_build(p):
     """The ff kernel, one polynomial power per (p, n), equals the per-orbit
     build: offset, constant and coefficients, for n = 2..8 with p == 1 (mod n),
-    at alpha = 1 and the next generator exponent."""
+    the build at alpha = 1 and at the next generator exponent alike."""
     q = p - 1
     other = min((a for a in range(2, q) if gcd(a, q) == 1), default=1)
     for n in (m for m in range(2, 9) if q % m == 0):
         kt = k_target(p, n)
         consts = [(0, (p ** (n - 1) - 1) // q)]
+        kernel = kernel_state(dwork._kernel("ff", p, n, kt))
         for alpha in sorted({1, other}):
             want = CharSum(p, kt, consts, orbit_ff_terms(p, n, kt, alpha), q // n)
-            assert kernel_state(dwork._kernel("ff", p, n, kt, alpha)) \
-                == kernel_state(want), (n, alpha)
+            assert kernel == kernel_state(want), (n, alpha)
 
 
 @pytest.mark.parametrize("p,n", [(41, 20), (61, 30)])
@@ -510,25 +512,7 @@ def test_rotation_orbit_totals_match_enumeration():
 # -- the integer Gauss-sum builds against gk_product --------------------------------
 # Per-term, per-vector builds through GaussSumGK/gk_product objects: the
 # reference for the plain-integer koblitz and ff builds (each a polynomial
-# power over the residues), each of period t.
-
-def reference_f_coefficients(params, p, digits):
-    mod = p ** digits
-    m = params.m
-    denominators = ([(gauss_gk(a, p, digits), -1) for a in params.a_exps]
-                    + [(gauss_gk(-b, p, digits), -1) for b in params.b_exps])
-    coeffs = []
-    for k in range(p - 1):
-        factors = [(gauss_gk(a + k, p, digits), 1) for a in params.a_exps]
-        factors += [(gauss_gk(-b - k, p, digits), 1) for b in params.b_exps]
-        factors += denominators
-        v = gk_product(factors, p, digits)
-        unit = v.unit.residue
-        if k * m % 2:
-            unit = (mod - unit) % mod
-        coeffs.append((v.valuation, unit))
-    return coeffs
-
+# power over the residues), each of period t; ff's is reference_ff_kernel.
 
 def reference_koblitz_consts(p, n, digits):
     t = (p - 1) // gcd(p - 1, n)
@@ -551,28 +535,6 @@ def reference_koblitz_terms(p, n, digits):
             yield j, c.valuation, c.unit.residue * inv % mod
 
 
-def reference_ff_terms(p, n, digits, alpha):
-    """Folded by k mod t: the kernel is evaluated at lambda^-n, an n-th power."""
-    t, mod = (p - 1) // n, p ** digits
-    scale = -pow(p - 1, -1, mod)
-    for rep in canonical_classes(n, n):
-        pd = derive_params(rep.wstar, n, n)
-        pref = gk_product([(gauss_gk(alpha * wi * t, p, digits), 1)
-                           for wi in rep.wstar], p, digits)
-        a_exps = tuple((alpha * (n - k) * t) % (p - 1) for k in sorted(pd.S_w))
-        b_exps = []
-        for k in sorted(pd.S_wc):
-            b_exps.extend([(alpha * (n - k) * t) % (p - 1)] * (pd.n_k[k] - 1))
-        unit = pref.unit.residue * scale
-        for k, (v, u) in enumerate(reference_f_coefficients(FParams(a_exps, tuple(b_exps)),
-                                                            p, digits)):
-            yield k % t, pref.valuation + v, unit * u % mod
-
-
-def kernel_state(kernel):
-    return kernel.const_offset, kernel.const, kernel.offset, kernel.coeffs
-
-
 GAUSS_GRID = ([(p, n) for n in range(2, 6) for p in PRIMES_TO_97 if p <= 61 and n % p]
               + [(7, 6), (13, 6), (31, 6)])
 
@@ -584,21 +546,42 @@ def test_integer_koblitz_kernel_matches_gk_product_build(p, n):
     consts = [(0, (p ** (n - 1) - 1) // (p - 1))] + list(reference_koblitz_consts(p, n, digits))
     want = CharSum(p, digits, consts, reference_koblitz_terms(p, n, digits),
                    (p - 1) // gcd(p - 1, n))
-    assert kernel_state(dwork._kernel("koblitz", p, n, kt, 1)) == kernel_state(want)
+    assert kernel_state(dwork._kernel("koblitz", p, n, kt)) == kernel_state(want)
 
 
 @pytest.mark.parametrize("p,n", [(p, n) for p, n in GAUSS_GRID if (p - 1) % n == 0])
 def test_integer_ff_kernel_matches_gk_product_build(p, n):
     kt = k_target(p, n)
     digits = k_working(p, n, kt)
-    consts = [(0, (p ** (n - 1) - 1) // (p - 1))]
     alphas = [1]
     if n < 6 or p == 7:  # a second generator, save where the reference takes seconds
         alphas.append(next(a for a in (5, 7, 11) if gcd(a, p - 1) == 1))
+    kernel = kernel_state(dwork._kernel("ff", p, n, kt))
     for alpha in alphas:
-        want = CharSum(p, digits, consts, reference_ff_terms(p, n, digits, alpha),
-                       (p - 1) // n)
-        assert kernel_state(dwork._kernel("ff", p, n, kt, alpha)) == kernel_state(want), alpha
+        assert kernel == kernel_state(reference_ff_kernel(p, n, digits, alpha)), alpha
+
+
+# -- identities between the kernels ---------------------------------------------------
+
+@pytest.mark.parametrize("p", [q for q in range(3, 200) if is_odd_prime(q)] + [1009, 10009])
+def test_ff_is_main_reversed_and_koblitz_is_main_twisted(p):
+    """ff's C_i is main's C_((-i) mod t), with equal constants, and koblitz's
+    C_j times wbar^j(n^n) is main's C_j at j >= 1, with C_0 plus the constant
+    equal mod p^K_target (_ff_terms, _koblitz_terms): n = 2..8, and n = 4 at
+    p = 1009 and 10009, past the oracle."""
+    for n in (m for m in ((4,) if p > 200 else range(2, 9)) if m % p):
+        kt = k_target(p, n)
+        main, kob = dwork._kernel("main", p, n, kt), dwork._kernel("koblitz", p, n, kt)
+        t, mod = main.period, main.mod
+        assert main.offset == main.const_offset == kob.offset == kob.const_offset == 0
+        z = teichmuller_table(p, kt)[pow(n ** n, -1, p)]  # wbar(n^n)
+        twisted = [c * pow(z, j, mod) % mod for j, c in enumerate(kob.coeffs)]
+        assert twisted[1:] == main.coeffs[1:], n
+        assert (twisted[0] + kob.const - main.coeffs[0] - main.const) % mod == 0, n
+        if (p - 1) % n == 0:
+            reversed_main = [main.coeffs[-i % t] for i in range(t)]
+            assert kernel_state(dwork._kernel("ff", p, n, kt)) \
+                == (0, main.const, 0, reversed_main), n
 
 
 # -- the all-y transform against Horner ---------------------------------------------
@@ -610,14 +593,12 @@ SWEEP_GRID = ([(p, n) for n in (2, 3, 4) for p in PRIMES_TO_97 if p <= 61 and n 
 
 
 def sweep_kernels(p, n):
-    """(name, alpha, kernel) of every main, koblitz and ff kernel at (p, n)."""
+    """(name, kernel) of every main, koblitz and ff kernel at (p, n)."""
     kt = k_target(p, n)
-    yield "main", 1, dwork._kernel("main", p, n, kt, 1)
-    yield "koblitz", 1, dwork._kernel("koblitz", p, n, kt, 1)
+    yield "main", dwork._kernel("main", p, n, kt)
+    yield "koblitz", dwork._kernel("koblitz", p, n, kt)
     if (p - 1) % n == 0:
-        for alpha in (1, 5):
-            if gcd(alpha, p - 1) == 1:
-                yield "ff", alpha, dwork._kernel("ff", p, n, kt, alpha)
+        yield "ff", dwork._kernel("ff", p, n, kt)
 
 
 @pytest.mark.parametrize("p,n", SWEEP_GRID)
@@ -627,7 +608,7 @@ def test_transform_values_match_horner(p, n):
     Every kernel has period t = (p-1)/d, so its domain is 0 and the d-th
     powers."""
     d = gcd(p - 1, n)
-    for name, alpha, kernel in sweep_kernels(p, n):
+    for name, kernel in sweep_kernels(p, n):
         assert kernel.period == (p - 1) // d, name
         domain = [y for y in range(p) if y == 0 or pow(y, kernel.period, p) == 1]
         got = kernel.values(domain)
@@ -640,23 +621,21 @@ def test_transform_values_match_horner(p, n):
                 continue
             want = kernel.value(y)
             assert (got[y], got[y].absolute_precision) == (want, want.absolute_precision), \
-                (name, alpha, y)
+                (name, y)
 
 
-COUNTERS = {"main": count_main, "koblitz": count_koblitz, "relprime": count_relprime}
+COUNTERS = {"main": count_main, "koblitz": count_koblitz, "relprime": count_relprime,
+            "ff": count_ff}
 
 
 @pytest.mark.parametrize("p,n", SWEEP_GRID)
 def test_count_all_matches_single_counts(p, n):
-    names = ["main", "koblitz"] + ["relprime"] * (gcd(p - 1, n) == 1)
+    names = (["main", "koblitz"] + ["relprime"] * (gcd(p - 1, n) == 1)
+             + ["ff"] * ((p - 1) % n == 0))
     for name in names:
         got = dwork.count_all(name, p, n)
         lams = range(p) if name == "koblitz" else range(1, p)
         assert got == {lam: COUNTERS[name](p, n, lam) for lam in lams}, name
-    for _, alpha, _ in (k for k in sweep_kernels(p, n) if k[0] == "ff"):
-        got = dwork.count_all("ff", p, n, alpha=alpha)
-        assert got == {lam: count_ff(p, n, lam, generator_exponent=alpha)
-                       for lam in range(1, p)}, alpha
 
 
 def test_integer_f_coefficients_match_gk_product_build():
@@ -708,11 +687,12 @@ def test_ff_examples():
 
 
 def test_ff_generator_independence():
-    cases = [(13, 4, 3), (13, 3, 2), (11, 5, 4)]
-    for p, n, lam in cases:
-        base = count_ff(p, n, lam)
-        for alpha in (q for q in range(2, p - 1) if gcd(q, p - 1) == 1):
-            assert count_ff(p, n, lam, generator_exponent=alpha) == base, (p, n, lam, alpha)
+    # the per-class reference at every character generator wbar^alpha is the one kernel
+    for p, n in [(13, 4), (13, 3), (11, 5)]:
+        kt = k_target(p, n)
+        kernel = kernel_state(dwork._kernel("ff", p, n, kt))
+        for alpha in (a for a in range(1, p - 1) if gcd(a, p - 1) == 1):
+            assert kernel_state(reference_ff_kernel(p, n, kt, alpha)) == kernel, (p, n, alpha)
 
 
 def test_koblitz_lambda_zero_examples():
@@ -768,8 +748,6 @@ def test_instance_preconditions():
         count_relprime(13, 4, 1)      # d = 4 != 1
     with pytest.raises(InstanceError):
         count_ff(7, 4, 1)             # 7 != 1 mod 4
-    with pytest.raises(InstanceError):
-        count_ff(13, 4, 1, generator_exponent=2)  # not coprime to p-1
 
 
 RECORDS = [PadicUnit(3, 7, 2), gauss_gk(2, 7, 3), DworkInstance(7, 3, 1), ClassRep((0, 1, 2)),
@@ -829,19 +807,14 @@ def test_k_target_policy():
 def test_every_kernel_keeps_the_valuation_floor(n):
     # K_target working digits pin a count only if no term valuation is negative:
     # main and koblitz at every odd p < 200 (d = 1 at p = 3, both classes mod 4),
-    # ff at alpha = 1 and the next generator exponent where p == 1 (mod n)
+    # ff where p == 1 (mod n)
     for p in filter(is_odd_prime, range(3, 200)):
         if n % p == 0:
             continue
-        q = p - 1
-        jobs = [("main", 1), ("koblitz", 1)]
-        if q % n == 0:
-            other = min((a for a in range(2, q) if gcd(a, q) == 1), default=1)
-            jobs += [("ff", a) for a in sorted({1, other})]
-        for method, alpha in jobs:
-            kernel = dwork._kernel(method, p, n, k_target(p, n), alpha)
+        for method in ["main", "koblitz"] + ["ff"] * ((p - 1) % n == 0):
+            kernel = dwork._kernel(method, p, n, k_target(p, n))
             assert kernel.digits == k_target(p, n)
-            assert kernel.offset >= 0 and kernel.const_offset >= 0, (method, p, n, alpha)
+            assert kernel.offset >= 0 and kernel.const_offset >= 0, (method, p, n)
 
 
 def test_kernel_below_the_floor_raises(monkeypatch):
@@ -849,7 +822,7 @@ def test_kernel_below_the_floor_raises(monkeypatch):
         yield 0, -1, 1
     monkeypatch.setattr(dwork, "_main_terms", low_terms)
     with pytest.raises(PrecisionError) as err:
-        dwork._kernel.__wrapped__("main", 7, 3, 3, 1)
+        dwork._kernel.__wrapped__("main", 7, 3, 3)
     message = str(err.value)
     assert all(part in message for part in ("main", "p = 7", "n = 3", "offset -1",
                                             "K_target 3", "working digits 3"))
@@ -903,9 +876,9 @@ def test_weil_deligne_bound_past_the_oracle(p):
 def kernel_digits(monkeypatch):
     """The digits of every kernel a count reads from now on, in order."""
     seen, real = [], dwork._kernel
-    def recording(method, p, n, kt, alpha):
+    def recording(method, p, n, kt):
         seen.append(kt)
-        return real(method, p, n, kt, alpha)
+        return real(method, p, n, kt)
     monkeypatch.setattr(dwork, "_kernel", recording)
     return seen
 
@@ -1018,15 +991,12 @@ def outcome(fn):
 
 
 def path_kernels(p, n, kt):
-    """(name, kernel) of every main and koblitz kernel at (p, n) and K_target
-    kt, and of the ff kernel at alpha = 1 and the next generator exponent."""
-    yield "main", dwork._kernel("main", p, n, kt, 1)
-    yield "koblitz", dwork._kernel("koblitz", p, n, kt, 1)
-    q = p - 1
-    if q % n == 0:
-        other = min((a for a in range(2, q) if gcd(a, q) == 1), default=1)
-        for alpha in sorted({1, other}):
-            yield f"ff {alpha}", dwork._kernel("ff", p, n, kt, alpha)
+    """(name, kernel) of every main, koblitz and ff kernel at (p, n) and
+    K_target kt."""
+    yield "main", dwork._kernel("main", p, n, kt)
+    yield "koblitz", dwork._kernel("koblitz", p, n, kt)
+    if (p - 1) % n == 0:
+        yield "ff", dwork._kernel("ff", p, n, kt)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
