@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import floor
+from math import lcm
 
 from .padic import CharSum, ValuedPadic, check_table_size
 from .pgamma import frac_gamma_table, gamma_residues
@@ -77,33 +77,38 @@ def g_coefficients(params: GParams, p: int, digits: int) -> list[tuple[int, int]
 
     The literal definition: gamma quotients with (-p)-exponents that are exact
     rational floors.  It is the reference the reduced main kernel is pinned to.
-    Arguments whose denominator does not divide p-1 need pgamma's lift sweep.
+    Every argument is put over den = lcm(p-1, the parameter denominators), so
+    <a_i>, <-b_i> and theta_j = j/(p-1) are integer numerators, and a floor is
+    -1 or 1 exactly where its numerator leaves [0, den).  Arguments whose
+    denominator does not divide p-1 need pgamma's lift sweep.
     """
     params.validate_for(p)
     check_table_size(p)  # before the p-1 arguments below
-    mod = p ** digits
-    m = params.m
-    av = [q % 1 for q in params.a]   # <a_i>
-    bv = [(-q) % 1 for q in params.b]  # <-b_i>
-    thetas = [Fraction(j, p - 1) for j in range(p - 1)]
-    args = set(av) | set(bv)
-    for theta in thetas:
-        args.update((q - theta) % 1 for q in av)
-        args.update((q + theta) % 1 for q in bv)
-    gamma = gamma_residues(args, p, digits)
+    mod, m = p ** digits, params.m
+    den = lcm(p - 1, *(q.denominator for q in params.a + params.b))
+    step = den // (p - 1)
+    av = [q.numerator * (den // q.denominator) % den for q in params.a]    # <a_i> den
+    bv = [-q.numerator * (den // q.denominator) % den for q in params.b]  # <-b_i> den
+    # c -+ j * step mod den over all j covers the numerators == c (mod step)
+    cosets = {c % step for c in av + bv}
+    residues = gamma_residues((Fraction(r, den) for c in cosets for r in range(c, den, step)),
+                              p, digits)
+    gamma = {q.numerator * (den // q.denominator): v for q, v in residues.items()}
     denom = 1
-    for q in av + bv:
-        denom = denom * gamma[q] % mod
+    for r in av + bv:
+        denom = denom * gamma[r] % mod
     inv_denom = pow(denom, -1, mod)
     coeffs = []
-    for j, theta in enumerate(thetas):
+    for j, t in enumerate(range(0, den, step)):  # t = theta_j den
         unit, exponent = inv_denom, 0
-        for q in av:
-            unit = unit * gamma[(q - theta) % 1] % mod
-            exponent -= floor(q - theta)
-        for q in bv:
-            unit = unit * gamma[(q + theta) % 1] % mod
-            exponent -= floor(q + theta)
+        for a in av:
+            if a < t:  # floor(<a_i> - theta_j) = -1
+                exponent += 1
+            unit = unit * gamma[(a - t) % den] % mod
+        for b in bv:
+            if b + t >= den:  # floor(<-b_i> + theta_j) = 1
+                exponent -= 1
+            unit = unit * gamma[(b + t) % den] % mod
         if (j * m + exponent) % 2:  # (-1)^{jm} and the sign of (-p)^exponent
             unit = (mod - unit) % mod
         coeffs.append((exponent, unit))

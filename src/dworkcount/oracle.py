@@ -9,7 +9,7 @@ brute_count evaluates one lambda tuple by tuple and is the reference; it
 refuses an instance over ORACLE_LIMIT points before enumerating any.
 brute_count_all counts every lambda at once, running the last coordinate of
 the first chart once per distinct (power sum, product) of the others and
-counting the lambda-free charts from a histogram of power sums.
+counting the lambda-free charts from the same tally.
 
 verify_group checks one (p, n) over a set of lambdas: the oracle and each
 method in dwork.applicable (through dwork.count_all, one transform per kernel)
@@ -77,7 +77,8 @@ def brute_count_all(p: int, n: int) -> dict[int, int]:
     per distinct (s, q), weighted by its number of heads: an inner loop through
     one inverse table, or, when q = 0 (every head when p | n), a count of the
     x with x^n = -s.  The charts k >= 1 are lambda-free and are counted from
-    a histogram of power sums.  Extra memory is O(p^2).
+    the same tally: at each head length L = 0..n-2, the heads with s = 0 are
+    the points of the chart with L free coordinates.  Extra memory is O(p^2).
     """
     pw = [pow(x, n, p) for x in range(p)]
     inv = [0] + [pow(x, -1, p) for x in range(1, p)]
@@ -85,14 +86,18 @@ def brute_count_all(p: int, n: int) -> dict[int, int]:
     for r in pw:
         roots[r] += 1
     heads = Counter({(1, n % p): 1})
-    for _ in range(n - 2):
-        grown = Counter()
-        for (s, q), m in heads.items():
-            for x in range(p):
-                grown[(s + pw[x]) % p, q * x % p] += m
-        heads = grown
-    counts = [0] * p
     every_lam = 0
+    for length in range(n - 1):
+        if length:
+            grown = Counter()
+            for (s, q), m in heads.items():
+                for x in range(p):
+                    grown[(s + pw[x]) % p, q * x % p] += m
+            heads = grown
+        # chart n-1-length is (0,...,0, 1, head) with no monomial term: its
+        # points are the heads with 1 + sum x^n = 0
+        every_lam += sum(m for (s, _), m in heads.items() if s == 0)
+    counts = [0] * p
     nonzero = range(1, p)
     for (s, q), m in heads.items():
         if q:
@@ -103,19 +108,6 @@ def brute_count_all(p: int, n: int) -> dict[int, int]:
                 every_lam += m
         else:
             every_lam += m * roots[-s % p]
-    # chart k >= 1 has n-1-k free coordinates and no monomial term: tails[r]
-    # counts the tuples of the current length with sum x^n = r
-    powers = [(r, c) for r, c in enumerate(roots) if c]
-    tails = [1] + [0] * (p - 1)
-    for length in range(n - 1):
-        if length:
-            grown = [0] * p
-            for r, c in enumerate(tails):
-                if c:
-                    for t, k in powers:
-                        grown[(r + t) % p] += c * k
-            tails = grown
-        every_lam += tails[p - 1]  # 1 + sum x^n = 0
     return {lam: c + every_lam for lam, c in enumerate(counts)}
 
 

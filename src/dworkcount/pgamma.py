@@ -8,7 +8,7 @@ Two evaluation routes coexist:
 * a fast table (frac_gamma_table) for every argument r/(p-1), r = 0..p-2,
   seeded through the Gross-Koblitz form of the Gauss-sum product rule
   g(wbar^j) g(wbar) = J(wbar^j, wbar) g(wbar^(j+1)): the Jacobi sums are plain
-  character sums over F_p, the seed Gamma(1/(p-1)) is the unique Hensel root of
+  character sums over F_p, the seed Gamma(1/(p-1)) is the closed-form root of
   X^(p-1) = prod(J_j) with X == 1 (mod p), and the reflection formula closes
   the cycle.  One seeding route serves every p.  By J_(p-2-j) = -J_j the odd
   sums are the even ones reversed and negated, and the even ones are one DFT
@@ -25,7 +25,7 @@ denominator divides p-1, and otherwise one shared sweep, which is refused with
 advice (SweepLimitError) when it would run more than SWEEP_LIMIT lift steps,
 the module constant read at call time; the table itself refuses a p over
 padic.TABLE_LIMIT (TableLimitError).  Sweep results are memoized in-process
-per (p, digits); nothing is persisted.
+for one (p, digits); nothing is persisted.
 """
 
 from __future__ import annotations
@@ -42,15 +42,20 @@ class SweepLimitError(PadicError):
     """A gamma evaluation would need an infeasibly long lift sweep."""
 
 
-# per-(p, digits) map of lift -> Gamma_p(lift) residue; grows monotonically
+# lift -> Gamma_p(lift) residue for one (p, digits), cleared when another
+# (p, digits) arrives
 _sweep_memo: dict[tuple[int, int], dict[int, int]] = {}
 
 
 def batch_pgamma_residues(lifts, p: int, digits: int) -> dict[int, int]:
     """Gamma_p at every requested lift, from one shared forward sweep; values
-    are memoized per (p, digits).  A sweep of more than SWEEP_LIMIT steps from
-    one memoized lift to the next is refused with SweepLimitError."""
+    are memoized for one (p, digits) at a time, so repeated calls at one
+    (p, digits) stay warm and a sweep over primes holds one entry.  A sweep of
+    more than SWEEP_LIMIT steps from one memoized lift to the next is refused
+    with SweepLimitError."""
     mod = p ** digits
+    if (p, digits) not in _sweep_memo:
+        _sweep_memo.clear()
     memo = _sweep_memo.setdefault((p, digits), {})
     targets = sorted(set(lifts))
     if targets and not 0 <= targets[0] <= targets[-1] < mod:
@@ -118,8 +123,10 @@ def frac_gamma_table(p: int, digits: int) -> tuple[int, ...]:
     Gross-Koblitz give Gamma((s+1)/(p-1)) = -Gamma(s/(p-1)) z / J_s for
     z = Gamma(1/(p-1)), and reflection, Gamma(1/(p-1)) Gamma((p-2)/(p-1)) = 1,
     closes the cycle: z is the root of z^(p-1) = prod_(s=1..p-3) J_s with
-    z == 1 (mod p).  The recursion runs backward from Gamma((p-2)/(p-1)) = 1/z,
-    so z is the one inversion.
+    z == 1 (mod p).  x -> x^(p-1) is a bijection of the group 1 + pZ mod p^K,
+    whose order p^(K-1) is prime to p-1, so z is that product to the power
+    (p-1)^-1 mod p^(K-1).  The recursion runs backward from
+    Gamma((p-2)/(p-1)) = 1/z, so z is the one inversion.
     """
     check_table_size(p)
     size, mod = p - 1, p ** digits
@@ -131,13 +138,7 @@ def frac_gamma_table(p: int, digits: int) -> tuple[int, ...]:
         seed_target = seed_target * v % mod
     if seed_target % p != 1:
         raise PadicError("Jacobi product not 1 mod p: seeding invariant broken")
-    # Hensel/Newton for z^(p-1) = seed_target with z == 1 (mod p)
-    z, prec = 1, 1
-    while prec < digits:
-        prec = min(2 * prec, digits)
-        m2 = p ** prec
-        deriv = size * pow(z, size - 1, m2) % m2
-        z = (z - (pow(z, size, m2) - seed_target) * pow(deriv, -1, m2)) % m2
+    z = pow(seed_target, pow(size, -1, mod // p), mod)
     table = [1] * size
     table[-1] = zinv = pow(z, -1, mod)
     for s in range(size - 2, 0, -1):

@@ -11,6 +11,9 @@ gk_product is checked against.
 derive_params spells out a class's mGm parameter lists A_w, B_w from its
 definition; the count kernels never build them.
 
+literal_g_coefficients is the mGm coefficient build on Fraction arguments,
+the reference for hyperfun.g_coefficients' integer numerators.
+
 reference_ff_kernel builds the finite-field count's kernel class by class from
 these Gauss sums, with any character generator wbar^alpha: the count's own
 build fixes alpha = 1, and every alpha gives the same kernel.
@@ -20,11 +23,13 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from math import floor
 
 from dworkcount.dwork import canonical_classes
-from dworkcount.hyperfun import FParams
-from dworkcount.padic import CharSum, PadicError, PadicUnit, ValuedPadic, teichmuller_table
-from dworkcount.pgamma import frac_gamma_table
+from dworkcount.hyperfun import FParams, GParams
+from dworkcount.padic import (CharSum, PadicError, PadicUnit, ValuedPadic, check_table_size,
+                              teichmuller_table)
+from dworkcount.pgamma import frac_gamma_table, gamma_residues
 
 
 class PiBalanceError(PadicError):
@@ -158,3 +163,38 @@ def reference_ff_kernel(p, n, digits, alpha):
     """The ff kernel (p == 1 mod n) with the generator wbar^alpha, gcd(alpha, p-1) = 1."""
     return CharSum(p, digits, [(0, (p ** (n - 1) - 1) // (p - 1))],
                    reference_ff_terms(p, n, digits, alpha), (p - 1) // n)
+
+
+def literal_g_coefficients(params: GParams, p: int, digits: int) -> list[tuple[int, int]]:
+    """hyperfun.g_coefficients with every argument a Fraction: p-1 thetas,
+    (q -+ theta) % 1 for each parameter, and floor() of the exact rationals.
+    """
+    params.validate_for(p)
+    check_table_size(p)  # before the p-1 arguments below
+    mod = p ** digits
+    m = params.m
+    av = [q % 1 for q in params.a]   # <a_i>
+    bv = [(-q) % 1 for q in params.b]  # <-b_i>
+    thetas = [Fraction(j, p - 1) for j in range(p - 1)]
+    args = set(av) | set(bv)
+    for theta in thetas:
+        args.update((q - theta) % 1 for q in av)
+        args.update((q + theta) % 1 for q in bv)
+    gamma = gamma_residues(args, p, digits)
+    denom = 1
+    for q in av + bv:
+        denom = denom * gamma[q] % mod
+    inv_denom = pow(denom, -1, mod)
+    coeffs = []
+    for j, theta in enumerate(thetas):
+        unit, exponent = inv_denom, 0
+        for q in av:
+            unit = unit * gamma[(q - theta) % 1] % mod
+            exponent -= floor(q - theta)
+        for q in bv:
+            unit = unit * gamma[(q + theta) % 1] % mod
+            exponent -= floor(q + theta)
+        if (j * m + exponent) % 2:  # (-1)^{jm} and the sign of (-p)^exponent
+            unit = (mod - unit) % mod
+        coeffs.append((exponent, unit))
+    return coeffs

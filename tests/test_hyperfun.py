@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import truncated
+from conftest import PRIMES_TO_97, truncated
 from dworkcount.hyperfun import (FParams, GParams, eval_F, eval_G, f_coefficients,
                                  g_coefficients)
 from dworkcount.padic import CharSum
+from reference import literal_g_coefficients
 
 
 def random_gparams(rng, p, m, denominators=None):
@@ -79,6 +80,33 @@ def test_per_term_valuation_bound():
         assert len(coeffs) == p - 1
         for exponent, _ in coeffs:
             assert -m <= exponent <= m
+
+
+@pytest.mark.parametrize("p", [q for q in PRIMES_TO_97 if q < 60])
+def test_g_coefficients_match_the_literal_fraction_build(p):
+    """Integer numerators over lcm(p-1, denominators) == the Fraction build,
+    on the table route (denominators dividing p-1) and the sweep route."""
+    rng = random.Random(p)
+    dens = [d for d in (p - 1, 2, 3, 4, 5, 6, 10, 12) if d % p]
+    table_dens = [d for d in dens if (p - 1) % d == 0]
+    sweep_dens = [d for d in dens if (p - 1) % d]
+
+    def q(choices):  # integers and negative fractions included
+        den = rng.choice(choices)
+        return Fraction(rng.randrange(-2 * den, 2 * den), den)
+
+    for digits in (1, 2, 3):
+        for m in range(4):
+            cases = [GParams((Fraction(1, 2),) * m, (Fraction(1),) * m),
+                     GParams(tuple(Fraction(1 - i) for i in range(m)),
+                             tuple(Fraction(2 * i - 1) for i in range(m)))]
+            for first, rest in ((table_dens, table_dens), (sweep_dens, dens)):
+                for _ in range(3):
+                    a = tuple(q(rest if i else first) for i in range(m))
+                    cases.append(GParams(a, tuple(q(rest) for _ in range(m))))
+            for params in cases:
+                assert g_coefficients(params, p, digits) == \
+                    literal_g_coefficients(params, p, digits), (p, digits, params)
 
 
 def test_reduction_is_schedule_independent():

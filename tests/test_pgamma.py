@@ -143,6 +143,14 @@ def test_multiplication_formula_spot():
         assert lhs == rhs, r
 
 
+def test_sweep_memo_holds_one_prime_and_precision():
+    warm = batch_pgamma_residues([5, 40], 7, 3)
+    assert batch_pgamma_residues([40], 7, 3) == {40: warm[40]}
+    assert list(pgamma._sweep_memo) == [(7, 3)]
+    batch_pgamma_residues([5, 40], 11, 3)
+    assert list(pgamma._sweep_memo) == [(11, 3)]
+
+
 def test_sweep_limit_refusal(monkeypatch):
     monkeypatch.setattr(pgamma, "SWEEP_LIMIT", 10 ** 5)
     with pytest.raises(SweepLimitError):
