@@ -74,18 +74,16 @@ the kernel is built once per (method, p, n, K_target) in the cached
 _kernel.  A count then takes lambda mod p, the domain rule
 (_refusal), y(lambda), one Horner pass (CharSum.residue) and an integer
 reconstruction (padic.reconstruct_residue), all on plain integers; only
-method_value wraps a kernel value as a ValuedPadic.
+method_value wraps a kernel value as a ValuedPadic (padic.valued).
 
 Precision: a count is an integer in [0, (p^n - 1)/(p - 1)], so it is pinned by
 its residue mod p^K_target, the smallest power of p over twice that bound
-(k_target).  Every kernel carries exactly K_target digits (k_working): each
-term is p^v * u with u known mod p^digits, so a value is exact mod
-p^(offset + digits), where the offset is the smallest term valuation.  Every
-builder's terms have v = 0: (-p)-exponents are floors >= 0 folded into u,
-and the one division by p (B/p, _y0_read) is asserted exact.  _kernel
-asserts that floor, and reconstruction refuses p^(absolute precision) <=
-bound, so a wrong floor is a PrecisionError carrying the precision ledger,
-never a wrong count.
+(k_target).  Every kernel carries exactly K_target digits (k_working) and
+holds residues mod p^K_target: each builder folds its (-p)-exponents, floors
+>= 0 (main's bisect_right counts, koblitz's nj // (p-1)), into its residues,
+and the one division by p (B/p, _y0_read) is asserted exact, so a value is
+exact mod p^K_target.  Reconstruction refuses p^K_target <= bound with a
+PrecisionError carrying the precision ledger.
 
 A smooth fibre (lambda != 0, lambda^n != 1) needs fewer digits: the
 Weil-Deligne bound puts its count in a window [base - h, base + h]
@@ -105,9 +103,9 @@ from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt
 
-from .padic import (CharSum, PrecisionError, RangeError, ValuedPadic, batch_inverse,
-                    check_table_size, is_odd_prime, reconstruct_residue,
-                    teichmuller_table)
+from .padic import (CACHE_SIZE, CharSum, PrecisionError, RangeError, ValuedPadic,
+                    batch_inverse, check_table_size, is_odd_prime, reconstruct_residue,
+                    teichmuller_table, valued)
 from .pgamma import frac_gamma_table
 
 
@@ -204,8 +202,8 @@ def weil_window(p: int, n: int) -> tuple[int, int, int]:
 
 def k_working(p: int, n: int, kt: int | None = None) -> int:
     """Digits a kernel carries for K_target kt (k_target by default): the
-    target itself, with no headroom and no guard digits.  Every term
-    valuation is >= 0 (the floor _kernel asserts), so a value is exact mod
+    target itself, with no headroom and no guard digits.  A kernel holds
+    residues (every (-p)-exponent it folds is >= 0), so a value is exact mod
     p^K_target, and p^K_target exceeds twice the largest count.  A single
     count on a smooth fibre at the default K_target reads a kernel of K_w
     digits instead (weil_window), where 2 K_w <= K_target (_checked)."""
@@ -297,8 +295,8 @@ def _gamma_rows(p: int, n: int, digits: int) -> list:
     return [table[k:k + t] for k in range(0, p - 1, t)]
 
 
-def _main_terms(p: int, n: int, digits: int):
-    """(i, 0, C_i) for i < t = (p-1)/d: the main count's classes, each term
+def _main_terms(p: int, n: int, digits: int) -> list[int]:
+    """[C_i for i < t = (p-1)/d]: the main count's classes, each term
     (-1)^n * prefactor * G-coefficient, summed and folded mod t.
 
     By the reflection formula the prefactor cancels (module docstring): a class
@@ -324,14 +322,14 @@ def _main_terms(p: int, n: int, digits: int):
     y0[0] = -y0[0] - (1 - p) * b
     steps = [h * (p - 1) // n + 1 for h in range(1, n // d)]  # H_i's, ascending
     scale = (-1) ** n * pow(p - 1, -1, mod)
-    for i, (c, l) in enumerate(zip(y0, main_l_factors(p, n, digits))):
-        yield i, 0, scale * l * (-p) ** bisect_right(steps, i) * c % mod
+    return [scale * l * (-p) ** bisect_right(steps, i) * c % mod
+            for i, (c, l) in enumerate(zip(y0, main_l_factors(p, n, digits)))]
 
 
-def _koblitz_terms(p: int, n: int, digits: int):
-    """(const, terms) of the Gauss-sum count less its base term (the all-zero
-    w; N_p(0, w) = 0 when some but not all entries vanish): the sum of g(w)/p
-    over the all-nonzero w, and (j, 0, C_j) for j < t, C_j the sum over W of
+def _koblitz_terms(p: int, n: int, digits: int) -> tuple[int, list[int]]:
+    """(const, [C_j for j < t]) of the Gauss-sum count less its base term (the
+    all-zero w; N_p(0, w) = 0 when some but not all entries vanish): the sum of
+    g(w)/p over the all-nonzero w, and C_j the sum over W of
     prod_i g(wbar^(w_i t + j)) / g(wbar^(nj)) / (p-1).
 
     A ratio's pi-exponent is (p-1)(m + f_j), m = sum(w)/d, and C_j carries
@@ -351,12 +349,12 @@ def _koblitz_terms(p: int, n: int, digits: int):
     inv = (-1) ** (n + 1) * pow(p - 1, -1, mod)
     inv_den = batch_inverse([table[n * j % (p - 1)] for j in range(t)], mod)  # -1/u(nj)
     y0, b = _y0_read(_gamma_rows(p, n, digits), n, p, digits)
-    return (-1) ** n * b, [(j, 0, (-p) ** (n * j // (p - 1)) * y0[j] * inv * inv_den[j] % mod)
+    return (-1) ** n * b, [(-p) ** (n * j // (p - 1)) * y0[j] * inv * inv_den[j] % mod
                            for j in range(t)]
 
 
-def _ff_terms(p: int, n: int, digits: int):
-    """(i, 0, C_i) for i < t = (p-1)/n (p == 1 mod n): prefactor times
+def _ff_terms(p: int, n: int, digits: int) -> list[int]:
+    """[C_i for i < t = (p-1)/n] (p == 1 mod n): prefactor times
     mFm-coefficient per class, with the character generator T = wbar, summed
     and folded mod t.
 
@@ -398,34 +396,26 @@ def _ff_terms(p: int, n: int, digits: int):
     y0, b = _y0_read(rows, n, p, digits)
     y0[0] += b - p * b
     scale = (-1) ** (n + 1) * pow(p - 1, -1, mod) * dens[0]
-    for c, (y, inv) in enumerate(zip(y0, batch_inverse(dens, mod))):  # at i = -c
-        yield -c % t, 0, scale * inv * y % mod
+    columns = [scale * inv * y % mod for y, inv in zip(y0, batch_inverse(dens, mod))]
+    return [columns[-i % t] for i in range(t)]  # C_i is column c = (-i) mod t
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _kernel(method: str, p: int, n: int, kt: int) -> CharSum:
     """The lambda-free kernel of main, koblitz or ff for fixed (p, n, K_target),
-    of period (p-1)/d: each method's argument is a d-th power.  It
-    carries k_working = K_target digits (kt is K_w for a single count on a
-    smooth fibre), which pin a count only if no term valuation is negative; a
-    build that breaks that floor raises PrecisionError."""
+    of period (p-1)/d: each method's argument is a d-th power.  It carries
+    k_working = K_target digits (kt is K_w for a single count on a smooth
+    fibre), and its constant is the base count plus koblitz's."""
     digits = k_working(p, n, kt)
-    consts = [(0, (p ** (n - 1) - 1) // (p - 1))]  # the base count, a p-adic unit
+    const = (p ** (n - 1) - 1) // (p - 1)  # the base count
     if method == "main":
-        chars = _main_terms(p, n, digits)
+        coeffs = _main_terms(p, n, digits)
     elif method == "koblitz":
-        const, chars = _koblitz_terms(p, n, digits)
-        consts.append((0, const))
+        extra, coeffs = _koblitz_terms(p, n, digits)
+        const += extra
     else:
-        chars = _ff_terms(p, n, digits)
-    kernel = CharSum(p, digits, consts, chars, (p - 1) // gcd(p - 1, n))
-    for name, offset in (("offset", kernel.offset), ("const_offset", kernel.const_offset)):
-        if offset < 0:
-            raise PrecisionError(
-                f"{method} kernel at p = {p}, n = {n}: {name} {offset} < 0, so its "
-                f"values are known only mod p^({offset} + {digits}); K_target {kt} "
-                f"and working digits {digits} rest on a valuation floor of 0")
-    return kernel
+        coeffs = _ff_terms(p, n, digits)
+    return CharSum(p, digits, const % p ** digits, coeffs)
 
 
 # the character argument y(lambda) of each method's kernel, in applicable's order
@@ -456,7 +446,7 @@ def applicable(p: int, n: int, lam: int) -> list[str]:
     return [name for name in _ARGUMENT if _refusal(name, p, n, lam) is None]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _checked(name: str, p: int, n: int,
              kt: int | None) -> tuple[int, int, tuple[int, int, int] | None]:
     """(K_target, projective bound, Weil digits) of a named method at (p, n)
@@ -515,20 +505,19 @@ def _method_inputs(name: str, p: int, n: int, lam: int, kt: int | None
     return kt, bound, weil, "main" if name == "relprime" else name, _ARGUMENT[name](p, n, lam)
 
 
-def _reconstruct(kernel: CharSum, result: tuple, low: int, high: int, kt: int) -> int:
-    """The one integer in [low, high] congruent to a kernel's (prec, residue)
-    result (its offset is >= 0, so the residue is one): the residue less low,
-    reconstructed in [0, high - low].  A residue with no such integer is a
-    RangeError, and a PrecisionError carries the kernel's precision ledger."""
-    p, (prec, r) = kernel.p, result
+def _reconstruct(kernel: CharSum, r: int, low: int, high: int, kt: int) -> int:
+    """The one integer in [low, high] congruent to a kernel's residue r mod
+    p^digits: r less low, reconstructed in [0, high - low].  A residue with no
+    such integer is a RangeError, and a PrecisionError carries the kernel's
+    precision ledger."""
+    p, prec = kernel.p, kernel.digits
     try:
         # 0 <= r < p^prec: r - low needs reducing only when it is negative
         return low + reconstruct_residue(
-            p, prec, r - low if r >= low else (r - low) % p ** prec, high - low)
+            p, prec, r - low if r >= low else (r - low) % kernel.mod, high - low)
     except PrecisionError as exc:
         raise PrecisionError(
-            f"{exc}; K_target {kt}, working digits {kernel.digits}, offset "
-            f"{kernel.offset}, const_offset {kernel.const_offset}: a count needs "
+            f"{exc}; K_target {kt}, working digits {kernel.digits}: a count needs "
             f"a K_target with p^K_target > {high - low}") from None
     except RangeError:
         raise RangeError(
@@ -565,8 +554,8 @@ def count_all(name: str, p: int, n: int, kt: int | None = None) -> dict[int, int
     arg = _ARGUMENT[name]
     lams = range(1, p) if _refusal(name, p, n, 0) else range(p)
     ys = {lam: arg(p, n, lam) for lam in lams}
-    counts = {y: _reconstruct(kernel, result, 0, bound, kt)
-              for y, result in kernel.residues(set(ys.values())).items()}
+    counts = {y: _reconstruct(kernel, r, 0, bound, kt)
+              for y, r in kernel.residues(set(ys.values())).items()}
     return {lam: counts[y] for lam, y in ys.items()}
 
 
@@ -594,4 +583,5 @@ def method_value(name: str, p: int, n: int, lam: int,
                  kt: int | None = None) -> ValuedPadic:
     """Pre-reconstruction p-adic value of a named formula method."""
     kt, _, _, method, y = _method_inputs(name, p, n, lam, kt)
-    return _kernel(method, p, n, kt).value(y)
+    kernel = _kernel(method, p, n, kt)
+    return valued(p, 0, kernel.residue(y), kernel.digits)

@@ -2,8 +2,9 @@
 counterpart mFm, plus their parameter containers.
 
 Both are character sums -1/(p-1) * sum_j c_j wbar^j(x) whose x-free
-coefficients c_j are built in plain integers and summed by padic.CharSum, the
-one summation path the count formulas use too.  mGm's coefficients come
+coefficients c_j = p^v_j u_j are built in plain integers, folded into
+residues at their smallest valuation and summed by padic.CharSum, the one
+summation path the count formulas use too.  mGm's coefficients come
 literally from its definition (g_coefficients): gamma-quotient products with
 (-p)-power corrections whose exponents are exact rational floors.  mFm's are
 Gauss-sum ratios read from the gamma table (f_coefficients).  The two
@@ -17,7 +18,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
-from .padic import CharSum, ValuedPadic, check_table_size
+from .padic import CharSum, ValuedPadic, check_table_size, valued
 from .pgamma import frac_gamma_table, gamma_residues
 
 
@@ -116,11 +117,13 @@ def g_coefficients(params: GParams, p: int, digits: int) -> list[tuple[int, int]
 
 
 def _character_sum(coeffs, x: int, p: int, digits: int) -> ValuedPadic:
-    """-1/(p-1) * sum_j p^v_j u_j wbar^j(x) for coefficients (v_j, u_j), by one CharSum."""
+    """-1/(p-1) * sum_j p^v_j u_j wbar^j(x) for coefficients (v_j, u_j): the
+    terms fold into residues at v0 = min v_j, which one CharSum sums."""
     mod = p ** digits
     scale = mod - pow(p - 1, -1, mod)
-    return CharSum(p, digits, (),
-                   ((j, v, u * scale % mod) for j, (v, u) in enumerate(coeffs))).value(x)
+    v0 = min(v for v, _ in coeffs)
+    folded = [u * scale * p ** (v - v0) % mod for v, u in coeffs]
+    return valued(p, v0, CharSum(p, digits, 0, folded).residue(x), digits)
 
 
 def eval_G(params: GParams, x: int, p: int, digits: int) -> ValuedPadic:

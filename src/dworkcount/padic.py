@@ -2,13 +2,14 @@
 p^K, the valuation-carrying ValuedPadic, Teichmuller lifts, the chirp DFT,
 CharSum, and exact integer reconstruction.
 
-CharSum is the only code that sums valued p-adic terms.  It folds y-free terms
-p^v * u into plain integers at one valuation offset, and every count
-method (dwork) and every mGm/mFm evaluation (hyperfun) goes through it.  Its
-one evaluation returns plain integers, an absolute precision and a residue,
-and reconstruct_residue turns those into a count: counts never build a
-ValuedPadic.  ValuedPadic carries no arithmetic: it is the value type of the
-API boundaries (CharSum.value, reconstruct_integer, method_value, gfun/ffun
+CharSum is the one character-sum kernel: a residue constant plus one residue
+per character index, summed mod p^K by Horner's rule at one y or by one
+transform at every y.  Every count method (dwork) and every mGm/mFm
+evaluation (hyperfun) goes through it; a count's residues carry no
+valuation, and hyperfun folds its valued coefficients into residues first.
+reconstruct_residue turns a count's residue into the count: counts never
+build a ValuedPadic.  ValuedPadic carries no arithmetic: it is the value type
+of the API boundaries (valued, reconstruct_integer, method_value, gfun/ffun
 and the CLI), a thin wrapper over the same integers.
 
 Every table here and in pgamma has p entries, so a prime over TABLE_LIMIT,
@@ -51,6 +52,14 @@ class RangeError(PadicError):
 # faster than p (Karatsuba transforms) and with the digits at larger n; at
 # p = 10^9 + 7 each table would take about 8 GB.
 TABLE_LIMIT = 300_000
+
+
+# Entries kept by each lru-cached table, kernel and check: one (p, n) family's
+# (a count's K_w and K_target kernels, verify's three, _checked's four names).
+# Over 120 cold count_main(q, 4, 3), q the first 120 primes above 10007, peak
+# RSS after 120 was x5.7 that after 10 unbounded (24 -> 142 MB), x1.068 at 2,
+# x1.079 at 4 (20.4 -> 22.0 MB) and x1.103 at 8 (CPython 3.11, 2-core machine).
+CACHE_SIZE = 4
 
 
 class TableLimitError(PadicError):
@@ -269,7 +278,7 @@ def chirp_dft(a, powers, mod: int) -> list[int]:
             for k in range(size)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def teichmuller_table(p: int, digits: int) -> tuple[int, ...]:
     """Residues of the Teichmuller lifts for 1..p-1; index 0 is a 0 sentinel.
 
@@ -287,86 +296,42 @@ def teichmuller_table(p: int, digits: int) -> tuple[int, ...]:
     return tuple(table)
 
 
-def _fold(terms, size: int, p: int, mod: int):
-    """Sum (index, valuation, unit) terms into `size` integers mod p^digits at the
-    smallest valuation seen; returns (that valuation or None, the integers)."""
-    v0, ints = None, [0] * size
-    for i, v, u in terms:
-        if v0 is None:
-            v0 = v
-        elif v < v0:
-            shift = p ** (v0 - v)
-            ints = [c * shift % mod for c in ints]
-            v0 = v
-        ints[i] = (ints[i] + u * p ** (v - v0)) % mod
-    return v0, ints
-
-
 class CharSum:
-    """const + sum_e C_e * wbar^e(y) for y-free terms p^v * u, u known mod p^digits.
+    """const + sum_e C_e * wbar^e(y) mod p^digits, for residues const and C_e.
 
-    The constant and C are folded into plain integers, each at its smallest term
-    valuation, so a value costs one Horner pass.  The result is known to
-    absolute precision digits plus the smallest valuation among the terms it
-    sums, and a sum that cancels is a zero carrying that precision; at y = 0
-    every character vanishes and only the constant's terms count.
-
-    residue and residues are the one evaluation, in plain integers; value and
-    values wrap their results as ValuedPadic for the API boundaries.
-
-    C has `period` entries, a divisor t of p-1 (default p-1): a kernel whose
-    character index e is taken mod t is defined at y = 0 and at the y with
-    y^t = 1, where wbar^t(y) = 1, and raises ValueError at any other y.
+    C has one entry per character index e < t = len(C), a divisor of p-1: a
+    kernel whose index is taken mod t is defined at y = 0, where every
+    character vanishes, and at the y with y^t = 1, where wbar^t(y) = 1, and
+    raises ValueError at any other y.  residue and residues are its one
+    evaluation, on plain integers; a caller whose terms carry valuations folds
+    them into residues first and wraps a result with valued.
     """
 
-    def __init__(self, p: int, digits: int, const_terms, char_terms, period: int | None = None):
-        self.p, self.digits = p, digits
-        self.period = p - 1 if period is None else period
+    def __init__(self, p: int, digits: int, const: int, coeffs):
+        self.p, self.digits, self.mod = p, digits, p ** digits
+        self.const, self.coeffs = const, list(coeffs)
+        self.period = len(self.coeffs)
         if self.period < 1 or (p - 1) % self.period:
             raise ValueError(f"period {self.period} does not divide p-1 = {p - 1}")
-        self.mod = p ** digits
-        self.const_offset, (self.const,) = _fold(((0, v, u) for v, u in const_terms),
-                                                 1, p, self.mod)
-        self.offset, self.coeffs = _fold(char_terms, self.period, p, self.mod)
-        # the result where no character counts (y = 0, or no character term)
-        self._const_result = (math.inf, 0) if self.const_offset is None else (
-            self.const_offset + digits, self.const * p ** max(self.const_offset, 0))
-        if self.offset is not None:
-            # elsewhere p^v0 (base + acc * scale) at the smaller offset v0
-            v0 = self.offset if self.const_offset is None else min(self.offset,
-                                                                   self.const_offset)
-            self._base = 0 if self.const_offset is None else self.const * p ** (
-                self.const_offset - v0)
-            self._scale = p ** (self.offset - v0)
-            self._prec, self._lift = v0 + digits, p ** max(v0, 0)
-
-    def _with_constant(self, acc: int) -> tuple:
-        """The result of a character sum acc plus the constant."""
-        return self._prec, (self._base + acc * self._scale) % self.mod * self._lift
 
     def _check(self, y: int) -> None:
         if y % self.p and pow(y, self.period, self.p) != 1:
             raise ValueError(f"y = {y} is outside the domain of a period-{self.period} "
                              f"character sum mod {self.p}: y^{self.period} != 1")
 
-    def residue(self, y: int) -> tuple:
-        """(prec, r): the value at y to absolute precision prec, as the integer r.
-
-        At an offset >= 0 (every count kernel's) r is the residue mod p^prec,
-        0 <= r < p^prec; at a negative offset v0, r is p^-v0 times the value,
-        known mod p^digits.  prec is math.inf, with r = 0, when no term counts.
-        """
+    def residue(self, y: int) -> int:
+        """The value at y mod p^digits, by one Horner pass."""
         self._check(y)
         p, mod = self.p, self.mod
-        if y % p == 0 or self.offset is None:
-            return self._const_result
+        if y % p == 0:
+            return self.const
         z = teichmuller_table(p, self.digits)[pow(y, -1, p)]  # wbar(y)
         acc = 0
         for c in reversed(self.coeffs):
             acc = (acc * z + c) % mod
-        return self._with_constant(acc)
+        return (acc + self.const) % mod
 
-    def residues(self, ys) -> dict[int, tuple]:
+    def residues(self, ys) -> dict[int, int]:
         """residue(y) for every y in ys, from one transform of the coefficients.
 
         With rho = w(g) for the primitive root g and s = (p-1)/t, wbar(g^-sk) =
@@ -377,40 +342,30 @@ class CharSum:
         for y in ys:
             self._check(y)
         p, t, mod = self.p, self.period, self.mod
-        out = dict.fromkeys(ys, self._const_result)
-        if self.offset is not None:
-            teich, g = teichmuller_table(p, self.digits), primitive_root(p)
-            gs = pow(g, (p - 1) // t, p)
-            powers, x = [], 1
-            for _ in range(t):
-                powers.append(teich[x])  # (rho^s)^e = w(g^se)
-                x = x * gs % p
-            sums = [None] * p  # the character sum at each y; y = 0 stays None
-            gs_inv, y = pow(gs, -1, p), 1
-            for acc in chirp_dft(self.coeffs, powers, mod):
-                sums[y] = acc
-                y = y * gs_inv % p
-            for y in ys:
-                if sums[y % p] is not None:
-                    out[y] = self._with_constant(sums[y % p])
-        return out
+        teich, g = teichmuller_table(p, self.digits), primitive_root(p)
+        gs = pow(g, (p - 1) // t, p)
+        powers, x = [], 1
+        for _ in range(t):
+            powers.append(teich[x])  # (rho^s)^e = w(g^se)
+            x = x * gs % p
+        sums = [self.const] * p  # the value at each y; y = 0 keeps the constant
+        gs_inv, y = pow(gs, -1, p), 1
+        for acc in chirp_dft(self.coeffs, powers, mod):
+            sums[y] = (acc + self.const) % mod
+            y = y * gs_inv % p
+        return {y: sums[y % p] for y in ys}
 
-    def value(self, y: int) -> ValuedPadic:
-        return self._valued(*self.residue(y))
 
-    def values(self, ys) -> dict[int, ValuedPadic]:
-        return {y: self._valued(*result) for y, result in self.residues(ys).items()}
-
-    def _valued(self, prec, r: int) -> ValuedPadic:
-        """The ValuedPadic of a (prec, r) result of residue."""
-        p = self.p
-        if r == 0:
-            return ValuedPadic.zero(p, prec)
-        v = min(prec - self.digits, 0)
-        while r % p == 0:
-            r //= p
-            v += 1
-        return ValuedPadic(p, v, PadicUnit(r, p, prec - v))
+def valued(p: int, v: int, r: int, digits: int) -> ValuedPadic:
+    """p^v * r for a residue r known mod p^digits, as a ValuedPadic of absolute
+    precision v + digits (a zero carries that precision)."""
+    r %= p ** digits
+    if r == 0:
+        return ValuedPadic.zero(p, v + digits)
+    w = v
+    while r % p == 0:
+        r, w = r // p, w + 1
+    return ValuedPadic(p, w, PadicUnit(r, p, v + digits - w))
 
 
 def char_value(j: int, x: int, p: int, digits: int) -> ValuedPadic:

@@ -32,8 +32,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .padic import (PadicError, check_table_size, chirp_dft, primitive_root,
-                    teichmuller_table)
+from .padic import (CACHE_SIZE, PadicError, check_table_size, chirp_dft,
+                    primitive_root, teichmuller_table)
 
 SWEEP_LIMIT = 50_000_000
 
@@ -113,7 +113,7 @@ def jacobi_sums(p: int, digits: int) -> list[int]:
     return sums
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def frac_gamma_table(p: int, digits: int) -> tuple[int, ...]:
     """Residues of Gamma_p(r/(p-1)) for r = 0..p-2, every entry seeded from the
     Jacobi sums J(wbar^j, wbar).  A p over padic.TABLE_LIMIT is refused before
@@ -159,19 +159,21 @@ def gamma_residues(args, p: int, digits: int) -> dict:
     come from the seeded table; every other argument is lifted and served from
     one shared sweep.
     """
-    mod = p ** digits
+    mod, table = p ** digits, None
     out, lifts = {}, {}
     for q in set(args):
-        if not 0 <= q <= 1:
+        num, den = q.numerator, q.denominator  # den > 0
+        if not 0 <= num <= den:
             raise ValueError("normalize the argument into [0, 1] first")
-        if q.denominator % p == 0:
+        if den % p == 0:
             raise ValueError("argument denominator divisible by p")
-        if q == 1:
+        if num == den:  # q = 1
             out[q] = mod - 1
-        elif (p - 1) % q.denominator == 0:
-            out[q] = frac_gamma_table(p, digits)[q.numerator * ((p - 1) // q.denominator)]
+        elif (p - 1) % den == 0:
+            table = table or frac_gamma_table(p, digits)
+            out[q] = table[num * ((p - 1) // den)]
         else:
-            lifts[q] = lift_rational(q.numerator, q.denominator, p, digits)
+            lifts[q] = lift_rational(num, den, p, digits)
     if lifts:
         swept = batch_pgamma_residues(lifts.values(), p, digits)
         out.update((q, swept[m]) for q, m in lifts.items())

@@ -18,5 +18,8 @@ def truncated(value, prec):
 
 
 def kernel_state(kernel):
-    """(const_offset, const, offset, coeffs): what a CharSum kernel evaluates."""
-    return kernel.const_offset, kernel.const, kernel.offset, kernel.coeffs
+    """(const, coeffs): what a count kernel evaluates.  A reference's valued
+    terms (reference.Folded) pin it only at offsets 0, which is asserted."""
+    if hasattr(kernel, "offset"):
+        assert kernel.const_offset == kernel.offset == 0, kernel
+    return kernel.const, kernel.coeffs

@@ -17,6 +17,10 @@ the reference for hyperfun.g_coefficients' integer numerators.
 reference_ff_kernel builds the finite-field count's kernel class by class from
 these Gauss sums, with any character generator wbar^alpha: the count's own
 build fixes alpha = 1, and every alpha gives the same kernel.
+
+A reference yields valued terms (index, valuation, unit); fold sums them at
+their smallest valuation, and reference_kernel is the Folded state a count
+kernel (padic.CharSum, plain residues) is compared with at offsets 0.
 """
 
 from __future__ import annotations
@@ -27,9 +31,40 @@ from math import floor
 
 from dworkcount.dwork import canonical_classes
 from dworkcount.hyperfun import FParams, GParams
-from dworkcount.padic import (CharSum, PadicError, PadicUnit, ValuedPadic, check_table_size,
+from dworkcount.padic import (PadicError, PadicUnit, ValuedPadic, check_table_size,
                               teichmuller_table)
 from dworkcount.pgamma import frac_gamma_table, gamma_residues
+
+
+def fold(terms, size: int, p: int, mod: int):
+    """Sum (index, valuation, unit) terms into `size` integers mod p^digits at the
+    smallest valuation seen; returns (that valuation or None, the integers)."""
+    v0, ints = None, [0] * size
+    for i, v, u in terms:
+        if v0 is None:
+            v0 = v
+        elif v < v0:
+            shift = p ** (v0 - v)
+            ints = [c * shift % mod for c in ints]
+            v0 = v
+        ints[i] = (ints[i] + u * p ** (v - v0)) % mod
+    return v0, ints
+
+
+class Folded(namedtuple("Folded", "const_offset const offset coeffs")):
+    """Valued constant and character terms, each folded at its own smallest
+    valuation: a count kernel's const and coeffs where both offsets are 0."""
+
+    __slots__ = ()
+
+
+def reference_kernel(p: int, digits: int, const_terms, char_terms, period: int) -> Folded:
+    """Fold (valuation, unit) constant terms and (index, valuation, unit)
+    character terms of one period mod p^digits."""
+    mod = p ** digits
+    const_offset, (const,) = fold(((0, v, u) for v, u in const_terms), 1, p, mod)
+    offset, coeffs = fold(char_terms, period, p, mod)
+    return Folded(const_offset, const, offset, coeffs)
 
 
 class PiBalanceError(PadicError):
@@ -161,8 +196,8 @@ def reference_ff_terms(p, n, digits, alpha):
 
 def reference_ff_kernel(p, n, digits, alpha):
     """The ff kernel (p == 1 mod n) with the generator wbar^alpha, gcd(alpha, p-1) = 1."""
-    return CharSum(p, digits, [(0, (p ** (n - 1) - 1) // (p - 1))],
-                   reference_ff_terms(p, n, digits, alpha), (p - 1) // n)
+    return reference_kernel(p, digits, [(0, (p ** (n - 1) - 1) // (p - 1))],
+                            reference_ff_terms(p, n, digits, alpha), (p - 1) // n)
 
 
 def literal_g_coefficients(params: GParams, p: int, digits: int) -> list[tuple[int, int]]:

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import PRIMES_TO_97, kernel_state, truncated
 
-from dworkcount import dwork, oracle, padic
-from dworkcount.dwork import (CharSum, ClassRep, DworkInstance, InstanceError,
+from dworkcount import dwork, hyperfun, oracle, padic
+from dworkcount.dwork import (ClassRep, DworkInstance, InstanceError,
                               canonical_classes, count_ff, count_koblitz, count_main,
                               count_relprime, enumerate_W, k_target, k_working,
                               main_l_factors, method_value, orbit)
@@ -21,8 +21,8 @@ from dworkcount.oracle import CountReport
 from dworkcount.padic import (PadicUnit, PrecisionError, is_odd_prime, teichmuller,
                               teichmuller_table)
 from dworkcount.pgamma import frac_gamma_table
-from reference import (derive_params, gauss_gk, gk_product, pi_valuation,
-                       reference_f_coefficients, reference_ff_kernel)
+from reference import (derive_params, fold, gauss_gk, gk_product, pi_valuation,
+                       reference_f_coefficients, reference_ff_kernel, reference_kernel)
 
 
 # -- W and its classes -----------------------------------------------------------
@@ -128,14 +128,10 @@ def test_param_data_invariants(n, data):
 
 def class_g_value(pd, x, p, n, digits):
     """G[A_w; B_w | x] through the reduced kernel: the class's coefficients by
-    the per-j reference below, times G's -1/(p-1), summed by CharSum at y = x.
-    test_folded_main_kernel_matches_per_class_build pins the count's folded
-    kernel to this reference."""
-    mod = p ** digits
-    scale = -pow(p - 1, -1, mod)
-    terms = [(j, v, u * scale % mod)
-             for j, (v, u) in enumerate(unfolded_class_coefficients(pd, p, n, digits))]
-    return CharSum(p, digits, (), terms).value(x)
+    the per-j reference below, times G's -1/(p-1), summed by hyperfun's fold
+    at y = x.  test_folded_main_kernel_matches_per_class_build pins the
+    count's folded kernel to this reference."""
+    return hyperfun._character_sum(unfolded_class_coefficients(pd, p, n, digits), x, p, digits)
 
 
 def gamma_prefactor(pd, p, digits):
@@ -172,18 +168,18 @@ def test_class_summand_representative_independence():
         mod = p ** digits
         for rep in canonical_classes(n, d):
             members = [v for v in orbit(rep.wstar, d) if 0 in v]
-            kernels = []
+            summands = []
             for w in members:
-                # the prefactor (-p)^e * prod Gamma(w_i/d) and G's -1/(p-1),
-                # folded into the terms as the main count folds them
+                # the prefactor (-p)^e * prod Gamma(w_i/d) folded into the
+                # coefficients as the main count folds it; hyperfun's fold
+                # adds G's -1/(p-1)
                 pd = derive_params(w, n, d)
                 e = pd.prefactor_exponent
-                pref = (-1) ** (e + 1) * gamma_prefactor(pd, p, digits) * pow(p - 1, -1, mod)
-                kernels.append(CharSum(p, digits, (), [
-                    (j, e + v, pref * u % mod) for j, (v, u) in
-                    enumerate(unfolded_class_coefficients(pd, p, n, digits))]))
+                pref = (-1) ** e * gamma_prefactor(pd, p, digits)
+                summands.append([(e + v, pref * u % mod) for v, u in
+                                 unfolded_class_coefficients(pd, p, n, digits)])
             for x in sorted({pow(lam, n, p) for lam in range(1, p)}):
-                values = [kernel.value(x) for kernel in kernels]
+                values = [hyperfun._character_sum(c, x, p, digits) for c in summands]
                 first = values[0]
                 for v in values[1:]:
                     prec = min(first.absolute_precision, v.absolute_precision)
@@ -270,14 +266,14 @@ def unfolded_main_terms(p, n, digits):
                          + [(p, 4) for p in PRIMES_TO_97 + (101,) if p % 4 == 1])
 def test_folded_main_kernel_matches_per_class_build(p, n):
     """The build per rotation orbit equals every class built on its own by the
-    per-j reference, both folded mod t = (p-1)/d: offset and coefficients alike."""
+    per-j reference, both folded mod t = (p-1)/d: the reference at offset 0,
+    coefficients alike."""
     digits = k_working(p, n)
     t = (p - 1) // gcd(p - 1, n)
-    folded = CharSum(p, digits, (), dwork._main_terms(p, n, digits), t)
-    unfolded = CharSum(p, digits, (), ((j % t, v, u) for j, v, u in
-                                       unfolded_main_terms(p, n, digits)), t)
-    assert folded.offset == unfolded.offset
-    assert folded.coeffs == unfolded.coeffs
+    offset, unfolded = fold(((j % t, v, u) for j, v, u in unfolded_main_terms(p, n, digits)),
+                            t, p, p ** digits)
+    assert offset == 0
+    assert dwork._main_terms(p, n, digits) == unfolded
 
 
 def compositions(n, parts):
@@ -339,7 +335,8 @@ def test_main_power_kernel_matches_the_orbit_build(p):
     for n in (m for m in range(2, 9) if m % p):
         kt = k_target(p, n)
         consts = [(0, (p ** (n - 1) - 1) // (p - 1))]
-        want = CharSum(p, kt, consts, orbit_main_terms(p, n, kt), (p - 1) // gcd(p - 1, n))
+        want = reference_kernel(p, kt, consts, orbit_main_terms(p, n, kt),
+                                (p - 1) // gcd(p - 1, n))
         assert kernel_state(dwork._kernel("main", p, n, kt)) == kernel_state(want), n
 
 
@@ -377,7 +374,7 @@ def test_ff_power_kernel_matches_the_orbit_build(p):
         consts = [(0, (p ** (n - 1) - 1) // q)]
         kernel = kernel_state(dwork._kernel("ff", p, n, kt))
         for alpha in sorted({1, other}):
-            want = CharSum(p, kt, consts, orbit_ff_terms(p, n, kt, alpha), q // n)
+            want = reference_kernel(p, kt, consts, orbit_ff_terms(p, n, kt, alpha), q // n)
             assert kernel == kernel_state(want), (n, alpha)
 
 
@@ -544,8 +541,8 @@ def test_integer_koblitz_kernel_matches_gk_product_build(p, n):
     kt = k_target(p, n)
     digits = k_working(p, n, kt)
     consts = [(0, (p ** (n - 1) - 1) // (p - 1))] + list(reference_koblitz_consts(p, n, digits))
-    want = CharSum(p, digits, consts, reference_koblitz_terms(p, n, digits),
-                   (p - 1) // gcd(p - 1, n))
+    want = reference_kernel(p, digits, consts, reference_koblitz_terms(p, n, digits),
+                            (p - 1) // gcd(p - 1, n))
     assert kernel_state(dwork._kernel("koblitz", p, n, kt)) == kernel_state(want)
 
 
@@ -573,7 +570,6 @@ def test_ff_is_main_reversed_and_koblitz_is_main_twisted(p):
         kt = k_target(p, n)
         main, kob = dwork._kernel("main", p, n, kt), dwork._kernel("koblitz", p, n, kt)
         t, mod = main.period, main.mod
-        assert main.offset == main.const_offset == kob.offset == kob.const_offset == 0
         z = teichmuller_table(p, kt)[pow(n ** n, -1, p)]  # wbar(n^n)
         twisted = [c * pow(z, j, mod) % mod for j, c in enumerate(kob.coeffs)]
         assert twisted[1:] == main.coeffs[1:], n
@@ -581,7 +577,7 @@ def test_ff_is_main_reversed_and_koblitz_is_main_twisted(p):
         if (p - 1) % n == 0:
             reversed_main = [main.coeffs[-i % t] for i in range(t)]
             assert kernel_state(dwork._kernel("ff", p, n, kt)) \
-                == (0, main.const, 0, reversed_main), n
+                == (main.const, reversed_main), n
 
 
 # -- the all-y transform against Horner ---------------------------------------------
@@ -604,24 +600,21 @@ def sweep_kernels(p, n):
 @pytest.mark.parametrize("p,n", SWEEP_GRID)
 def test_transform_values_match_horner(p, n):
     """On a kernel's domain, y = 0 and the y with y^period = 1, the transform
-    equals Horner, absolute precision included; every other y raises from both.
-    Every kernel has period t = (p-1)/d, so its domain is 0 and the d-th
-    powers."""
+    equals Horner; every other y raises from both.  Every kernel has period
+    t = (p-1)/d, so its domain is 0 and the d-th powers."""
     d = gcd(p - 1, n)
     for name, kernel in sweep_kernels(p, n):
         assert kernel.period == (p - 1) // d, name
         domain = [y for y in range(p) if y == 0 or pow(y, kernel.period, p) == 1]
-        got = kernel.values(domain)
+        got = kernel.residues(domain)
         for y in range(p):
             if y not in domain:
                 with pytest.raises(ValueError):
-                    kernel.value(y)
+                    kernel.residue(y)
                 with pytest.raises(ValueError):
-                    kernel.values([y])
+                    kernel.residues([y])
                 continue
-            want = kernel.value(y)
-            assert (got[y], got[y].absolute_precision) == (want, want.absolute_precision), \
-                (name, y)
+            assert got[y] == kernel.residue(y), (name, y)
 
 
 COUNTERS = {"main": count_main, "koblitz": count_koblitz, "relprime": count_relprime,
@@ -806,26 +799,18 @@ def test_k_target_policy():
 @pytest.mark.parametrize("n", range(2, 9))
 def test_every_kernel_keeps_the_valuation_floor(n):
     # K_target working digits pin a count only if no term valuation is negative:
-    # main and koblitz at every odd p < 200 (d = 1 at p = 3, both classes mod 4),
-    # ff where p == 1 (mod n)
+    # a kernel holds plain residues, its constant and t = (p-1)/d coefficients
+    # ints in [0, p^K_target), for main and koblitz at every odd p < 200 (d = 1
+    # at p = 3, both classes mod 4), and ff where p == 1 (mod n)
     for p in filter(is_odd_prime, range(3, 200)):
         if n % p == 0:
             continue
+        kt, t = k_target(p, n), (p - 1) // gcd(p - 1, n)
         for method in ["main", "koblitz"] + ["ff"] * ((p - 1) % n == 0):
-            kernel = dwork._kernel(method, p, n, k_target(p, n))
-            assert kernel.digits == k_target(p, n)
-            assert kernel.offset >= 0 and kernel.const_offset >= 0, (method, p, n)
-
-
-def test_kernel_below_the_floor_raises(monkeypatch):
-    def low_terms(p, n, digits):
-        yield 0, -1, 1
-    monkeypatch.setattr(dwork, "_main_terms", low_terms)
-    with pytest.raises(PrecisionError) as err:
-        dwork._kernel.__wrapped__("main", 7, 3, 3)
-    message = str(err.value)
-    assert all(part in message for part in ("main", "p = 7", "n = 3", "offset -1",
-                                            "K_target 3", "working digits 3"))
+            kernel = dwork._kernel(method, p, n, kt)
+            assert kernel.digits == kt and kernel.period == len(kernel.coeffs) == t
+            assert all(type(c) is int and 0 <= c < p ** kt
+                       for c in [kernel.const, *kernel.coeffs]), (method, p, n)
 
 
 @pytest.mark.parametrize("p, n", [(601, 4), (1009, 6), (211, 5)])
@@ -844,7 +829,7 @@ def test_precision_error_carries_the_ledger():
     with pytest.raises(PrecisionError) as err:
         count_main(7, 3, 1, kt=1)
     message = str(err.value)
-    assert all(part in message for part in ("K_target 1", "working digits 1", "offset 0",
+    assert all(part in message for part in ("K_target 1", "working digits 1",
                                             "absolute precision 1", "bound 57"))
     with pytest.raises(ValueError):
         count_main(7, 3, 1, kt=0)
@@ -940,7 +925,7 @@ def test_a_residue_outside_the_weil_window_raises(monkeypatch):
     assert pow(lam, n, p) != 1
     assert count_main(p, n, lam) == oracle.brute_count(p, n, lam)
     outside = (high + 1) % p ** kw
-    monkeypatch.setattr(padic.CharSum, "residue", lambda self, y: (self.digits, outside))
+    monkeypatch.setattr(padic.CharSum, "residue", lambda self, y: outside)
     with pytest.raises(padic.RangeError, match=f"\\[{low}, {high}\\]"):
         count_main(p, n, lam)
     with pytest.raises(padic.RangeError):
@@ -954,7 +939,7 @@ def test_a_residue_outside_zero_to_bound_raises(monkeypatch):
     kt, bound, weil = dwork._checked("main", p, n, None)
     assert weil is not None and pow(lam, n, p) == 1 and bound + 1 < p ** kt
     assert count_main(p, n, lam) == oracle.brute_count(p, n, lam)
-    monkeypatch.setattr(padic.CharSum, "residue", lambda self, y: (self.digits, bound + 1))
+    monkeypatch.setattr(padic.CharSum, "residue", lambda self, y: bound + 1)
     with pytest.raises(padic.RangeError, match=f"\\[0, {bound}\\]"):
         count_main(p, n, lam)
 
@@ -1002,9 +987,10 @@ def path_kernels(p, n, kt):
 @pytest.mark.parametrize("n", range(2, 7))
 def test_integer_path_matches_the_valued_path(n):
     """At every y of every kernel's domain the integer evaluation and
-    reconstruction give what reconstruct_integer makes of CharSum.value, the
-    transform gives the per-y results, and at a too-low K_target (1, 2) both
-    paths raise the same exception with the same text."""
+    reconstruction give what reconstruct_integer makes of the residue as a
+    ValuedPadic (padic.valued), the transform gives the per-y results, and at
+    a too-low K_target (1, 2) both paths raise the same exception with the
+    same text."""
     for p in filter(is_odd_prime, range(3, 100)):
         if n % p == 0:
             continue
@@ -1014,10 +1000,11 @@ def test_integer_path_matches_the_valued_path(n):
                 domain = [y for y in range(p) if y == 0 or pow(y, kernel.period, p) == 1]
                 every = kernel.residues(domain)
                 for y in domain:
-                    result = kernel.residue(y)
-                    assert every[y] == result, (name, p, y)
-                    got = outcome(lambda: padic.reconstruct_residue(p, *result, bound))
-                    want = outcome(lambda: padic.reconstruct_integer(kernel.value(y), bound))
+                    r = kernel.residue(y)
+                    assert every[y] == r, (name, p, y)
+                    got = outcome(lambda: padic.reconstruct_residue(p, kernel.digits, r, bound))
+                    want = outcome(lambda: padic.reconstruct_integer(
+                        padic.valued(p, 0, r, kernel.digits), bound))
                     assert got == want, (name, p, n, kt, y)
                     if kt == k_target(p, n):
                         assert isinstance(got, int), (name, p, n, y)
@@ -1043,6 +1030,20 @@ def test_warm_counts_run_no_primality_test_and_build_no_valued_padic(monkeypatch
     warm = [count_main(31, 6, lam) for lam in range(2, 31)]
     assert calls == Counter()
     assert [first] + warm == list(dwork.count_all("main", 31, 6).values())
+
+
+def test_caches_stay_bounded_over_primes_and_warm_over_one_family():
+    # a sweep over primes keeps each lru cache at padic.CACHE_SIZE entries, and
+    # one (p, n) family of single counts then misses each cache once
+    caches = (dwork._checked, dwork._kernel, frac_gamma_table, teichmuller_table)
+    assert all(cache.cache_info().maxsize == padic.CACHE_SIZE for cache in caches)
+    for p in filter(is_odd_prime, range(11, 200)):
+        count_main(p, 4, 3)
+        assert all(cache.cache_info().currsize <= padic.CACHE_SIZE for cache in caches), p
+    misses = [cache.cache_info().misses for cache in caches]
+    family = [count_main(31, 6, lam) for lam in range(1, 31)]
+    assert [cache.cache_info().misses - m for cache, m in zip(caches, misses)] == [1] * 4
+    assert family == list(dwork.count_all("main", 31, 6).values())
 
 
 def test_checks_run_once_per_kernel_and_keep_their_order():

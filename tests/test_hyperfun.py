@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from conftest import PRIMES_TO_97, truncated
 from dworkcount.hyperfun import (FParams, GParams, eval_F, eval_G, f_coefficients,
                                  g_coefficients)
-from dworkcount.padic import CharSum
-from reference import literal_g_coefficients
+from dworkcount.padic import CharSum, valued
+from reference import fold, literal_g_coefficients
 
 
 def random_gparams(rng, p, m, denominators=None):
@@ -110,16 +110,23 @@ def test_g_coefficients_match_the_literal_fraction_build(p):
 
 
 def test_reduction_is_schedule_independent():
+    # hyperfun's one fold at the smallest valuation equals the references'
+    # fold, which rescales as lower valuations arrive, in any term order
     rng = random.Random(11)
     p, digits = 11, 5
+    mod = p ** digits
     params = random_gparams(rng, p, 3)
-    terms = [(j, v, u) for j, (v, u) in enumerate(g_coefficients(params, p, digits))]
+    scale = mod - pow(p - 1, -1, mod)  # mGm's -1/(p-1)
+    terms = [(j, v, u * scale % mod)
+             for j, (v, u) in enumerate(g_coefficients(params, p, digits))]
+    assert len({v for _, v, _ in terms}) > 1
     shuffled = list(terms)
     rng.shuffle(shuffled)
     for x in (1, 4, 10):
-        forward = CharSum(p, digits, (), terms).value(x)
-        assert forward == CharSum(p, digits, (), reversed(terms)).value(x)
-        assert forward == CharSum(p, digits, (), shuffled).value(x)
+        want = eval_G(params, x, p, digits)
+        for order in (terms, reversed(terms), shuffled):
+            v0, ints = fold(order, p - 1, p, mod)
+            assert valued(p, v0, CharSum(p, digits, 0, ints).residue(x), digits) == want
 
 
 def test_precision_consistency_of_eval_g():

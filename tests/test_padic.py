@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PRIMES_TO_97, SMALL_PRIMES
-from dworkcount import padic
+from dworkcount import hyperfun, padic
 from dworkcount.padic import (NotAnIntegerError, PadicUnit, PrecisionError,
                               RangeError, ValuedPadic, batch_inverse, char_value,
                               primitive_root, reconstruct_integer, teichmuller,
@@ -131,21 +131,22 @@ def test_char_value_homomorphism_and_period(p, data):
     assert a.unit.residue == char_value(j + (p - 1), x, p, digits).unit.residue
 
 
-# -- CharSum against exact sums --------------------------------------------------
+# -- CharSum and valued against exact sums ----------------------------------------
 
-def exact_char_sum(p, digits, const_terms, char_terms, y):
-    """const + sum_e p^v u wbar^e(y) as a Fraction, with the absolute precision
-    the sum is known to: digits past the smallest valuation among the terms
-    that count at y (every character vanishes at y = 0)."""
-    teich = teichmuller_table(p, digits)
-    counted = list(const_terms)
-    if y % p:
-        wbar_y = teich[pow(y, -1, p)]
-        counted += [(v, u * pow(wbar_y, e, p ** digits)) for e, v, u in char_terms]
-    if not counted:
-        return Fraction(0), math.inf
-    total = sum(Fraction(p) ** v * u for v, u in counted)
-    return total, min(v for v, _ in counted) + digits
+def exact_char_sum(p, digits, const, coeffs, y):
+    """const + sum_e C_e wbar^e(y) as an exact integer (every character
+    vanishes at y = 0)."""
+    if y % p == 0:
+        return const
+    wbar_y = teichmuller_table(p, digits)[pow(y, -1, p)]
+    return const + sum(c * pow(wbar_y, e, p ** digits) for e, c in enumerate(coeffs))
+
+
+def exact_valued_sum(p, digits, coeffs, y):
+    """sum_j p^v_j u_j wbar^j(y) as a Fraction."""
+    wbar_y = teichmuller_table(p, digits)[pow(y, -1, p)]
+    return sum(Fraction(p) ** v * u * pow(wbar_y, j, p ** digits)
+               for j, (v, u) in enumerate(coeffs))
 
 
 def reduce_exact(p, digits, total, prec):
@@ -170,81 +171,97 @@ def observed(value):
     return value.valuation, value.unit.residue, value.unit.precision
 
 
+def plain_sum(coeffs, y, p, digits):
+    """sum_j p^v_j u_j wbar^j(y) by hyperfun's fold: units times 1 - p cancel
+    its -1/(p-1)."""
+    return hyperfun._character_sum([(v, u * (1 - p)) for v, u in coeffs], y, p, digits)
+
+
 @given(st.sampled_from(SMALL_PRIMES), st.integers(1, 5), st.data())
 @settings(max_examples=120, deadline=None)
 def test_field_ops_match_fractions(p, digits, data):
-    """CharSum.value(y) is the exact Fraction sum of p^v u wbar^e(y), reduced mod
-    p^(v0 + digits) for the smallest valuation v0 among the counted terms, at
-    every y of its domain (y = 0 and y^period = 1), by Horner and by the
-    transform alike; any other y raises from both."""
+    """CharSum.residue(y) is the exact sum const + sum_e C_e wbar^e(y) mod
+    p^digits at every y of its domain (y = 0 and y^period = 1), by Horner and
+    by the transform alike, and any other y raises from both; valued(p, v, r,
+    digits) is p^v r to absolute precision v + digits.  hyperfun's fold of
+    terms p^v u wbar^j(y) is their exact Fraction sum reduced mod
+    p^(v0 + digits), v0 the smallest valuation."""
     mod = p ** digits
     period = data.draw(st.sampled_from([t for t in range(1, p) if (p - 1) % t == 0]))
-    term = st.tuples(st.integers(-3, 3), st.integers(0, mod - 1))
-    const_terms = data.draw(st.lists(term, max_size=2))
-    char_terms = [(e, v, u) for e, (v, u) in
-                  data.draw(st.lists(st.tuples(st.integers(0, period - 1), term), max_size=6))]
-    kernel = padic.CharSum(p, digits, const_terms, char_terms, period)
+    const = data.draw(st.integers(0, mod - 1))
+    coeffs = data.draw(st.lists(st.integers(0, mod - 1), min_size=period, max_size=period))
+    v = data.draw(st.integers(-3, 3))
+    kernel = padic.CharSum(p, digits, const, coeffs)
+    assert kernel.period == period
     domain = [y for y in range(p) if y == 0 or pow(y, period, p) == 1]
-    every = kernel.values(domain)
+    every = kernel.residues(domain)
     for y in range(p):
         if y not in domain:
             with pytest.raises(ValueError):
-                kernel.value(y)
+                kernel.residue(y)
             with pytest.raises(ValueError):
-                kernel.values([y])
+                kernel.residues([y])
             continue
-        total, prec = exact_char_sum(p, digits, const_terms, char_terms, y)
-        got = kernel.value(y)
-        assert got == every[y]
-        assert got.absolute_precision == prec
-        if prec == math.inf:
-            assert got.is_zero
-        else:
-            assert observed(got) == reduce_exact(p, digits, total, prec), (y, total)
+        r = kernel.residue(y)
+        assert r == every[y] == exact_char_sum(p, digits, const, coeffs, y) % mod
+        got = padic.valued(p, v, r, digits)
+        assert got.absolute_precision == v + digits
+        assert observed(got) == reduce_exact(p, digits, Fraction(p) ** v * r, v + digits)
+    terms = data.draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(0, mod - 1)),
+                               min_size=p - 1, max_size=p - 1))
+    v0 = min(v for v, _ in terms)
+    for y in range(1, p):
+        got = plain_sum(terms, y, p, digits)
+        assert got.absolute_precision == v0 + digits
+        assert observed(got) == reduce_exact(p, digits, exact_valued_sum(p, digits, terms, y),
+                                             v0 + digits), y
 
 
 def test_period_must_divide_p_minus_one():
+    # the period is the number of coefficients
     for period in (0, 4, 5):
         with pytest.raises(ValueError):
-            padic.CharSum(7, 2, (), (), period)
+            padic.CharSum(7, 2, 0, [0] * period)
+    assert [padic.CharSum(7, 2, 0, [0] * t).period for t in (1, 2, 3, 6)] == [1, 2, 3, 6]
 
 
 def test_add_zero_identity():
-    # no terms: the exact zero at every y, y = 0 included
-    empty = padic.CharSum(5, 6, (), ())
+    # zero residues: a zero at every y, y = 0 included, carrying v + digits
+    empty = padic.CharSum(5, 6, 0, [0] * 4)
     for y in range(5):
-        assert empty.value(y) == ValuedPadic.zero(5)
-        assert empty.value(y).absolute_precision == math.inf
+        assert padic.valued(5, -2, empty.residue(y), 6) == ValuedPadic.zero(5, 4)
+    assert padic.valued(5, 0, 0, 6).absolute_precision == 6
     # a constant alone, and a constant at y = 0 where every character vanishes
     twelve = ValuedPadic(5, 0, PadicUnit(12, 5, 6))
-    assert padic.CharSum(5, 6, [(0, 12)], ()).value(3) == twelve
-    with_chars = padic.CharSum(5, 6, [(0, 12)], [(1, -2, 7), (3, 0, 4)])
-    assert with_chars.value(0) == twelve
-    assert with_chars.value(2).absolute_precision == 4  # a character term at valuation -2
+    assert padic.valued(5, 0, padic.CharSum(5, 6, 12, [0] * 4).residue(3), 6) == twelve
+    with_chars = padic.CharSum(5, 6, 12, [0, 7, 0, 4])
+    assert padic.valued(5, 0, with_chars.residue(0), 6) == twelve
+    # a character term at valuation -2
+    assert plain_sum([(0, 0), (-2, 7), (0, 0), (0, 4)], 2, 5, 6).absolute_precision == 4
 
 
 def test_cancellation_tracks_precision():
-    # total cancellation: a zero carrying absolute precision v0 + digits
-    z = padic.CharSum(5, 4, [(0, 3), (0, 5 ** 4 - 3)], ()).value(1)
+    # total cancellation: a zero carrying absolute precision v + digits
+    z = padic.valued(5, 0, padic.CharSum(5, 4, 5 ** 4 - 3, [3]).residue(1), 4)
     assert z.is_zero and z.absolute_precision == 4
     # wbar^0(y) + wbar^2(y) vanishes at y = +-2 mod 5 (wbar^2(2) = -1)
-    chars = padic.CharSum(5, 4, (), [(0, -1, 1), (2, -1, 1)])
+    chars = [(-1, 1), (0, 0), (-1, 1), (0, 0)]
     for y in (2, 3):
-        v = chars.value(y)
+        v = plain_sum(chars, y, 5, 4)
         assert v.is_zero and v.absolute_precision == 3
-    assert chars.value(1) == ValuedPadic(5, -1, PadicUnit(2, 5, 4))
+    assert plain_sum(chars, 1, 5, 4) == ValuedPadic(5, -1, PadicUnit(2, 5, 4))
 
 
 def test_addition_precision_alignment():
     # terms at valuations 0 and 2: the sum is known to the smaller one plus digits
-    c = padic.CharSum(5, 2, [(0, 2), (2, 1)], ()).value(1)
+    c = plain_sum([(0, 2), (2, 1), (0, 0), (0, 0)], 1, 5, 2)
     assert c.absolute_precision == 2
     assert c == ValuedPadic(5, 0, PadicUnit(2, 5, 2))
     # cancellation in the low digits leaves a deeper valuation with fewer digits
-    d = padic.CharSum(5, 3, [(0, 1), (0, 4)], ()).value(1)
+    d = plain_sum([(0, 1), (0, 4), (0, 0), (0, 0)], 1, 5, 3)
     assert d == ValuedPadic(5, 1, PadicUnit(1, 5, 2)) and d.absolute_precision == 3
     # a shallow zero term swallows a deeper-valuation term entirely
-    z = padic.CharSum(5, 2, [(0, 0), (3, 4)], ()).value(1)
+    z = plain_sum([(0, 0), (3, 4), (0, 0), (0, 0)], 1, 5, 2)
     assert z.is_zero and z.absolute_precision == 2
 
 
