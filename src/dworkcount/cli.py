@@ -179,37 +179,23 @@ def _cmd_count(args) -> int:
     return 0 if agreement else 3
 
 
-def _parse_g_inputs(args):
-    from .hyperfun import GParams
-    if not is_odd_prime(args.p):
-        raise ValueError(f"p={args.p} is not an odd prime")
-    params = GParams(tuple(args.a), tuple(args.b))
-    params.validate_for(args.p)
-    return params
-
-
-def _cmd_gfun(args) -> int:
-    from .hyperfun import eval_G
+def _cmd_fun(args) -> int:
+    from .hyperfun import FParams, GParams, eval_F, eval_G
+    ff = args.command == "ffun"
     try:
-        params = _parse_g_inputs(args)
-        value = eval_G(params, args.x % args.p, args.p, args.kw)
+        if not is_odd_prime(args.p):
+            raise ValueError(f"p={args.p} is not an odd prime")
+        params = GParams(tuple(args.a), tuple(args.b))
+        params.validate_for(args.p)
+        if ff:
+            value = eval_F(FParams.from_fractions(params, args.p), args.x % args.p,
+                           args.p, args.kw)
+        else:
+            value = eval_G(params, args.x % args.p, args.p, args.kw)
     except (ValueError, PadicError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _print_value(value, args.p, args.json, "G")
-    return 0
-
-
-def _cmd_ffun(args) -> int:
-    from .hyperfun import FParams, eval_F
-    try:
-        params = _parse_g_inputs(args)
-        fparams = FParams.from_fractions(params, args.p)
-        value = eval_F(fparams, args.x % args.p, args.p, args.kw)
-    except (ValueError, PadicError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _print_value(value, args.p, args.json, "F")
+    _print_value(value, args.p, args.json, "F" if ff else "G")
     return 0
 
 
@@ -278,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         fn.add_argument("--kw", type=_int_at_least(1), default=6,
                         help="working digits (default 6)")
         fn.add_argument("--json", action="store_true")
-        fn.set_defaults(func=_cmd_gfun if name == "gfun" else _cmd_ffun)
+        fn.set_defaults(func=_cmd_fun)
 
     verify = sub.add_parser(
         "verify", help="sweep the grid and compare all methods",

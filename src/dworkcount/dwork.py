@@ -45,10 +45,11 @@ representative.  A shift w -> w + c rotates the counts to n'_k = n_(k-c mod d)
 and reindexes j by c*t, which the fold absorbs.  So the main count sums its
 classes as the members w' of W with a fixed first entry b.  At j = bt + i,
 P_j is a monomial of P_i(Y)^n, P_i(Y) = sum_k Gamma(<(kt + i)/(p-1)>) Y^k in
-Z[Y]/(Y^d + p), with Y^d = -p carrying (-p)^(sum(w')/d); the h/n steps obey
-H_(bt+i) = b(n/d - 1) + H_i, so the b-sum is (-p)^(H_i) [Y^0] P_i^n at i > 0
-and -A - (1 - p) B/p at i = 0, A and B the Y^0 coefficients of P_0^n and
-(P_0 - 1)^n (_main_terms derives both).
+Z[Y]/(Y^d + p), with Y^d = -p carrying (-p)^(sum(w')/d); the floors
+H_j = floor(nj/(p-1)) - floor(dj/(p-1)) obey H_(bt+i) = b(n/d - 1) + H_i, so
+the b-sum is (-p)^(H_i) [Y^0] P_i^n at i > 0 and -A - (1 - p) B/p at i = 0,
+A and B the Y^0 coefficients of P_0^n and (P_0 - 1)^n (_main_terms derives
+both).
 
 The finite-field build sums its classes as the members w of W with w_1 = 0
 (a class term is not rotation-invariant when the rotation empties residue 0:
@@ -73,17 +74,17 @@ method name) run once per (method, p, n, K_target) in the cached _checked, and
 the kernel is built once per (method, p, n, K_target) in the cached
 _kernel.  A count then takes lambda mod p, the domain rule
 (_refusal), y(lambda), one Horner pass (CharSum.residue) and an integer
-reconstruction (padic.reconstruct_residue), all on plain integers; only
-method_value wraps a kernel value as a ValuedPadic (padic.valued).
+reconstruction (_reconstruct), all on plain integers; only method_value
+wraps a kernel value as a ValuedPadic (padic.valued).
 
 Precision: a count is an integer in [0, (p^n - 1)/(p - 1)], so it is pinned by
 its residue mod p^K_target, the smallest power of p over twice that bound
 (k_target).  Every kernel carries exactly K_target digits (k_working) and
-holds residues mod p^K_target: each builder folds its (-p)-exponents, floors
->= 0 (main's bisect_right counts, koblitz's nj // (p-1)), into its residues,
-and the one division by p (B/p, _y0_read) is asserted exact, so a value is
-exact mod p^K_target.  Reconstruction refuses p^K_target <= bound with a
-PrecisionError carrying the precision ledger.
+holds residues mod p^K_target: main and koblitz fold one (-p)-exponent, the
+floor nj // (p-1) >= 0, into their residues, and the one division by p (B/p,
+_y0_read) is asserted exact, so a value is exact mod p^K_target.
+Reconstruction refuses p^K_target <= bound with a PrecisionError carrying
+the precision ledger.
 
 A smooth fibre (lambda != 0, lambda^n != 1) needs fewer digits: the
 Weil-Deligne bound puts its count in a window [base - h, base + h]
@@ -97,15 +98,14 @@ other K_target, count_all and method_value stay at K_target.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt
 
 from .padic import (CACHE_SIZE, CharSum, PrecisionError, RangeError, ValuedPadic,
-                    batch_inverse, check_table_size, is_odd_prime, reconstruct_residue,
-                    teichmuller_table, valued)
+                    batch_inverse, check_table_size, is_odd_prime, teichmuller_table,
+                    valued)
 from .pgamma import frac_gamma_table
 
 
@@ -306,23 +306,23 @@ def _main_terms(p: int, n: int, digits: int) -> list[int]:
     g_k(i) = Gamma(<(kt + i)/(p-1)>).  The shift w' = w + b of W turns P_j
     into prod_k g_(w'_k)(i), a monomial of P_i(Y)^n, P_i(Y) = sum_(k<d)
     g_k(i) Y^k, with (-p)^(sum(w')/d) carried by Y^d = -p.  For i > 0 the
-    floors give e + E_j = sum(w')/d + b(1 - n/d) + H_(bt+i), H_j the steps of
-    A_w's h/n (h not== 0 (n/d)) up to j, one at floor(h(p-1)/n) + 1.  As
-    h = b(n/d) + h' adds bt to that floor and h = b(n/d) is no step,
-    H_(bt+i) = b(n/d - 1) + H_i, the b-terms cancel, and
+    floors give e + E_j = sum(w')/d + b(1 - n/d) + H_(bt+i), H_j =
+    floor(nj/(p-1)) - floor(dj/(p-1)) >= 0 the steps of A_w's h/n
+    (h not== 0 (n/d)) up to j.  As j -> j + t adds n/d to the first floor
+    and 1 to the second, H_(bt+i) = b(n/d - 1) + H_i, the b-terms cancel,
+    and as di < p-1 at i < t, H_i = floor(ni/(p-1)), koblitz's floor:
 
-        C_i = (-1)^n L_i / (p-1) * (-p)^(H_i) * [Y^0] P_i(Y)^n,   H_i >= 0.
+        C_i = (-1)^n L_i / (p-1) * (-p)^(H_i) * [Y^0] P_i(Y)^n.
 
     At i = 0, r_j flips the w' with an entry 0; the rest (b >= 1), the
     monomials of B = [Y^0] (P_0 - 1)^n, have one factor -p fewer (E_j steps
     at bt + 1), so with A = [Y^0] P_0^n the sum is -(A - B) + B/(-p) =
     -A - (1 - p) B/p, with B/p from _y0_read (sum(w') >= d)."""
-    d, mod = gcd(p - 1, n), p ** digits
+    mod = p ** digits
     y0, b = _y0_read(_gamma_rows(p, n, digits), n, p, digits)
     y0[0] = -y0[0] - (1 - p) * b
-    steps = [h * (p - 1) // n + 1 for h in range(1, n // d)]  # H_i's, ascending
     scale = (-1) ** n * pow(p - 1, -1, mod)
-    return [scale * l * (-p) ** bisect_right(steps, i) * c % mod
+    return [scale * l * (-p) ** (n * i // (p - 1)) * c % mod
             for i, (c, l) in enumerate(zip(y0, main_l_factors(p, n, digits)))]
 
 
@@ -401,12 +401,11 @@ def _ff_terms(p: int, n: int, digits: int) -> list[int]:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _kernel(method: str, p: int, n: int, kt: int) -> CharSum:
-    """The lambda-free kernel of main, koblitz or ff for fixed (p, n, K_target),
-    of period (p-1)/d: each method's argument is a d-th power.  It carries
-    k_working = K_target digits (kt is K_w for a single count on a smooth
-    fibre), and its constant is the base count plus koblitz's."""
-    digits = k_working(p, n, kt)
+def _kernel(method: str, p: int, n: int, digits: int) -> CharSum:
+    """The lambda-free kernel of main, koblitz or ff at (p, n) carrying the
+    given digits (K_target, or K_w for a single count on a smooth fibre), of
+    period (p-1)/d: each method's argument is a d-th power.  Its constant is
+    the base count plus koblitz's."""
     const = (p ** (n - 1) - 1) // (p - 1)  # the base count
     if method == "main":
         coeffs = _main_terms(p, n, digits)
@@ -507,22 +506,21 @@ def _method_inputs(name: str, p: int, n: int, lam: int, kt: int | None
 
 def _reconstruct(kernel: CharSum, r: int, low: int, high: int, kt: int) -> int:
     """The one integer in [low, high] congruent to a kernel's residue r mod
-    p^digits: r less low, reconstructed in [0, high - low].  A residue with no
-    such integer is a RangeError, and a PrecisionError carries the kernel's
-    precision ledger."""
-    p, prec = kernel.p, kernel.digits
-    try:
-        # 0 <= r < p^prec: r - low needs reducing only when it is negative
-        return low + reconstruct_residue(
-            p, prec, r - low if r >= low else (r - low) % kernel.mod, high - low)
-    except PrecisionError as exc:
+    p^digits.  p^digits <= high - low is a PrecisionError carrying the
+    kernel's precision ledger, and a residue with no such integer is a
+    RangeError."""
+    p, prec, span = kernel.p, kernel.digits, high - low
+    if kernel.mod <= span:
         raise PrecisionError(
-            f"{exc}; K_target {kt}, working digits {kernel.digits}: a count needs "
-            f"a K_target with p^K_target > {high - low}") from None
-    except RangeError:
+            f"{p}^{prec} does not exceed the bound {span}: the value is known to "
+            f"absolute precision {prec} only; K_target {kt}, working digits {prec}: "
+            f"a count needs a K_target with p^K_target > {span}")
+    offset = (r - low) % kernel.mod
+    if offset > span:
         raise RangeError(
             f"no integer in [{low}, {high}] is congruent to the count's residue "
-            f"{r} mod {p}^{prec}: a formula is wrong") from None
+            f"{r} mod {p}^{prec}: a formula is wrong")
+    return low + offset
 
 
 def count(name: str, p: int, n: int, lam: int, kt: int | None = None) -> int:

@@ -207,13 +207,9 @@ def sweep_verify(p_max: int, n_set, lambda_policy: str = "all",
     if jobs > 1 and len(groups) > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:
-            chunks = list(pool.map(_verify_group_star, groups))
+            chunks = list(pool.map(verify_group, *zip(*groups)))
     else:
-        chunks = [_verify_group_star(g) for g in groups]
+        chunks = [verify_group(*g) for g in groups]
     reports = [r for chunk in chunks for r in chunk]
     reports.sort(key=lambda r: (r.p, r.n, r.lam))
     return reports
-
-
-def _verify_group_star(args):
-    return verify_group(*args)

@@ -7,7 +7,7 @@ per character index, summed mod p^K by Horner's rule at one y or by one
 transform at every y.  Every count method (dwork) and every mGm/mFm
 evaluation (hyperfun) goes through it; a count's residues carry no
 valuation, and hyperfun folds its valued coefficients into residues first.
-reconstruct_residue turns a count's residue into the count: counts never
+dwork._reconstruct turns a count's residue into the count: counts never
 build a ValuedPadic.  ValuedPadic carries no arithmetic: it is the value type
 of the API boundaries (valued, reconstruct_integer, method_value, gfun/ffun
 and the CLI), a thin wrapper over the same integers.
@@ -378,23 +378,18 @@ def char_value(j: int, x: int, p: int, digits: int) -> ValuedPadic:
     return ValuedPadic(p, 0, PadicUnit(pow(t, e, p ** digits), p, digits))
 
 
-def reconstruct_residue(p: int, prec, r: int, bound: int) -> int:
-    """The unique integer in [0, bound] congruent to r mod p^prec, for the
-    residue 0 <= r < p^prec of a p-adic integer known to absolute precision
-    prec (math.inf: r is exact)."""
-    if prec != math.inf and p ** prec <= bound:
-        raise PrecisionError(f"{p}^{prec} does not exceed the bound {bound}: the value "
-                             f"is known to absolute precision {prec} only")
-    if r > bound:
-        raise RangeError(f"no representative of the value lies in [0, {bound}]")
-    return r
-
-
 def reconstruct_integer(x: ValuedPadic, bound: int) -> int:
-    """The unique integer in [0, bound] congruent to x mod p^absolute_precision."""
+    """The unique integer in [0, bound] congruent to x mod p^absolute_precision
+    (math.inf for an exact zero: its residue 0 is exact)."""
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     if x.valuation < 0:  # 0 for a zero
         raise NotAnIntegerError("value has negative valuation")
     prec = x.absolute_precision
-    return reconstruct_residue(x.p, prec, x.residue_mod(prec), bound)
+    if prec != math.inf and x.p ** prec <= bound:
+        raise PrecisionError(f"{x.p}^{prec} does not exceed the bound {bound}: the value "
+                             f"is known to absolute precision {prec} only")
+    r = x.residue_mod(prec)
+    if r > bound:
+        raise RangeError(f"no representative of the value lies in [0, {bound}]")
+    return r

@@ -8,7 +8,8 @@ import sys
 import pytest
 
 import dworkcount
-from dworkcount import cli, dwork, oracle
+from dworkcount import cli, dwork, oracle, padic
+from dworkcount.padic import PadicError, PrecisionError, RangeError
 
 
 def run(capsys, argv):
@@ -85,6 +86,33 @@ def test_too_low_a_precision_is_a_domain_error_with_the_ledger(capsys, monkeypat
                                   "--method", "main"])
     assert code == 2 and out == ""
     assert "error:" in err and "K_target 1" in err and "bound 57" in err
+
+
+PRECISION_TEXT = ("7^1 does not exceed the bound 57: the value is known to absolute "
+                  "precision 1 only; K_target 1, working digits 1: a count needs a "
+                  "K_target with p^K_target > 57")
+RANGE_TEXT = ("no integer in [990, 2796] is congruent to the count's residue 948 "
+              "mod 43^2: a formula is wrong")
+
+
+def test_count_path_errors_keep_their_exact_text(capsys, monkeypatch):
+    # the PrecisionError of K_target 1 at (7, 3), and the RangeError of a residue
+    # just past the Weil window [990, 2796] at (43, 4), as the API and the CLI give them
+    with pytest.raises(PadicError) as err:
+        dwork.count_main(7, 3, 1, kt=1)
+    assert (type(err.value), str(err.value)) == (PrecisionError, PRECISION_TEXT)
+    monkeypatch.setattr(cli.dwork, "k_target", lambda p, n: 1)
+    code, out, err = run(capsys, ["count", "--p", "7", "--n", "3", "--lambda", "1",
+                                  "--method", "main"])
+    assert (code, out, err) == (2, "", f"error: {PRECISION_TEXT}\n")
+    monkeypatch.undo()
+    monkeypatch.setattr(padic.CharSum, "residue", lambda self, y: (2796 + 1) % 43 ** 2)
+    with pytest.raises(PadicError) as err:
+        dwork.count_main(43, 4, 2)
+    assert (type(err.value), str(err.value)) == (RangeError, RANGE_TEXT)
+    code, out, err = run(capsys, ["count", "--p", "43", "--n", "4", "--lambda", "2",
+                                  "--method", "main"])
+    assert (code, out, err) == (2, "", f"error: {RANGE_TEXT}\n")
 
 
 def test_precision_override_labels_congruence_mode(capsys):
@@ -252,8 +280,8 @@ def test_verify_workers_capped_at_groups(capsys, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     argv = ["verify", "--pmax", "7", "--n-set", "2,3", "--json", "--jobs"]

@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -273,39 +272,28 @@ def test_digit_request_beyond_precision_raises():
 # -- reconstruction --------------------------------------------------------------
 
 def test_reconstruct_exact_zero():
-    assert reconstruct_integer(ValuedPadic.zero(7), 1000) == 0
+    assert reconstruct_integer(ValuedPadic.zero(7), 1000) == 0  # exact: no precision check
+    assert reconstruct_integer(ValuedPadic.zero(7, 4), 2400) == 0
 
 
 def test_reconstruct_direct_representative():
     x = ValuedPadic(7, 0, PadicUnit(57, 7, 4))
     assert reconstruct_integer(x, 100) == 57
+    assert reconstruct_integer(ValuedPadic(7, 1, PadicUnit(3, 7, 3)), 2400) == 21
 
 
 def test_reconstruct_errors():
     with pytest.raises(NotAnIntegerError):
         reconstruct_integer(ValuedPadic(7, -1, PadicUnit(3, 7, 4)), 100)
-    with pytest.raises(PrecisionError):
+    with pytest.raises(PrecisionError, match="7\\^2 does not exceed the bound 1000"):
         reconstruct_integer(ValuedPadic(7, 0, PadicUnit(5, 7, 2)), 1000)  # 7^2 < 1000
-    with pytest.raises(RangeError):
+    with pytest.raises(RangeError, match="in \\[0, 100\\]"):
         reconstruct_integer(ValuedPadic(7, 0, PadicUnit(2000, 7, 4)), 100)
 
 
 def test_is_odd_prime():
     assert all(padic.is_odd_prime(p) for p in (3, 5, 7, 31, 97, 101))
     assert not any(padic.is_odd_prime(v) for v in (1, 2, 4, 9, 15, 91, 561))
-
-
-def test_reconstruct_residue_matches_reconstruct_integer():
-    # the integer path behind reconstruct_integer: same results, same refusals
-    assert padic.reconstruct_residue(7, 4, 57, 100) == 57
-    assert padic.reconstruct_residue(7, math.inf, 0, 1000) == 0
-    with pytest.raises(PrecisionError, match="7\\^2 does not exceed the bound 1000"):
-        padic.reconstruct_residue(7, 2, 5, 1000)
-    with pytest.raises(RangeError, match="in \\[0, 100\\]"):
-        padic.reconstruct_residue(7, 4, 2000, 100)
-    for x in (ValuedPadic(7, 1, PadicUnit(3, 7, 3)), ValuedPadic.zero(7, 4)):
-        assert reconstruct_integer(x, 2400) == padic.reconstruct_residue(
-            7, 4, x.residue_mod(4), 2400)
 
 
 # -- the table limit -------------------------------------------------------------
