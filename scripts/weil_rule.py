@@ -28,8 +28,8 @@ sys.path.insert(0, sys.argv[1])
 from dworkcount import dwork
 p, n, weil, family = int(sys.argv[2]), int(sys.argv[3]), sys.argv[4] == "kw", sys.argv[5] == "family"
 checked = dwork._checked
-def forced(name, p, n, kt):
-    kt, bound, _ = checked(name, p, n, kt)
+def forced(p, n, kt):
+    kt, bound, _ = checked(p, n, kt)
     kw, base, h = dwork.weil_window(p, n)
     return kt, bound, (kw, base - h, base + h) if weil else None
 dwork._checked = forced

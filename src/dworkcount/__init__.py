@@ -13,14 +13,14 @@ The count names load with the package; the oracle and evaluator names
 
 from .dwork import (DworkInstance, InstanceError, canonical_classes, count_ff,
                     count_koblitz, count_main, count_relprime, enumerate_W,
-                    k_target, k_working)
+                    k_target)
 from .padic import (PadicError, PadicUnit, PrecisionError, ValuedPadic,
                     char_value, reconstruct_integer, teichmuller)
 
 __all__ = [
     "DworkInstance", "InstanceError", "canonical_classes", "count_ff",
     "count_koblitz", "count_main", "count_relprime", "enumerate_W",
-    "k_target", "k_working",
+    "k_target",
     "FParams", "GParams", "eval_F", "eval_G",
     "CountReport", "brute_count", "brute_count_all", "sweep_verify",
     "PadicError", "PadicUnit", "PrecisionError", "ValuedPadic",

@@ -67,22 +67,23 @@ in Z[Y]/(Y^d + p) (_gamma_rows), and B/p, B that of (P_0 - P_0(0))^n, gives
 main's and ff's i = 0 term and koblitz's constant: _y0_read reads both.
 The builders' own factors are what the identities between kernels check.
 
-Validation happens once per kernel, not once per lambda.  The lambda-free
-input checks and budgets (the DworkInstance preconditions with their
-Miller-Rabin test, the table limit, the K_target and its default and the
-method name) run once per (method, p, n, K_target) in the cached _checked, and
-the kernel is built once per (method, p, n, K_target) in the cached
-_kernel.  A count then takes lambda mod p, the domain rule
-(_refusal), y(lambda), one Horner pass (CharSum.residue) and an integer
-reconstruction (_reconstruct), all on plain integers; only method_value
-wraps a kernel value as a ValuedPadic (padic.valued).
+Validation happens once per (p, n), not once per lambda or per method.  The
+lambda-free input checks and budgets (the DworkInstance preconditions with
+their Miller-Rabin test, the table limit, and the K_target and its default) run
+once per (p, n, K_target) in the cached _checked, which every method shares,
+and the kernel is built once per (method, p, n, digits) in the cached
+_kernel.  A count then checks the method name and takes lambda mod p, the
+domain rule (_refusal), y(lambda), one Horner pass (CharSum.residue) and an
+integer reconstruction (_reconstruct), all on plain integers; only
+method_value wraps a kernel value as a ValuedPadic (padic.valued).
 
 Precision: a count is an integer in [0, (p^n - 1)/(p - 1)], so it is pinned by
 its residue mod p^K_target, the smallest power of p over twice that bound
-(k_target).  Every kernel carries exactly K_target digits (k_working) and
-holds residues mod p^K_target: main and koblitz fold one (-p)-exponent, the
-floor nj // (p-1) >= 0, into their residues, and the one division by p (B/p,
-_y0_read) is asserted exact, so a value is exact mod p^K_target.
+(k_target).  Every kernel carries exactly K_target digits, with no headroom
+and no guard digits, and holds residues mod p^K_target: main and koblitz
+fold one (-p)-exponent, the floor nj // (p-1) >= 0, into their residues, and
+the one division by p (B/p, _y0_read) is asserted exact, so a value is exact
+mod p^K_target.
 Reconstruction refuses p^K_target <= bound with a PrecisionError carrying
 the precision ledger.
 
@@ -157,17 +158,10 @@ def orbit(w: tuple[int, ...], d: int) -> list[tuple[int, ...]]:
 
 
 def canonical_classes(n: int, d: int) -> list[ClassRep]:
-    """One representative per class: the lex-smallest zero-containing member."""
-    seen = set()
-    reps = []
-    for w in enumerate_W(n, d):
-        if w in seen:
-            continue
-        orb = orbit(w, d)
-        seen.update(orb)
-        rep = min(v for v in orb if 0 in v)
-        reps.append(ClassRep(rep))
-    return sorted(reps, key=lambda c: c.wstar)
+    """One representative per class for d | n, in lex order: the members of W
+    with first entry 0.  The class of w is its d shifts, exactly one of which
+    has first entry 0, and that shift is its lex-smallest member."""
+    return [ClassRep(w) for w in enumerate_W(n, d) if w[0] == 0]
 
 
 # -- precision policy --------------------------------------------------------
@@ -201,12 +195,9 @@ def weil_window(p: int, n: int) -> tuple[int, int, int]:
 
 
 def k_working(p: int, n: int, kt: int | None = None) -> int:
-    """Digits a kernel carries for K_target kt (k_target by default): the
-    target itself, with no headroom and no guard digits.  A kernel holds
-    residues (every (-p)-exponent it folds is >= 0), so a value is exact mod
-    p^K_target, and p^K_target exceeds twice the largest count.  A single
-    count on a smooth fibre at the default K_target reads a kernel of K_w
-    digits instead (weil_window), where 2 K_w <= K_target (_checked)."""
+    """kt, or k_target(p, n) when kt is None: a K_target kernel carries
+    K_target digits (module docstring).  No count calls it; it stays in
+    dwork because bench/worker.py does."""
     return kt if kt is not None else k_target(p, n)
 
 
@@ -446,13 +437,11 @@ def applicable(p: int, n: int, lam: int) -> list[str]:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _checked(name: str, p: int, n: int,
-             kt: int | None) -> tuple[int, int, tuple[int, int, int] | None]:
-    """(K_target, projective bound, Weil digits) of a named method at (p, n)
-    after every lambda-free input check and budget: the DworkInstance
-    preconditions, the table limit, the K_target (k_target(p, n) by default)
-    and the method name.  Cached, so a family of counts at one (p, n) runs
-    them once.
+def _checked(p: int, n: int, kt: int | None) -> tuple[int, int, tuple[int, int, int] | None]:
+    """(K_target, projective bound, Weil digits) at (p, n) after every
+    lambda-free input check and budget: the DworkInstance preconditions, the
+    table limit and the K_target (k_target(p, n) by default).  Cached, so a
+    family of counts at one (p, n) runs them once, for every method.
 
     The Weil digits are (K_w, low, high), the digits and the window
     [base - h, base + h] of weil_window, which a single count on a smooth
@@ -485,8 +474,6 @@ def _checked(name: str, p: int, n: int,
     kt = default if kt is None else kt
     if kt < 1:
         raise ValueError(f"K_target must be at least 1, not {kt}")
-    if name not in _ARGUMENT:
-        raise ValueError(f"unknown method {name!r}")
     kw, base, h = weil_window(p, n)
     weil = (kw, base - h, base + h) if kt == default and 2 * kw <= kt else None
     return kt, inst.projective_total, weil
@@ -495,13 +482,16 @@ def _checked(name: str, p: int, n: int,
 def _method_inputs(name: str, p: int, n: int, lam: int, kt: int | None
                    ) -> tuple[int, int, tuple[int, int, int] | None, str, int]:
     """(K_target, bound, Weil digits, kernel method, y(lambda)) of a named
-    method, after its checks: _checked's, then the domain rule (_refusal).
-    relprime reads main's kernel at the same y."""
-    kt, bound, weil = _checked(name, p, n, kt)
+    method, after its checks: _checked's, then the method name, then the
+    domain rule (_refusal).  relprime reads main's kernel at the same y."""
+    kt, bound, weil = _checked(p, n, kt)
+    arg = _ARGUMENT.get(name)
+    if arg is None:
+        raise ValueError(f"unknown method {name!r}")
     lam %= p
     if refusal := _refusal(name, p, n, lam):
         raise InstanceError(refusal)
-    return kt, bound, weil, "main" if name == "relprime" else name, _ARGUMENT[name](p, n, lam)
+    return kt, bound, weil, "main" if name == "relprime" else name, arg(p, n, lam)
 
 
 def _reconstruct(kernel: CharSum, r: int, low: int, high: int, kt: int) -> int:

@@ -10,7 +10,7 @@ valuation, and hyperfun folds its valued coefficients into residues first.
 dwork._reconstruct turns a count's residue into the count: counts never
 build a ValuedPadic.  ValuedPadic carries no arithmetic: it is the value type
 of the API boundaries (valued, reconstruct_integer, method_value, gfun/ffun
-and the CLI), a thin wrapper over the same integers.
+and the CLI), a named tuple of the same integers.
 
 Every table here and in pgamma has p entries, so a prime over TABLE_LIMIT,
 the module constant read at call time, is refused with advice
@@ -55,7 +55,7 @@ TABLE_LIMIT = 300_000
 
 
 # Entries kept by each lru-cached table, kernel and check: one (p, n) family's
-# (a count's K_w and K_target kernels, verify's three, _checked's four names).
+# (a count's K_w and K_target kernels, verify's three).
 # Over 120 cold count_main(q, 4, 3), q the first 120 primes above 10007, peak
 # RSS after 120 was x5.7 that after 10 unbounded (24 -> 142 MB), x1.068 at 2,
 # x1.079 at 4 (20.4 -> 22.0 MB) and x1.103 at 8 (CPython 3.11, 2-core machine).
@@ -113,25 +113,25 @@ class PadicUnit(namedtuple("PadicUnit", "residue p precision")):
         return super().__new__(cls, residue, p, precision)
 
 
-class ValuedPadic:
-    """A p-adic number p^valuation * unit, or a distinguished zero.
+class ValuedPadic(namedtuple("ValuedPadic", "p valuation unit zero_precision")):
+    """A p-adic number p^valuation * unit, or a distinguished zero (unit None).
 
     The unit carries its own relative precision; absolute_precision is
     valuation + (digits known of the unit).  A zero produced by cancellation
     remembers the absolute precision at which it was observed; a constructed
-    exact zero has infinite absolute precision.
+    exact zero has infinite absolute precision.  Every value the package
+    builds is a zero of valuation 0 or a non-zero of zero_precision inf, so
+    tuple equality compares zeros by precision and non-zeros by valuation
+    and unit.
     """
 
-    __slots__ = ("p", "valuation", "unit", "_zero_prec")
+    __slots__ = ()
 
-    def __init__(self, p: int, valuation: int = 0, unit: PadicUnit | None = None,
-                 zero_precision=math.inf):
-        self.p = p
-        self.valuation = valuation
-        self.unit = unit
-        self._zero_prec = zero_precision
+    def __new__(cls, p: int, valuation: int = 0, unit: PadicUnit | None = None,
+                zero_precision=math.inf):
         if unit is not None and unit.p != p:
             raise ValueError("unit prime mismatch")
+        return super().__new__(cls, p, valuation, unit, zero_precision)
 
     @staticmethod
     def zero(p: int, precision=math.inf) -> "ValuedPadic":
@@ -144,7 +144,7 @@ class ValuedPadic:
     @property
     def absolute_precision(self):
         if self.unit is None:
-            return self._zero_prec
+            return self.zero_precision
         return self.valuation + self.unit.precision
 
     def residue_mod(self, exponent: int) -> int:
@@ -174,24 +174,8 @@ class ValuedPadic:
 
     def __repr__(self):
         if self.unit is None:
-            return f"O({self.p}^{self._zero_prec})" if self._zero_prec != math.inf else "0"
+            return f"O({self.p}^{self.zero_precision})" if self.zero_precision != math.inf else "0"
         return f"{self.p}^{self.valuation} * ({self.unit.residue} + O({self.p}^{self.unit.precision}))"
-
-    def __eq__(self, other):
-        if not isinstance(other, ValuedPadic):
-            return NotImplemented
-        if self.p != other.p:
-            return False
-        if self.is_zero or other.is_zero:
-            return (self.is_zero and other.is_zero
-                    and self._zero_prec == other._zero_prec)
-        return (self.valuation == other.valuation
-                and self.unit == other.unit)
-
-    def __hash__(self):
-        if self.is_zero:
-            return hash((self.p, "zero", self._zero_prec))
-        return hash((self.p, self.valuation, self.unit))
 
 
 def teichmuller(x: int, p: int, digits: int) -> PadicUnit:

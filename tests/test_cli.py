@@ -80,14 +80,6 @@ def test_disagreement_exit_code(capsys, monkeypatch):
     assert "agreement: NO" in out
 
 
-def test_too_low_a_precision_is_a_domain_error_with_the_ledger(capsys, monkeypatch):
-    monkeypatch.setattr(cli.dwork, "k_target", lambda p, n: 1)  # 7^1 <= 57 points
-    code, out, err = run(capsys, ["count", "--p", "7", "--n", "3", "--lambda", "1",
-                                  "--method", "main"])
-    assert code == 2 and out == ""
-    assert "error:" in err and "K_target 1" in err and "bound 57" in err
-
-
 PRECISION_TEXT = ("7^1 does not exceed the bound 57: the value is known to absolute "
                   "precision 1 only; K_target 1, working digits 1: a count needs a "
                   "K_target with p^K_target > 57")

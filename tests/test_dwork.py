@@ -49,14 +49,18 @@ def test_enumerate_w_trivial_and_example():
 
 
 def test_canonical_classes_structure():
-    for n in range(2, 7):
-        for d in (dd for dd in range(1, 7) if n % dd == 0):
-            classes = canonical_classes(n, d)
-            assert len(classes) == d ** (n - 2)
+    # one representative per class, its lex-smallest zero-containing member, in
+    # strictly increasing order, at every d | n for n <= 8 but (8, 8), whose
+    # 8^7 members of W are left out for memory
+    for n in range(2, 9):
+        for d in (dd for dd in range(1, n + 1) if n % dd == 0 and dd ** (n - 1) < 2e6):
+            reps = [rep.wstar for rep in canonical_classes(n, d)]
+            assert len(reps) == d ** (n - 2)
+            assert all(a < b for a, b in zip(reps, reps[1:]))
             covered = set()
-            for rep in classes:
-                assert 0 in rep.wstar
-                orb = set(orbit(rep.wstar, d))
+            for rep in reps:
+                orb = set(orbit(rep, d))
+                assert rep == min(v for v in orb if 0 in v)
                 assert len(orb) == d
                 assert not (orb & covered)
                 covered |= orb
@@ -757,7 +761,8 @@ def test_instance_preconditions():
 
 RECORDS = [PadicUnit(3, 7, 2), gauss_gk(2, 7, 3), DworkInstance(7, 3, 1), ClassRep((0, 1, 2)),
            derive_params((0, 0, 1, 3), 4, 4), GParams((Fraction(1, 2),), (Fraction(1),)),
-           FParams((3,), (0,)), CountReport(7, 3, 1, 3, {"main": 21}, True, {"main": 0.5})]
+           FParams((3,), (0,)), CountReport(7, 3, 1, 3, {"main": 21}, True, {"main": 0.5}),
+           padic.valued(5, 1, 30, 4)]
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
@@ -782,6 +787,7 @@ def test_count_report_timings_default_to_a_fresh_dict():
     (lambda: PadicUnit(3, 7, 0), PrecisionError, "unit with < 1 known digit"),
     (lambda: PadicUnit(49, 7, 2), ValueError, "residue out of range for p^precision"),
     (lambda: PadicUnit(14, 7, 2), ValueError, "residue divisible by p: not a unit"),
+    (lambda: padic.ValuedPadic(5, 0, PadicUnit(3, 7, 2)), ValueError, "unit prime mismatch"),
     (lambda: GParams((Fraction(1, 2),), ()), ValueError,
      "parameter lists must have equal length"),
     (lambda: FParams((1,), ()), ValueError, "character lists must have equal length"),
@@ -836,17 +842,6 @@ def test_all_lambda_counts_at_target_and_target_plus_two(p, n):
     assert counts["main"] == counts["koblitz"] == counts["ff"]
 
 
-def test_precision_error_carries_the_ledger():
-    # K_target 1 at (7, 3): 7^1 does not exceed the bound 57
-    with pytest.raises(PrecisionError) as err:
-        count_main(7, 3, 1, kt=1)
-    message = str(err.value)
-    assert all(part in message for part in ("K_target 1", "working digits 1",
-                                            "absolute precision 1", "bound 57"))
-    with pytest.raises(ValueError):
-        count_main(7, 3, 1, kt=0)
-
-
 def test_main_value_valuation_and_target_precision():
     for p, n in [(7, 3), (7, 4), (11, 3)]:
         kt = k_target(p, n)
@@ -881,7 +876,7 @@ def kernel_digits(monkeypatch):
 
 
 def weil_admitted(p, n):
-    return dwork._checked("main", p, n, None)[2] is not None
+    return dwork._checked(p, n, None)[2] is not None
 
 
 def test_weil_window_and_the_digit_rule():
@@ -901,8 +896,8 @@ def test_weil_window_and_the_digit_rule():
         assert p ** kw > 2 * h >= p ** (kw - 1)
         assert base == (p ** (n - 1) - 1) // (p - 1)
     # only the default K_target reads Weil digits
-    assert dwork._checked("main", 1009, 4, 4)[2] is not None
-    assert dwork._checked("main", 1009, 4, 6)[2] is None
+    assert dwork._checked(1009, 4, 4)[2] is not None
+    assert dwork._checked(1009, 4, 6)[2] is None
 
 
 WEIL_ORACLE_PAIRS = [(p, n) for n in (2, 3, 4) for p in range(3, 200)
@@ -916,7 +911,7 @@ def test_weil_digit_counts_match_the_oracle(p, n, monkeypatch):
     # equals brute_count; the singular fibres read K_target digits
     assert (n == 4 and p >= 43) or n in (2, 3)
     want = oracle.brute_count_all(p, n)
-    kw = dwork._checked("main", p, n, None)[2][0]
+    kw = dwork._checked(p, n, None)[2][0]
     seen = kernel_digits(monkeypatch)
     for lam in range(1, p):
         smooth = pow(lam, n, p) != 1
@@ -932,7 +927,7 @@ def test_a_residue_outside_the_weil_window_raises(monkeypatch):
     # at (43, 4) the window holds 1807 integers and p^K_w = 1849 residues, so
     # high + 1 mod p^K_w has no representative in it: the miss is certain
     p, n, lam = 43, 4, 2
-    kw, low, high = dwork._checked("main", p, n, None)[2]
+    kw, low, high = dwork._checked(p, n, None)[2]
     assert (kw, p ** kw, high - low + 1) == (2, 1849, 1807)
     assert pow(lam, n, p) != 1
     assert count_main(p, n, lam) == oracle.brute_count(p, n, lam)
@@ -948,7 +943,7 @@ def test_a_residue_outside_zero_to_bound_raises(monkeypatch):
     # the singular fibre lambda = 1 reads K_target digits and the window
     # [0, bound]; bound + 1 < p^K_target is a residue with no count
     p, n, lam = 43, 4, 1
-    kt, bound, weil = dwork._checked("main", p, n, None)
+    kt, bound, weil = dwork._checked(p, n, None)
     assert weil is not None and pow(lam, n, p) == 1 and bound + 1 < p ** kt
     assert count_main(p, n, lam) == oracle.brute_count(p, n, lam)
     monkeypatch.setattr(padic.CharSum, "residue", lambda self, y: bound + 1)
@@ -1028,19 +1023,21 @@ def test_integer_path_matches_the_valued_path(n):
 
 def test_warm_counts_run_no_primality_test_and_build_no_valued_padic(monkeypatch):
     calls = Counter()
-    real_prime, real_init = dwork.is_odd_prime, padic.ValuedPadic.__init__
+    real_prime, real_new = dwork.is_odd_prime, padic.ValuedPadic.__new__
 
     def counted_prime(m):
         calls["is_odd_prime"] += 1
         return real_prime(m)
 
-    def counted_init(self, *args, **kwargs):
+    def counted_new(cls, *args, **kwargs):
         calls["ValuedPadic"] += 1
-        real_init(self, *args, **kwargs)
+        return real_new(cls, *args, **kwargs)
 
     monkeypatch.setattr(dwork, "is_odd_prime", counted_prime)
     monkeypatch.setattr(padic, "is_odd_prime", counted_prime)
-    monkeypatch.setattr(padic.ValuedPadic, "__init__", counted_init)
+    monkeypatch.setattr(padic.ValuedPadic, "__new__", counted_new)
+    assert padic.valued(5, 0, 7, 3) == padic.ValuedPadic(5, 0, PadicUnit(7, 5, 3))
+    assert calls["ValuedPadic"] == 2  # the hook sees a construction
     first = count_main(31, 6, 1)
     calls.clear()
     warm = [count_main(31, 6, lam) for lam in range(2, 31)]
@@ -1062,11 +1059,27 @@ def test_caches_stay_bounded_over_primes_and_warm_over_one_family():
     assert family == list(dwork.count_all("main", 31, 6).values())
 
 
+@pytest.mark.parametrize("p, n", [(13, 3), (11, 3)])
+def test_every_method_shares_one_check_per_p_n_and_k_target(p, n):
+    # verify's group (main, koblitz and ff at (13, 3), main and koblitz at
+    # (11, 3)) and a count by every applicable name each run the checks once
+    dwork._checked.cache_clear()
+    oracle.verify_group(p, n, [1, 2])
+    assert dwork._checked.cache_info().misses == 1
+    dwork._checked.cache_clear()
+    names = dwork.applicable(p, n, 3)
+    assert len(names) == 3
+    assert all(dwork.count(name, p, n, 3) == count_koblitz(p, n, 3) for name in names)
+    assert dwork._checked.cache_info().misses == 1
+
+
 def test_checks_run_once_per_kernel_and_keep_their_order():
     # the cached checks still refuse each bad input, in the order they always ran:
     # the instance before K_target, K_target before the method, lambda = 0 last
     with pytest.raises(InstanceError, match="not an odd prime"):
         count_main(9, 2, 1, kt=0)
+    with pytest.raises(ValueError, match="K_target must be at least 1"):
+        count_main(7, 3, 1, kt=0)
     with pytest.raises(ValueError, match="K_target must be at least 1"):
         dwork.count("nonesuch", 7, 3, 1, 0)
     with pytest.raises(ValueError, match="unknown method"):

@@ -264,6 +264,30 @@ def test_addition_precision_alignment():
     assert z.is_zero and z.absolute_precision == 2
 
 
+def test_valued_padic_equality_and_hash():
+    # zeros compare by precision, non-zeros by valuation and unit; equal values
+    # hash equal, so they serve as dict and set keys
+    cancelled, x = padic.valued(5, -2, 0, 6), padic.valued(5, 1, 30, 4)
+    assert cancelled == ValuedPadic.zero(5, 4) and hash(cancelled) == hash(ValuedPadic.zero(5, 4))
+    assert cancelled != ValuedPadic.zero(5, 6) and cancelled != ValuedPadic.zero(5)
+    assert ValuedPadic.zero(5) == padic.char_value(1, 0, 5, 3)
+    same = ValuedPadic(5, 2, PadicUnit(6, 5, 3))  # 5^2 * 6 to absolute precision 5
+    assert x == same and hash(x) == hash(same) and x == padic.valued(5, 0, 150, 5)
+    assert x != ValuedPadic(5, 1, PadicUnit(6, 5, 3))  # valuation
+    assert x != ValuedPadic(5, 2, PadicUnit(6, 5, 4))  # unit precision
+    assert x != ValuedPadic(5, 2, PadicUnit(11, 5, 3))  # unit residue
+    assert x != ValuedPadic(7, 2, PadicUnit(6, 7, 3)) and x != cancelled
+    table = {cancelled: "cancelled", x: "x"}
+    assert table[ValuedPadic.zero(5, 4)] == "cancelled" and table[same] == "x"
+    assert len({cancelled, ValuedPadic.zero(5, 4), x, same, ValuedPadic.zero(5)}) == 3
+
+
+def test_valued_padic_repr():
+    # an exact zero, a cancellation zero and a non-zero
+    values = (ValuedPadic.zero(5), padic.valued(5, -2, 0, 6), padic.valued(5, 1, 30, 4))
+    assert [repr(v) for v in values] == ["0", "O(5^4)", "5^2 * (6 + O(5^3))"]
+
+
 def test_digit_request_beyond_precision_raises():
     with pytest.raises(PrecisionError):
         ValuedPadic(5, 0, PadicUnit(2, 5, 2)).residue_mod(5)
