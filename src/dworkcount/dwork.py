@@ -533,17 +533,19 @@ def count_all(name: str, p: int, n: int, kt: int | None = None) -> dict[int, int
     """{lambda: N_p(lambda)} by one method for every lambda it covers: all of
     F_p for koblitz, F_p^* for main, relprime and ff.
 
-    The checks run once, and the kernel is evaluated at every character
-    argument by one transform (CharSum.residues); each count equals the
-    method's single count at that lambda.
+    The checks run once, and the kernel is evaluated over its whole domain by
+    one transform (CharSum.residues): as lambda runs over F_p^*, y(lambda)
+    runs over exactly the d-th powers, and koblitz's lambda = 0 adds y = 0.
+    Each y a covered lambda maps to is reconstructed once, and each count
+    equals the method's single count at that lambda.
     """
     kt, bound, _, method, _ = _method_inputs(name, p, n, 1, kt)
     kernel = _kernel(method, p, n, kt)
     arg = _ARGUMENT[name]
     lams = range(1, p) if _refusal(name, p, n, 0) else range(p)
     ys = {lam: arg(p, n, lam) for lam in lams}
-    counts = {y: _reconstruct(kernel, r, 0, bound, kt)
-              for y, r in kernel.residues(set(ys.values())).items()}
+    values = kernel.residues()
+    counts = {y: _reconstruct(kernel, values[y], 0, bound, kt) for y in set(ys.values())}
     return {lam: counts[y] for lam, y in ys.items()}
 
 

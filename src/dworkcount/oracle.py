@@ -173,8 +173,7 @@ def sample_size(policy: str) -> int | None:
     raise ValueError(f'unknown lambda policy {policy!r}: use "all" or "sample:k"')
 
 
-def _lambda_set(p: int, policy: str) -> list[int]:
-    k = sample_size(policy)
+def _lambda_set(p: int, k: int | None) -> list[int]:
     if k is None:
         return list(range(p))
     step = max((p - 1) // k, 1)
@@ -190,20 +189,21 @@ def sweep_verify(p_max: int, n_set, lambda_policy: str = "all",
     """Run the oracle and every applicable formula over the grid; deterministic
     report order (p, n, lambda) regardless of parallelism.
 
-    A grid whose groups sum to over ORACLE_LIMIT projective points is refused
-    with a ValueError naming the total and the largest group, before any group
-    runs.
+    A malformed lambda policy is a ValueError first.  A grid whose groups sum
+    to over ORACLE_LIMIT projective points is then refused with a ValueError
+    naming the total and the largest group, sized from the (p, n) pairs alone:
+    no group's lambda list is built and no group runs.
     """
-    groups = [(p, n, _lambda_set(p, lambda_policy))
-              for p in _odd_primes_upto(p_max)
-              for n in sorted(n_set) if n % p]
-    sizes = [((q ** m - 1) // (q - 1), q, m) for q, m, *_ in groups]
+    k = sample_size(lambda_policy)
+    pairs = [(p, n) for p in _odd_primes_upto(p_max) for n in sorted(n_set) if n % p]
+    sizes = [((q ** m - 1) // (q - 1), q, m) for q, m in pairs]
     total = sum(points for points, *_ in sizes)
     if total > ORACLE_LIMIT:
         points, p, n = max(sizes)
         raise ValueError(f"the oracle would enumerate {total} points over the grid, "
                          f"{points} of them at p={p}, n={n}, over its limit of "
                          f"{ORACLE_LIMIT}; lower --pmax or drop n={n} from --n-set")
+    groups = [(p, n, _lambda_set(p, k)) for p, n in pairs]
     if jobs > 1 and len(groups) > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:

@@ -4,7 +4,7 @@ CharSum, and exact integer reconstruction.
 
 CharSum is the one character-sum kernel: a residue constant plus one residue
 per character index, summed mod p^K by Horner's rule at one y or by one
-transform at every y.  Every count method (dwork) and every mGm/mFm
+transform over its whole domain.  Every count method (dwork) and every mGm/mFm
 evaluation (hyperfun) goes through it; a count's residues carry no
 valuation, and hyperfun folds its valued coefficients into residues first.
 dwork._reconstruct turns a count's residue into the count: counts never
@@ -286,9 +286,10 @@ class CharSum:
     C has one entry per character index e < t = len(C), a divisor of p-1: a
     kernel whose index is taken mod t is defined at y = 0, where every
     character vanishes, and at the y with y^t = 1, where wbar^t(y) = 1, and
-    raises ValueError at any other y.  residue and residues are its one
-    evaluation, on plain integers; a caller whose terms carry valuations folds
-    them into residues first and wraps a result with valued.
+    raises ValueError at any other y.  residue (one y, by Horner) and
+    residues (the whole domain, by one transform) are its one evaluation, on
+    plain integers; a caller whose terms carry valuations folds them into
+    residues first and wraps a result with valued.
     """
 
     def __init__(self, p: int, digits: int, const: int, coeffs):
@@ -298,33 +299,28 @@ class CharSum:
         if self.period < 1 or (p - 1) % self.period:
             raise ValueError(f"period {self.period} does not divide p-1 = {p - 1}")
 
-    def _check(self, y: int) -> None:
-        if y % self.p and pow(y, self.period, self.p) != 1:
-            raise ValueError(f"y = {y} is outside the domain of a period-{self.period} "
-                             f"character sum mod {self.p}: y^{self.period} != 1")
-
     def residue(self, y: int) -> int:
         """The value at y mod p^digits, by one Horner pass."""
-        self._check(y)
         p, mod = self.p, self.mod
         if y % p == 0:
             return self.const
+        if pow(y, self.period, p) != 1:
+            raise ValueError(f"y = {y} is outside the domain of a period-{self.period} "
+                             f"character sum mod {p}: y^{self.period} != 1")
         z = teichmuller_table(p, self.digits)[pow(y, -1, p)]  # wbar(y)
         acc = 0
         for c in reversed(self.coeffs):
             acc = (acc * z + c) % mod
         return (acc + self.const) % mod
 
-    def residues(self, ys) -> dict[int, int]:
-        """residue(y) for every y in ys, from one transform of the coefficients.
+    def residues(self) -> dict[int, int]:
+        """{y: residue(y)} over the whole domain, y = 0 (the constant) and
+        every y with y^t = 1, from one transform of the coefficients.
 
         With rho = w(g) for the primitive root g and s = (p-1)/t, wbar(g^-sk) =
         rho^sk, so the character sums at every y = g^-sk are the length-t DFT
         sum_e C_e (rho^s)^(ek), which padic.chirp_dft computes at once.
         """
-        ys = list(ys)
-        for y in ys:
-            self._check(y)
         p, t, mod = self.p, self.period, self.mod
         teich, g = teichmuller_table(p, self.digits), primitive_root(p)
         gs = pow(g, (p - 1) // t, p)
@@ -332,12 +328,11 @@ class CharSum:
         for _ in range(t):
             powers.append(teich[x])  # (rho^s)^e = w(g^se)
             x = x * gs % p
-        sums = [self.const] * p  # the value at each y; y = 0 keeps the constant
-        gs_inv, y = pow(gs, -1, p), 1
+        out, gs_inv, y = {0: self.const}, pow(gs, -1, p), 1
         for acc in chirp_dft(self.coeffs, powers, mod):
-            sums[y] = (acc + self.const) % mod
+            out[y] = (acc + self.const) % mod
             y = y * gs_inv % p
-        return {y: sums[y % p] for y in ys}
+        return out
 
 
 def valued(p: int, v: int, r: int, digits: int) -> ValuedPadic:

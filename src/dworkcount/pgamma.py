@@ -35,6 +35,10 @@ from functools import lru_cache
 from .padic import (CACHE_SIZE, PadicError, check_table_size, chirp_dft,
                     primitive_root, teichmuller_table)
 
+# Most lift steps one gamma sweep may take.  2 * 10^6 steps took 0.22-0.29 s
+# at (p, digits) = (101, 4) and (30011, 2), about 0.13-0.14 us a step, and a
+# whole 5 * 10^7-step sweep 7.9 s and 8.3 s there (CPython 3.11, shared
+# 2-core Intel Xeon machine): the limit is about 8 s of sweep.
 SWEEP_LIMIT = 50_000_000
 
 

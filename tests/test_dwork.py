@@ -596,6 +596,88 @@ def test_ff_is_main_reversed_and_koblitz_is_main_twisted(p):
                 == (main.const, reversed_main), n
 
 
+# -- a mod-p identity for every kernel, sharing no code with the formulas --------------
+#
+# Chevalley-Warning counting gives N_aff == -sum_x f(x)^(p-1) (mod p), and for
+# f = sum x_i^n - n lambda prod x_i the only monomial that survives is
+# x^(p-1, ..., p-1).  So for lambda != 0 and p not dividing n
+#
+#     N(lambda) == 1 + (-1)^n sum_(a <= (p-1)/n) c_a ((n lambda)^n)^-a  (mod p),
+#
+# c_a = (na)!/(a!)^n, the truncated sum behind the Hasse invariant.  On the
+# d-th powers y, y^-a depends on a mod t only, and wbar(y) == 1/y (mod p), so
+# the sum folded mod t pins digit 0 of every kernel coefficient.
+
+
+def truncated_terms(p, n):
+    """[c_a mod p for a <= (p-1)/n]."""
+    fact = [1] * p
+    for k in range(1, p):
+        fact[k] = fact[k - 1] * k % p
+    return [fact[n * a] * pow(fact[a], -n, p) % p for a in range((p - 1) // n + 1)]
+
+
+def count_mod_p(p, n, lam):
+    """N(lambda) mod p by the truncated sum; at lambda = 0 the surviving
+    monomial of (sum x_i^n)^(p-1) has the coefficient (p-1)!/(((p-1)/n)!)^n,
+    the a = (p-1)/n term, when n | p-1, and there is none otherwise."""
+    terms = truncated_terms(p, n)
+    if lam % p == 0:
+        return (1 + (-1) ** n * terms[-1]) % p if (p - 1) % n == 0 else 1
+    y_inv = pow(n * lam, -n, p)
+    return (1 + (-1) ** n * sum(c * pow(y_inv, a, p) for a, c in enumerate(terms))) % p
+
+
+def folded_terms(p, n):
+    """(S, D) mod p: S_e sums the c_a, and D_e the c_a (n^n)^-a, over the
+    a == e (mod t), t = (p-1)/gcd(p-1, n)."""
+    t, n_inv = (p - 1) // gcd(p - 1, n), pow(n, -n, p)
+    folds, twisted = [0] * t, [0] * t
+    for a, c in enumerate(truncated_terms(p, n)):
+        folds[a % t] = (folds[a % t] + c) % p
+        twisted[a % t] = (twisted[a % t] + c * pow(n_inv, a, p)) % p
+    return folds, twisted
+
+
+def obeys_mod_p(kernel, folded, n):
+    """C_e == (-1)^n folded_e at e >= 1 and const + C_0 == 1 + (-1)^n
+    folded_0 (mod p): on the t characters of the d-th powers, which are
+    independent, the kernel is the truncated sum."""
+    p, sign = kernel.p, (-1) ** n
+    got = [c % p for c in kernel.coeffs]
+    want = [sign * f % p for f in folded]
+    return (len(got) == len(want) and got[1:] == want[1:]
+            and (kernel.const + got[0]) % p == (1 + want[0]) % p)
+
+
+@pytest.mark.parametrize("p,n", [(p, n) for p in PRIMES_TO_97 if p < 60 for n in range(2, 7)
+                                 if n % p and p ** (n - 1) <= 3 * 10 ** 6])
+def test_the_truncated_sum_is_every_count_mod_p(p, n):
+    """The oracle's count at every lambda in F_p, lambda = 0 included, is
+    the truncated sum mod p."""
+    assert {lam: c % p for lam, c in oracle.brute_count_all(p, n).items()} \
+        == {lam: count_mod_p(p, n, lam) for lam in range(p)}
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_every_kernel_is_the_truncated_sum_mod_p(n):
+    """At every odd p < 400 with p not dividing n: main at K_target and at
+    K_w reads y = lambda^n, so its C_e is (-1)^n D_e; koblitz reads
+    (n lambda)^n, so its C_e is (-1)^n S_e, and its constant is the lambda = 0
+    count; ff reads lambda^-n, so its C_e is (-1)^n D_((-e) mod t)."""
+    for p in (q for q in range(3, 400) if is_odd_prime(q) and n % q):
+        folds, twisted = folded_terms(p, n)
+        kt, t = k_target(p, n), len(folds)
+        for digits in sorted({kt, dwork.weil_window(p, n)[0]}):
+            assert obeys_mod_p(dwork._kernel("main", p, n, digits), twisted, n), (p, digits)
+        kob = dwork._kernel("koblitz", p, n, kt)
+        assert obeys_mod_p(kob, folds, n), p
+        assert kob.const % p == count_mod_p(p, n, 0), p
+        if (p - 1) % n == 0:
+            ff = dwork._kernel("ff", p, n, kt)
+            assert obeys_mod_p(ff, [twisted[-e % t] for e in range(t)], n), p
+
+
 # -- the all-y transform against Horner ---------------------------------------------
 
 # the verify_sweep grid (p <= 61 with n = 2..4, p <= 19 with n = 5) and n = 6
@@ -615,20 +697,20 @@ def sweep_kernels(p, n):
 
 @pytest.mark.parametrize("p,n", SWEEP_GRID)
 def test_transform_values_match_horner(p, n):
-    """On a kernel's domain, y = 0 and the y with y^period = 1, the transform
-    equals Horner; every other y raises from both.  Every kernel has period
-    t = (p-1)/d, so its domain is 0 and the d-th powers."""
+    """The transform covers a kernel's domain, y = 0 and the y with
+    y^period = 1, and there equals Horner; Horner raises at every other y.
+    Every kernel has period t = (p-1)/d, so its domain is 0 and the d-th
+    powers."""
     d = gcd(p - 1, n)
     for name, kernel in sweep_kernels(p, n):
         assert kernel.period == (p - 1) // d, name
         domain = [y for y in range(p) if y == 0 or pow(y, kernel.period, p) == 1]
-        got = kernel.residues(domain)
+        got = kernel.residues()
+        assert set(got) == set(domain), name
         for y in range(p):
             if y not in domain:
                 with pytest.raises(ValueError):
                     kernel.residue(y)
-                with pytest.raises(ValueError):
-                    kernel.residues([y])
                 continue
             assert got[y] == kernel.residue(y), (name, y)
 
@@ -1005,7 +1087,8 @@ def test_integer_path_matches_the_valued_path(n):
         for kt in (k_target(p, n), 1, 2):
             for name, kernel in path_kernels(p, n, kt):
                 domain = [y for y in range(p) if y == 0 or pow(y, kernel.period, p) == 1]
-                every = kernel.residues(domain)
+                every = kernel.residues()
+                assert set(every) == set(domain), (name, p)
                 for y in domain:
                     r = kernel.residue(y)
                     assert every[y] == r, (name, p, y)

@@ -151,6 +151,23 @@ def test_lambda_sampling_policy():
         oracle.sweep_verify(5, [2], "bogus")
 
 
+def test_the_budget_is_checked_before_any_lambda_list_is_built(monkeypatch):
+    """sweep_verify sizes its grid from the (p, n) pairs alone: over the
+    oracle limit it refuses, naming the total and the largest group, before
+    any group's lambda list (p entries at "all") is built; a malformed policy
+    is still refused first."""
+    def unbuilt(*args):
+        raise AssertionError("a lambda list was built before the budget check")
+
+    monkeypatch.setattr(oracle, "_lambda_set", unbuilt)
+    with pytest.raises(ValueError) as refusal:
+        oracle.sweep_verify(100000, [4], "all")
+    assert "enumerate 2220348897885636684 points over the grid" in str(refusal.value)
+    assert "999740022599344 of them at p=99991, n=4" in str(refusal.value)
+    with pytest.raises(ValueError, match="unknown lambda policy"):
+        oracle.sweep_verify(100000, [4], "bogus")
+
+
 def test_parallel_sweep_matches_serial():
     serial = oracle.sweep_verify(7, [2, 3], "all", jobs=1)
     parallel = oracle.sweep_verify(7, [2, 3], "all", jobs=3)
