@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time all-lambda counts at the scale of the north-star targets, cold
-single counts at scale, and the CLI's cold start.
+"""Time all-lambda counts at the scale of the north-star targets, families
+of single counts, cold single counts at scale, and the CLI's cold start.
 
 Usage:
     python3 scripts/bench_scale.py [--src DIR] [--parent DIR] > BENCH_<PR>.json
@@ -9,13 +9,16 @@ Each all-lambda timing is one `dwork.count_all(method, p, n)` over every lambda
 the method covers (F_p^* for main and ff, all of F_p for koblitz), run in a
 fresh interpreter that imports `dworkcount` from DIR (default: this checkout's
 src), so the lru-cached tables and kernels start cold; for these cases
-interpreter start-up and the import are not timed.  With --parent, the same
+interpreter start-up and the import are not timed.  Each family timing
+(FAMILY_CASES) is the same over `dwork.count("main", p, n, lambda)` for
+lambda = 1..p-1, one single count at a time, as a caller without count_all
+would run them.  With --parent, the same
 cases are also timed on a second source tree (say, a `git archive` of the
 parent commit unpacked elsewhere), alternating which side runs first, and the
 script checks that both sides return the same counts.  Each case runs REPEAT
 times per side.  A run that the method refuses (dwork.InstanceError, say a
 budget) is recorded as "refused"; every other run also checks, untimed, that
-its counts equal the koblitz counts at each lambda it covers.
+its counts equal the all-lambda koblitz counts at each lambda it covers.
 
 The two cold-start cases run COLD_REPEAT times per side, alternating sides,
 each in a fresh interpreter: `import dworkcount.cli` alone (timed inside the
@@ -44,6 +47,7 @@ CASES = [("main", 1009, 7), ("main", 1009, 9), ("main", 1021, 10), ("main", 1021
          ("main", 30011, 4), ("koblitz", 1021, 10), ("koblitz", 10009, 4),
          ("koblitz", 101, 50), ("ff", 1009, 8), ("ff", 1021, 12), ("ff", 1009, 14),
          ("ff", 101, 50)]
+FAMILY_CASES = [("main", 601, 4), ("main", 1009, 4), ("main", 1009, 6), ("main", 10007, 6)]
 REPEAT = 3
 COLD_REPEAT = 15
 COUNT_ARGV = ["count", "--p", "601", "--n", "4", "--lambda", "3", "--method", "main"]
@@ -63,28 +67,33 @@ WORKER = """
 import hashlib, sys, time
 sys.path.insert(0, sys.argv[1])
 from dworkcount import dwork
-method, p, n = sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+method, p, n, family = sys.argv[2], int(sys.argv[3]), int(sys.argv[4]), sys.argv[5] == "family"
 t0 = time.perf_counter()
 try:
-    counts = dwork.count_all(method, p, n)
+    if family:
+        counts = {lam: dwork.count(method, p, n, lam) for lam in range(1, p)}
+    else:
+        counts = dwork.count_all(method, p, n)
 except dwork.InstanceError:
     print("refused")
     sys.exit()
 elapsed = time.perf_counter() - t0
-koblitz = counts if method == "koblitz" else dwork.count_all("koblitz", p, n)
+koblitz = counts if method == "koblitz" and not family else dwork.count_all("koblitz", p, n)
 print(elapsed, hashlib.sha256(repr(sorted(counts.items())).encode()).hexdigest(),
       all(koblitz[lam] == c for lam, c in counts.items()))
 """
 
 
-def time_once(src, method, p, n):
+def time_once(src, method, p, n, family):
     """(seconds, sha256 of the sorted counts, whether they equal koblitz's) of
-    one cold all-lambda count, or ("refused", None, True)."""
-    out = subprocess.run([sys.executable, "-c", WORKER, str(src), method, str(p), str(n)],
+    one cold all-lambda count or family of single counts, or ("refused",
+    None, True)."""
+    out = subprocess.run([sys.executable, "-c", WORKER, str(src), method, str(p), str(n),
+                          "family" if family else "all"],
                          check=True, capture_output=True, text=True).stdout.split()
     if out == ["refused"]:
         return "refused", None, True
-    return round(float(out[0]), 3), out[1], out[2] == "True"
+    return round(float(out[0]), 4), out[1], out[2] == "True"
 
 
 def wall_once(args, src=None):
@@ -162,25 +171,27 @@ def main(argv=None):
     single, single_ok = single_counts(sides)
     ok = ok and single_ok
     cases = []
-    for method, p, n in CASES:
+    for method, p, n, family in ([(*case, False) for case in CASES]
+                                 + [(*case, True) for case in FAMILY_CASES]):
         runs = {side: [] for side in sides}
         digests, koblitz_agrees = set(), True
         for r in range(REPEAT):
             order = list(sides) if r % 2 == 0 else list(reversed(sides))
             for side in order:
-                seconds, digest, agrees = time_once(sides[side], method, p, n)
+                seconds, digest, agrees = time_once(sides[side], method, p, n, family)
                 runs[side].append(seconds)
                 if digest is not None:
                     digests.add(digest)
                 koblitz_agrees = koblitz_agrees and agrees
         medians = {side: "refused" if "refused" in v else statistics.median(v)
                    for side, v in runs.items()}
-        case = {"method": method, "p": p, "n": n, "runs_s": runs, "median_s": medians,
+        case = {"method": method, "p": p, "n": n, "family": family,
+                "runs_s": runs, "median_s": medians,
                 "counts_agree": len(digests) == 1,
                 "equals_koblitz": koblitz_agrees}
         ok = ok and case["counts_agree"] and koblitz_agrees
-        print(f"{method} p={p} n={n}: " + ", ".join(
-            f"{side} {m}" if m == "refused" else f"{side} {m:.2f} s" for side, m in medians.items())
+        print(f"{'family ' if family else ''}{method} p={p} n={n}: " + ", ".join(
+            f"{side} {m}" if m == "refused" else f"{side} {m:.4f} s" for side, m in medians.items())
               + ("" if case["counts_agree"] else "  COUNTS DIFFER")
               + ("" if koblitz_agrees else "  NOT EQUAL TO KOBLITZ"), file=sys.stderr)
         cases.append(case)

@@ -64,7 +64,8 @@ one gamma table; the Gauss-sum counts read its entries as the Gross-Koblitz
 units u = -Gamma and fold the signs into a scale.  Each count's sum over W
 at a column is the Y^0 coefficient of one n-th power of the table's d rows
 in Z[Y]/(Y^d + p) (_gamma_rows), and B/p, B that of (P_0 - P_0(0))^n, gives
-main's and ff's i = 0 term and koblitz's constant: _y0_read reads both.
+main's and ff's i = 0 term and koblitz's constant: _y0_read reads both, and
+the cached _gamma_y0 reads them once per (p, n, digits) for all three.
 The builders' own factors are what the identities between kernels check.
 
 Validation happens once per (p, n), not once per lambda or per method.  The
@@ -73,9 +74,11 @@ their Miller-Rabin test, the table limit, and the K_target and its default) run
 once per (p, n, K_target) in the cached _checked, which every method shares,
 and the kernel is built once per (method, p, n, digits) in the cached
 _kernel.  A count then checks the method name and takes lambda mod p, the
-domain rule (_refusal), y(lambda), one Horner pass (CharSum.residue) and an
-integer reconstruction (_reconstruct), all on plain integers; only
-method_value wraps a kernel value as a ValuedPadic (padic.valued).
+domain rule (_refusal), y(lambda), the kernel's residue at y (CharSum.residue:
+one Horner pass the first time the kernel meets y, a memo lookup after, so a
+family of single counts runs t passes, not p - 1) and an integer
+reconstruction (_reconstruct), all on plain integers; only method_value wraps
+a kernel value as a ValuedPadic (padic.valued).
 
 Precision: a count is an integer in [0, (p^n - 1)/(p - 1)], so it is pinned by
 its residue mod p^K_target, the smallest power of p over twice that bound
@@ -286,6 +289,14 @@ def _gamma_rows(p: int, n: int, digits: int) -> list:
     return [table[k:k + t] for k in range(0, p - 1, t)]
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _gamma_y0(p: int, n: int, digits: int) -> tuple[tuple[int, ...], int]:
+    """_y0_read of the gamma rows at (p, n, digits), as (tuple(y0), B/p): the
+    one Y^0 power main, koblitz and ff read, built once for the three."""
+    y0, b = _y0_read(_gamma_rows(p, n, digits), n, p, digits)
+    return tuple(y0), b
+
+
 def _main_terms(p: int, n: int, digits: int) -> list[int]:
     """[C_i for i < t = (p-1)/d]: the main count's classes, each term
     (-1)^n * prefactor * G-coefficient, summed and folded mod t.
@@ -309,9 +320,8 @@ def _main_terms(p: int, n: int, digits: int) -> list[int]:
     monomials of B = [Y^0] (P_0 - 1)^n, have one factor -p fewer (E_j steps
     at bt + 1), so with A = [Y^0] P_0^n the sum is -(A - B) + B/(-p) =
     -A - (1 - p) B/p, with B/p from _y0_read (sum(w') >= d)."""
-    mod = p ** digits
-    y0, b = _y0_read(_gamma_rows(p, n, digits), n, p, digits)
-    y0[0] = -y0[0] - (1 - p) * b
+    mod, (y0, b) = p ** digits, _gamma_y0(p, n, digits)
+    y0 = [-y0[0] - (1 - p) * b, *y0[1:]]  # a new list: the power is shared
     scale = (-1) ** n * pow(p - 1, -1, mod)
     return [scale * l * (-p) ** (n * i // (p - 1)) * c % mod
             for i, (c, l) in enumerate(zip(y0, main_l_factors(p, n, digits)))]
@@ -339,7 +349,7 @@ def _koblitz_terms(p: int, n: int, digits: int) -> tuple[int, list[int]]:
     t, table = (p - 1) // d, frac_gamma_table(p, digits)
     inv = (-1) ** (n + 1) * pow(p - 1, -1, mod)
     inv_den = batch_inverse([table[n * j % (p - 1)] for j in range(t)], mod)  # -1/u(nj)
-    y0, b = _y0_read(_gamma_rows(p, n, digits), n, p, digits)
+    y0, b = _gamma_y0(p, n, digits)
     return (-1) ** n * b, [(-p) ** (n * j // (p - 1)) * y0[j] * inv * inv_den[j] % mod
                            for j in range(t)]
 
@@ -384,8 +394,8 @@ def _ff_terms(p: int, n: int, digits: int) -> list[int]:
     dens = [1] * t  # prod_k Gamma(<(kt + c)/(p-1)>) per column c
     for row in rows:
         dens = [a * b % mod for a, b in zip(dens, row)]
-    y0, b = _y0_read(rows, n, p, digits)
-    y0[0] += b - p * b
+    y0, b = _gamma_y0(p, n, digits)
+    y0 = [y0[0] + b - p * b, *y0[1:]]  # a new list: the power is shared
     scale = (-1) ** (n + 1) * pow(p - 1, -1, mod) * dens[0]
     columns = [scale * inv * y % mod for y, inv in zip(y0, batch_inverse(dens, mod))]
     return [columns[-i % t] for i in range(t)]  # C_i is column c = (-i) mod t
@@ -453,21 +463,25 @@ def _checked(p: int, n: int, kt: int | None) -> tuple[int, int, tuple[int, int, 
     K_target in fresh processes, tables and kernels built inside the span,
     for one count at lambda = 2 and for the family of single counts at
     lambda = 1..p-1 (median ms of 7 alternating runs, CPython 3.11, shared
-    2-core machine; medians move 10-20 % between invocations):
+    2-core machine; three invocations agreed within 10 %):
 
       (p, n)     K_w/K_target  rule   one count    family
-      (13, 3)    2/3           admit  0.31 / 0.25  0.64 / 0.45
-      (43, 4)    2/4           admit  0.44 / 0.46  1.03 / 0.82
-      (601, 4)   2/4           admit  2.02 / 3.24  18.0 / 28.8
-      (1009, 4)  2/4           admit  3.77 / 5.43  43.5 / 72.3
-      (41, 4)    3/4           leave  0.51 / 0.52  1.10 / 0.78
-      (31, 6)    5/6           leave  0.55 / 0.52  1.03 / 0.68
-      (1009, 6)  4/6           leave  6.80 / 7.37  62.0 / 44.8
+      (13, 3)    2/3           admit  0.18 / 0.18  0.36 / 0.23
+      (43, 4)    2/4           admit  0.23 / 0.24  0.54 / 0.38
+      (601, 4)   2/4           admit  1.29 / 1.82  5.86 / 6.33
+      (1009, 4)  2/4           admit  2.06 / 2.88  11.2 / 14.0
+      (41, 4)    3/4           leave  0.31 / 0.31  0.60 / 0.41
+      (31, 6)    5/6           leave  0.31 / 0.33  0.62 / 0.41
+      (1009, 6)  4/6           leave  3.59 / 3.78  13.7 / 10.1
 
     So at small p, admitted or not, K_w gains nothing on one count, and a
-    family of single counts pays 0.2-0.3 ms for the second build (count_all
-    builds one kernel).  At (1009, 6) the rule gives up 8 % on one count to
-    keep the family 28 % faster.  No other pair is measured."""
+    family of single counts pays 0.1-0.2 ms for the second build (count_all
+    builds one kernel).  A kernel evaluates each y once, so a family costs
+    its builds plus t Horner passes: at (601, 4) and (1009, 4) K_w is about
+    30 % faster on one count but only 6-8 % and 19-20 % on the family, the
+    second build taking back the rest.  At (1009, 6) the rule gives up 5-7 %
+    on one count to keep the family 26-28 % faster.  No other pair is
+    measured."""
     inst = DworkInstance(p, n, 0)
     check_table_size(p)
     default = k_target(p, n)

@@ -17,8 +17,10 @@ the module constant read at call time, is refused with advice
 (TableLimitError) before any table is allocated, as pgamma.SWEEP_LIMIT
 refuses long lift sweeps and oracle.ORACLE_LIMIT long enumerations.
 
-Every value is immutable after construction and every operation is a pure
-function, so everything here is safe to share across threads.
+Every value but a CharSum is immutable after construction and every operation
+is a pure function.  A CharSum memoizes residue per y, and each write stores
+the one value the Horner pass gives at that y (two racing writes store the
+same integer), so everything here is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -54,8 +56,9 @@ class RangeError(PadicError):
 TABLE_LIMIT = 300_000
 
 
-# Entries kept by each lru-cached table, kernel and check: one (p, n) family's
-# (a count's K_w and K_target kernels, verify's three).
+# Entries kept by each lru-cached table, kernel, Y^0 power (dwork._gamma_y0)
+# and check: one (p, n) family's (a count's K_w and K_target kernels and
+# powers, verify's three kernels over one power).
 # Over 120 cold count_main(q, 4, 3), q the first 120 primes above 10007, peak
 # RSS after 120 was x5.7 that after 10 unbounded (24 -> 142 MB), x1.068 at 2,
 # x1.079 at 4 (20.4 -> 22.0 MB) and x1.103 at 8 (CPython 3.11, 2-core machine).
@@ -290,6 +293,11 @@ class CharSum:
     residues (the whole domain, by one transform) are its one evaluation, on
     plain integers; a caller whose terms carry valuations folds them into
     residues first and wraps a result with valued.
+
+    residue memoizes its value per y mod p (the constant at y = 0 from the
+    start), so a family of counts that meets each of the t values of y many
+    times runs each Horner pass once; the memo holds at most t + 1 entries,
+    and residues neither reads nor fills it.
     """
 
     def __init__(self, p: int, digits: int, const: int, coeffs):
@@ -298,12 +306,15 @@ class CharSum:
         self.period = len(self.coeffs)
         if self.period < 1 or (p - 1) % self.period:
             raise ValueError(f"period {self.period} does not divide p-1 = {p - 1}")
+        self._memo = {0: self.const}
 
     def residue(self, y: int) -> int:
-        """The value at y mod p^digits, by one Horner pass."""
+        """The value at y mod p^digits, by one Horner pass the first time
+        y mod p is asked; a y outside the domain raises every time."""
+        value = self._memo.get(y % self.p)
+        if value is not None:
+            return value
         p, mod = self.p, self.mod
-        if y % p == 0:
-            return self.const
         if pow(y, self.period, p) != 1:
             raise ValueError(f"y = {y} is outside the domain of a period-{self.period} "
                              f"character sum mod {p}: y^{self.period} != 1")
@@ -311,7 +322,8 @@ class CharSum:
         acc = 0
         for c in reversed(self.coeffs):
             acc = (acc * z + c) % mod
-        return (acc + self.const) % mod
+        value = self._memo[y % p] = (acc + self.const) % mod
+        return value
 
     def residues(self) -> dict[int, int]:
         """{y: residue(y)} over the whole domain, y = 0 (the constant) and

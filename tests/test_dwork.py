@@ -1104,6 +1104,77 @@ def test_integer_path_matches_the_valued_path(n):
                         assert isinstance(got, int), (name, p, n, y)
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_a_memoized_residue_is_the_cold_kernels_and_the_transforms(n):
+    """A warm residue(y) (and residue(y + p)) equals a cold kernel's and
+    residues()'s; residues() leaves the memo as it was, the memo holds at
+    most t + 1 values, and a y outside the domain raises before and after
+    the memo is warm and is never stored."""
+    for p in filter(is_odd_prime, range(3, 100)):
+        if n % p == 0:
+            continue
+        for name, kernel in path_kernels(p, n, k_target(p, n)):
+            t = kernel.period
+            cold = padic.CharSum(p, kernel.digits, kernel.const, kernel.coeffs)
+            memo = dict(kernel._memo)
+            every = kernel.residues()
+            assert kernel._memo == memo, (name, p)
+            outside = [y for y in range(1, p) if pow(y, t, p) != 1][:1]
+            for y in outside:
+                with pytest.raises(ValueError, match="outside the domain"):
+                    kernel.residue(y)
+            for y in every:
+                warm = kernel.residue(y)
+                assert kernel.residue(y) == kernel.residue(y + p) == warm, (name, p, y)
+                assert warm == cold.residue(y) == every[y], (name, p, y)
+            assert len(kernel._memo) <= t + 1, (name, p)
+            for y in outside:
+                with pytest.raises(ValueError, match="outside the domain"):
+                    kernel.residue(y)
+                assert y not in kernel._memo, (name, p, y)
+
+
+@pytest.mark.parametrize("p, n, passes", [(31, 6, {6: 5}), (1009, 6, {6: 168}),
+                                          (43, 4, {2: 20, 4: 1})])
+def test_a_family_of_single_counts_runs_one_horner_pass_per_y(monkeypatch, p, n, passes):
+    # only CharSum reads the Teichmuller table through padic: each read is one
+    # Horner pass, keyed by its kernel's digits.  At (43, 4) the smooth fibres
+    # read the K_w = 2 kernel at the 20 squares y != 1, and lambda^4 = 1 the
+    # K_target = 4 kernel; at d = 6 every count reads K_target
+    calls, real = Counter(), padic.teichmuller_table
+
+    def counted(q, digits):
+        calls[digits] += 1
+        return real(q, digits)
+
+    dwork._kernel.cache_clear()
+    monkeypatch.setattr(padic, "teichmuller_table", counted)
+    family = [count_main(p, n, lam) for lam in range(1, p)]
+    assert calls == Counter(passes)
+    assert sum(passes.values()) == len({pow(lam, n, p) for lam in range(1, p)})
+    assert family == list(dwork.count_all("main", p, n).values())
+
+
+def test_main_koblitz_and_ff_read_one_y0_power(monkeypatch):
+    # with the caches cleared, the three builders at (13, 3) and verify's
+    # group over them each take the Y^0 power once
+    calls, real = [], dwork._y0_read
+
+    def counted(rows, n, p, digits):
+        calls.append((p, n, digits))
+        return real(rows, n, p, digits)
+
+    monkeypatch.setattr(dwork, "_y0_read", counted)
+    kt = k_target(13, 3)
+    for run in (lambda: [dwork._kernel(name, 13, 3, kt) for name in ("main", "koblitz", "ff")],
+                lambda: oracle.verify_group(13, 3, [1, 2])):
+        dwork._kernel.cache_clear()
+        dwork._gamma_y0.cache_clear()
+        calls.clear()
+        run()
+        assert calls == [(13, 3, kt)]
+
+
 def test_warm_counts_run_no_primality_test_and_build_no_valued_padic(monkeypatch):
     calls = Counter()
     real_prime, real_new = dwork.is_odd_prime, padic.ValuedPadic.__new__
@@ -1131,14 +1202,15 @@ def test_warm_counts_run_no_primality_test_and_build_no_valued_padic(monkeypatch
 def test_caches_stay_bounded_over_primes_and_warm_over_one_family():
     # a sweep over primes keeps each lru cache at padic.CACHE_SIZE entries, and
     # one (p, n) family of single counts then misses each cache once
-    caches = (dwork._checked, dwork._kernel, frac_gamma_table, teichmuller_table)
+    caches = (dwork._checked, dwork._kernel, dwork._gamma_y0, frac_gamma_table,
+              teichmuller_table)
     assert all(cache.cache_info().maxsize == padic.CACHE_SIZE for cache in caches)
     for p in filter(is_odd_prime, range(11, 200)):
         count_main(p, 4, 3)
         assert all(cache.cache_info().currsize <= padic.CACHE_SIZE for cache in caches), p
     misses = [cache.cache_info().misses for cache in caches]
     family = [count_main(31, 6, lam) for lam in range(1, 31)]
-    assert [cache.cache_info().misses - m for cache, m in zip(caches, misses)] == [1] * 4
+    assert [cache.cache_info().misses - m for cache, m in zip(caches, misses)] == [1] * 5
     assert family == list(dwork.count_all("main", 31, 6).values())
 
 

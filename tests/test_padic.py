@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -214,6 +216,30 @@ def test_field_ops_match_fractions(p, digits, data):
         assert got.absolute_precision == v0 + digits
         assert observed(got) == reduce_exact(p, digits, exact_valued_sum(p, digits, terms, y),
                                              v0 + digits), y
+
+
+def test_a_kernel_shared_by_racing_threads_keeps_its_values():
+    # more threads than cores and a short switch interval: every thread reads
+    # every y of one fresh kernel, and the memo ends as the transform's values
+    rng, mod = random.Random(5), 1009 ** 3
+    kernel = padic.CharSum(1009, 3, 17, [rng.randrange(mod) for _ in range(168)])
+    want, results, interval = kernel.residues(), [], sys.getswitchinterval()
+
+    def read_all():
+        results.append(all(kernel.residue(y) == want[y] for y in want))
+
+    threads = [threading.Thread(target=read_all) for _ in range(8)]
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [True] * 8
+    assert kernel._memo == want
 
 
 def test_period_must_divide_p_minus_one():
